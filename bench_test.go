@@ -232,17 +232,6 @@ func BenchmarkRelatedOBF(b *testing.B) {
 	benchDetect(b, "baidu", scc.OBF, scc.Options{Seed: 1})
 }
 
-// --- §4.2 extension: direction-optimizing BFS in phase 1 -------------
-
-func BenchmarkAblationDirOptBFS(b *testing.B) {
-	b.Run("level-sync", func(b *testing.B) {
-		benchDetect(b, "twitter", scc.Method1, scc.Options{Seed: 1})
-	})
-	b.Run("dir-opt", func(b *testing.B) {
-		benchDetect(b, "twitter", scc.Method1, scc.Options{Seed: 1, DirOptBFS: true})
-	})
-}
-
 // --- §6 extension: distributed pipeline ------------------------------
 
 func BenchmarkDistributed(b *testing.B) {

@@ -12,7 +12,7 @@
 //	sccbench -exp tasklog                        # §3.3 execution log
 //	sccbench -exp ablations [-data flickr]       # §3.4/§4.1/§4.3 claims
 //	sccbench -exp dist [-data flickr]            # §6 distributed extension
-//	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy|multipivot] [-diropt]
+//	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy|multipivot]
 //	                                             # JSON perf report (BENCH_scc.json)
 //	sccbench -exp multipivot [-warmup 1] [-reps 5]
 //	                                             # worklist-vs-multipivot kernel comparison
@@ -63,7 +63,6 @@ func main() {
 		reps     = flag.Int("reps", 5, "bench experiment: measured repetitions per dataset")
 		workers  = flag.Int("workers", 0, "bench experiment: Detect workers (0 = GOMAXPROCS)")
 		kernSpec = flag.String("kernels", "worklist", "bench experiment: kernel set: worklist|legacy|multipivot")
-		dirOpt   = flag.Bool("diropt", false, "bench experiment: enable the direction-optimizing phase-1 BFS (bitmap frontier)")
 
 		stream     = flag.Int("stream", 64, "engine experiment: graphs per stream pass")
 		engWorkers = flag.Int("engine-workers", 0, "engine experiment: fixed Detect worker count (0 = default 1)")
@@ -202,7 +201,7 @@ func main() {
 		}
 		cfg := experiments.BenchConfig{
 			Scale: *scale, Workers: *workers, Warmup: *warmup, Reps: *reps, Seed: *seed,
-			Kernels: kern, DirOptBFS: *dirOpt,
+			Kernels: kern,
 		}
 		if *data != "" {
 			cfg.Datasets = strings.Split(*data, ",")

@@ -31,17 +31,6 @@ type BenchConfig struct {
 	// Kernels selects the trim/WCC kernel set (scc.KernelsWorklist is
 	// the zero value and the default).
 	Kernels scc.Kernels
-	// DirOptBFS enables the direction-optimizing phase-1 BFS so the
-	// sweep exercises the bitmap frontier (visible as BitmapLevels in
-	// the row metrics). Off by default: on this suite's small-diameter
-	// datasets the queue-only sweep wins — the bottom-up flip saves
-	// edge scans only for the couple of levels where the frontier is a
-	// large fraction of the partition, and the per-level bitmap reset
-	// plus the remaining-list rebuild cost more than those scans at
-	// GOMAXPROCS-scale worker counts. A BitmapLevels of 0 in
-	// BENCH_scc.json therefore means "not requested", not dead code;
-	// internal/bfs's regression test keeps the opt-in path honest.
-	DirOptBFS bool
 }
 
 func (c BenchConfig) withDefaults() BenchConfig {
@@ -131,7 +120,7 @@ func BenchSweep(cfg BenchConfig) (BenchReport, error) {
 		g := d.Build(cfg.Scale)
 		opts := scc.Options{
 			Algorithm: scc.Method2, Workers: cfg.Workers, Seed: cfg.Seed,
-			Kernels: cfg.Kernels, DirOptBFS: cfg.DirOptBFS,
+			Kernels: cfg.Kernels,
 		}
 		row := BenchRow{Dataset: name, Nodes: g.NumNodes(), Edges: g.NumEdges()}
 

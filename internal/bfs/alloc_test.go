@@ -36,3 +36,36 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Run allocates %.2f objects/run in steady state, want 0", avg)
 	}
 }
+
+// TestRunBottomUpSteadyStateAllocs is the same pin with every level
+// forced bottom-up over the candidate list: the single-worker sweep
+// draws only on the arena's next buffers.
+func TestRunBottomUpSteadyStateAllocs(t *testing.T) {
+	const n = 255
+	edges := make([]graph.Edge, 0, n)
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.Edge{From: graph.NodeID((v - 1) / 2), To: graph.NodeID(v)})
+	}
+	g := graph.FromEdges(n, edges)
+	ar := scratch.New(1, nil)
+	defer ar.Close()
+	color := make([]int32, n)
+	seeds := []graph.NodeID{0}
+	candidates := make([]graph.NodeID, n)
+	for v := range candidates {
+		candidates[v] = graph.NodeID(v)
+	}
+	transitions := []Transition{{From: 0, To: 1}}
+	sweep := func() {
+		for i := range color {
+			color[i] = 0
+		}
+		color[0] = 1
+		run(nil, g, 1, false, seeds, color, transitions, ar, candidates, forceBottomUp)
+	}
+	sweep()
+	sweep()
+	if avg := testing.AllocsPerRun(100, sweep); avg != 0 {
+		t.Fatalf("bottom-up run allocates %.2f objects/run in steady state, want 0", avg)
+	}
+}

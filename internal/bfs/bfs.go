@@ -10,9 +10,25 @@
 // (FW, BW, or SCC), which both marks it visited and records the
 // partition assignment in one step.
 //
-// All entry points accept a *scratch.Arena (nil is valid): with an
-// arena, frontiers, per-worker next buffers and claim counters are
-// drawn from the run's reusable pool, making steady-state BFS levels
+// Each level picks its schedule from counts the traversal already
+// keeps (the frontier size and how many nodes it has claimed), after
+// Beamer, Asanović & Patterson's direction-optimizing BFS (cited as
+// [10]; §4.2 of the paper points at it):
+//
+//   - a sparse frontier expands inline on the coordinating goroutine,
+//     because a gang dispatch costs more than it saves;
+//   - a frontier that is large next to the still-unclaimed part of the
+//     caller's candidate list sweeps bottom-up: every unclaimed
+//     candidate probes its traversal parents and stops at the first
+//     visited one, instead of the frontier pushing along every edge;
+//   - every other level expands top-down in parallel.
+//
+// The claimed set does not depend on the schedule, only the number of
+// levels does.
+//
+// Run accepts a *scratch.Arena (nil is valid): with an arena,
+// frontiers, per-worker next buffers and claim counters are drawn from
+// the run's reusable pool, making steady-state BFS levels
 // allocation-free; the arena's metrics counters record level barriers
 // and frontier sizes.
 package bfs
@@ -25,6 +41,24 @@ import (
 	"repro/internal/events"
 	"repro/internal/parallel"
 	"repro/internal/scratch"
+)
+
+// The per-level schedule constants, picked by measurement on the
+// flickr and ca-road analogs at scale 1.0 with 2 workers (the
+// ablation notes in EXPERIMENTS.md have the runs).
+const (
+	// inlineFrontier is the largest frontier expanded on the
+	// coordinator. The ca-road analog's ~2,200 levels per Detect never
+	// exceed ~450 nodes, so every one of them skips the gang barrier;
+	// a larger bound would also inline flickr's level of ~4,000 hubs,
+	// which is milliseconds of edge work.
+	inlineFrontier = 1024
+	// bottomUpAlpha: a level with frontier f sweeps bottom-up once
+	// f × bottomUpAlpha exceeds the candidates not yet claimed. The
+	// unclaimed count includes partition nodes the sweep can never
+	// reach, each of which scans all its parents on every bottom-up
+	// level, so the bound is lower than Beamer's edge-based 14.
+	bottomUpAlpha = 4
 )
 
 // Transition is one admissible color rewrite during traversal: a
@@ -50,34 +84,54 @@ type Result struct {
 // node. Seeds must already carry their post-claim colors; they are
 // expanded unconditionally and not counted in Result.Claimed.
 //
+// candidates, when given, must list every node the traversal can
+// claim, each once (phase 1 passes the partition's member list), and
+// no node outside the traversal may carry a To color: bottom-up levels
+// sweep the candidates and treat a To-colored parent as visited. With
+// no candidates every level runs top-down.
+//
 // sink carries cancellation and observability (nil is valid and
-// free): each level barrier emits a BFSLevel event and polls
-// cancellation, returning the partial result early when the run is
-// canceled — callers discard partial state via the sink's error.
+// free): each level emits one BFSLevel event, hits the chaos BFS site
+// once and polls cancellation, returning the partial result early
+// when the run is canceled — callers discard partial state via the
+// sink's error.
 //
 // The color slice is shared with concurrent readers/writers and is
 // accessed only with atomic operations.
 func Run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena) Result {
-	res, _ := run(sink, g, workers, reverse, seeds, color, transitions, ar, false)
-	return res
+	color []int32, transitions []Transition, ar *scratch.Arena, candidates ...graph.NodeID) Result {
+	return run(sink, g, workers, reverse, seeds, color, transitions, ar, candidates, adaptive)
 }
 
-// RunCollect is Run but additionally returns every node claimed during
-// the traversal (excluding seeds), for callers that need the visited
-// set as an explicit list. With an arena the list is pool-drawn and
-// owned by the caller (release with Arena.PutNodes).
-func RunCollect(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena) (Result, []graph.NodeID) {
-	return run(sink, g, workers, reverse, seeds, color, transitions, ar, true)
+// direction selects how levels are scheduled. Run always uses
+// adaptive; the forced settings let tests pin one side.
+type direction uint8
+
+const (
+	adaptive direction = iota
+	forceTopDown
+	forceBottomUp
+)
+
+// bottomUp reports whether a level with the given frontier sweeps the
+// candidates bottom-up. claimed counts the seeds and every node claimed
+// so far, so len(candidates)-claimed bounds what is left to claim.
+func (d direction) bottomUp(frontier, candidates, claimed int) bool {
+	switch {
+	case candidates == 0 || d == forceTopDown:
+		return false
+	case d == forceBottomUp:
+		return true
+	}
+	return frontier > inlineFrontier && frontier*bottomUpAlpha > candidates-claimed
 }
 
 func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena, collect bool) (Result, []graph.NodeID) {
+	color []int32, transitions []Transition, ar *scratch.Arena, candidates []graph.NodeID, dir direction) Result {
 
 	res := Result{Claimed: ar.ResultRow(len(transitions))}
 	if len(seeds) == 0 {
-		return res, nil
+		return res
 	}
 	if workers < 1 {
 		workers = parallel.DefaultWorkers()
@@ -87,46 +141,35 @@ func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []g
 	frontier := append(ar.GetNodes(len(seeds)), seeds...)
 	next := ar.GetLists(workers)
 	claims := ar.ClaimMatrix(workers, len(transitions))
-	var all []graph.NodeID
-	if collect {
-		all = ar.GetNodes(len(seeds) * 4)
-	}
-	single := workers == 1
+	claimed := len(seeds)
 
 	for len(frontier) > 0 {
 		if sink.Err() != nil {
 			break
 		}
 		res.Levels++
-		ctr.AddBFSLevel(int64(len(frontier)), false)
+		bottomUp := dir.bottomUp(len(frontier), len(candidates), claimed)
+		ctr.AddBFSLevel(int64(len(frontier)), bottomUp)
 		sink.Emit(events.Event{Type: events.BFSLevel, Round: res.Levels, Frontier: len(frontier)})
-		if single {
-			// Direct call: no closure, no goroutines — the steady-state
-			// zero-allocation path.
+		level, nodes, chunk := expandRange, frontier, 64
+		if bottomUp {
+			level, nodes, chunk = sweepRange, candidates, 512
+		}
+		if workers == 1 || (!bottomUp && len(frontier) <= inlineFrontier) {
+			// Direct call on the coordinator: no closure, no goroutines —
+			// the steady-state zero-allocation path.
 			ar.Chaos().Hit(chaos.SiteBFS)
-			expandRange(g, reverse, frontier, 0, len(frontier), color, transitions, &next[0], claims[0])
+			level(g, reverse, nodes, 0, len(nodes), color, transitions, &next[0], claims[0])
 		} else {
-			fr := frontier
-			inj := ar.Chaos()
-			// Chunk size tuned small: frontier nodes have wildly varying
-			// degree on scale-free graphs (§4.3 dynamic scheduling).
-			ar.ForDynamic(workers, len(fr), 64, func(w, lo, hi int) {
-				if lo == 0 {
-					// One chaos hit per level, from inside the dispatch.
-					inj.Hit(chaos.SiteBFS)
-				}
-				expandRange(g, reverse, fr, lo, hi, color, transitions, &next[w], claims[w])
-			})
+			levelPar(level, g, workers, reverse, nodes, chunk, color, transitions, next, claims, ar)
 		}
 		// Level barrier: merge per-worker buffers into the new frontier.
 		frontier = frontier[:0]
 		for w := range next {
 			frontier = append(frontier, next[w]...)
-			if collect {
-				all = append(all, next[w]...)
-			}
 			next[w] = next[w][:0]
 		}
+		claimed += len(frontier)
 	}
 	for w := range claims {
 		for ti := range transitions {
@@ -135,7 +178,31 @@ func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []g
 	}
 	ar.PutLists(next)
 	ar.PutNodes(frontier)
-	return res, all
+	return res
+}
+
+// levelFunc processes nodes[lo:hi] of one level, appending claims to
+// *buf and counting them into cnt: expandRange top-down over the
+// frontier, sweepRange bottom-up over the candidates.
+type levelFunc func(g *graph.Graph, reverse bool, nodes []graph.NodeID, lo, hi int,
+	color []int32, transitions []Transition, buf *[]graph.NodeID, cnt []int64)
+
+// levelPar runs one level on the gang with dynamic chunks: top-down
+// frontier nodes vary wildly in degree on scale-free graphs (§4.3),
+// while most bottom-up candidates cost one color load, hence the
+// caller's larger chunk. It lives outside run so the escaping closure
+// (and the heap cells its captures force) never exists on the
+// single-worker path.
+func levelPar(level levelFunc, g *graph.Graph, workers int, reverse bool, nodes []graph.NodeID, chunk int,
+	color []int32, transitions []Transition, next [][]graph.NodeID, claims [][]int64, ar *scratch.Arena) {
+	inj := ar.Chaos()
+	ar.ForDynamic(workers, len(nodes), chunk, func(w, lo, hi int) {
+		if lo == 0 {
+			// One chaos hit per level, from inside the dispatch.
+			inj.Hit(chaos.SiteBFS)
+		}
+		level(g, reverse, nodes, lo, hi, color, transitions, &next[w], claims[w])
+	})
 }
 
 // expandRange expands frontier[lo:hi], claiming admissible neighbors
@@ -165,4 +232,50 @@ func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi i
 			}
 		}
 	}
+}
+
+// sweepRange is the bottom-up counterpart of expandRange over
+// candidates[lo:hi]: each still-admissible candidate scans its
+// traversal parents (out-neighbors for a reverse traversal, in-neighbors
+// for a forward one) and is claimed at the first visited one. A parent
+// claimed earlier in the same sweep counts as visited, which is sound —
+// it is reachable — and only merges levels.
+func sweepRange(g *graph.Graph, reverse bool, candidates []graph.NodeID, lo, hi int,
+	color []int32, transitions []Transition, buf *[]graph.NodeID, cnt []int64) {
+	for i := lo; i < hi; i++ {
+		u := candidates[i]
+		c := atomic.LoadInt32(&color[u])
+		ti := 0
+		for ti < len(transitions) && transitions[ti].From != c {
+			ti++
+		}
+		if ti == len(transitions) {
+			continue
+		}
+		var parents []graph.NodeID
+		if reverse {
+			parents = g.Out(u)
+		} else {
+			parents = g.In(u)
+		}
+		for _, p := range parents {
+			if visited(atomic.LoadInt32(&color[p]), transitions) {
+				if atomic.CompareAndSwapInt32(&color[u], c, transitions[ti].To) {
+					*buf = append(*buf, u)
+					cnt[ti]++
+				}
+				break
+			}
+		}
+	}
+}
+
+// visited reports whether c is a post-claim color.
+func visited(c int32, transitions []Transition) bool {
+	for i := range transitions {
+		if transitions[i].To == c {
+			return true
+		}
+	}
+	return false
 }

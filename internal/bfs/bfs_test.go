@@ -139,28 +139,6 @@ func TestRunLevelsOnPath(t *testing.T) {
 	}
 }
 
-func TestRunCollectReturnsClaimed(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(8, 6, 2))
-	n := g.NumNodes()
-	color := make([]int32, n)
-	src := graph.NodeID(0)
-	color[src] = 1
-	res, nodes := RunCollect(nil, g, 4, false, []graph.NodeID{src}, color, []Transition{{From: 0, To: 1}}, nil)
-	if int64(len(nodes)) != res.Claimed[0] {
-		t.Fatalf("collected %d nodes, claimed %d", len(nodes), res.Claimed[0])
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range nodes {
-		if color[v] != 1 {
-			t.Fatalf("collected node %d has color %d", v, color[v])
-		}
-		if seen[v] {
-			t.Fatalf("node %d collected twice", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRunParallelDeterministicClaims(t *testing.T) {
 	// Total claims must be identical across worker counts even though
 	// interleaving differs.

@@ -6,12 +6,25 @@ import (
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/metrics"
+	"repro/internal/scratch"
 )
 
-// runBoth runs Run and RunDirOpt on identical copies of the color
-// array and reports whether the final colorings agree.
+// allNodes lists every node of g, the widest valid candidate list.
+func allNodes(g *graph.Graph) []graph.NodeID {
+	c := make([]graph.NodeID, g.NumNodes())
+	for i := range c {
+		c[i] = graph.NodeID(i)
+	}
+	return c
+}
+
+// runBoth runs the traversal top-down and again under dir with every
+// node as a candidate, on identical copies of the color array, checks
+// that the claims and final colorings agree, and returns the second
+// run's bottom-up level count and total level count.
 func runBoth(t *testing.T, g *graph.Graph, reverse bool, seed graph.NodeID,
-	baseColor []int32, seedColor int32, transitions []Transition, cfg DirOptConfig) {
+	baseColor []int32, seedColor int32, transitions []Transition, dir direction) (bottomUp int64, levels int) {
 	t.Helper()
 	c1 := append([]int32(nil), baseColor...)
 	c1[seed] = seedColor
@@ -19,19 +32,23 @@ func runBoth(t *testing.T, g *graph.Graph, reverse bool, seed graph.NodeID,
 
 	c2 := append([]int32(nil), baseColor...)
 	c2[seed] = seedColor
-	r2 := RunDirOpt(nil, g, 4, reverse, []graph.NodeID{seed}, c2, transitions, nil, cfg, nil)
+	var ctr metrics.Counters
+	ar := scratch.New(4, &ctr)
+	defer ar.Close()
+	r2 := run(nil, g, 4, reverse, []graph.NodeID{seed}, c2, transitions, ar, allNodes(g), dir)
 
 	for ti := range transitions {
 		if r1.Claimed[ti] != r2.Claimed[ti] {
-			t.Fatalf("transition %d: top-down claimed %d, dir-opt claimed %d",
-				ti, r1.Claimed[ti], r2.Claimed[ti])
+			t.Fatalf("transition %d: top-down claimed %d, direction %d claimed %d",
+				ti, r1.Claimed[ti], dir, r2.Claimed[ti])
 		}
 	}
 	for v := range c1 {
 		if c1[v] != c2[v] {
-			t.Fatalf("node %d: top-down color %d, dir-opt color %d", v, c1[v], c2[v])
+			t.Fatalf("node %d: top-down color %d, direction %d color %d", v, c1[v], dir, c2[v])
 		}
 	}
+	return ctr.Snapshot().BitmapLevels, r2.Levels
 }
 
 func TestDirOptMatchesTopDownRandom(t *testing.T) {
@@ -45,25 +62,27 @@ func TestDirOptMatchesTopDownRandom(t *testing.T) {
 		g := b.Build()
 		seed := graph.NodeID(rng.Intn(n))
 		reverse := trial%2 == 0
-		runBoth(t, g, reverse, seed, make([]int32, n), 5,
-			[]Transition{{From: 0, To: 5}}, DirOptConfig{})
+		for _, dir := range []direction{adaptive, forceBottomUp} {
+			runBoth(t, g, reverse, seed, make([]int32, n), 5, []Transition{{From: 0, To: 5}}, dir)
+		}
 	}
 }
 
 func TestDirOptForcedBottomUp(t *testing.T) {
-	// Alpha=1 forces an immediate switch to bottom-up.
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	n := g.NumNodes()
-	runBoth(t, g, false, 7, make([]int32, n), 1,
-		[]Transition{{From: 0, To: 1}}, DirOptConfig{Alpha: 1, Beta: 1 << 30})
+	bu, levels := runBoth(t, g, false, 7, make([]int32, n), 1, []Transition{{From: 0, To: 1}}, forceBottomUp)
+	if bu != int64(levels) {
+		t.Fatalf("forced bottom-up ran %d of %d levels bottom-up", bu, levels)
+	}
 }
 
 func TestDirOptForcedTopDown(t *testing.T) {
-	// A huge Alpha keeps the traversal top-down throughout.
 	g := gen.RMAT(gen.DefaultRMAT(9, 6, 4))
 	n := g.NumNodes()
-	runBoth(t, g, true, 3, make([]int32, n), 1,
-		[]Transition{{From: 0, To: 1}}, DirOptConfig{Alpha: 1 << 30})
+	if bu, _ := runBoth(t, g, true, 3, make([]int32, n), 1, []Transition{{From: 0, To: 1}}, forceTopDown); bu != 0 {
+		t.Fatalf("forced top-down ran %d levels bottom-up", bu)
+	}
 }
 
 func TestDirOptTwoTransitions(t *testing.T) {
@@ -84,36 +103,41 @@ func TestDirOptTwoTransitions(t *testing.T) {
 			}
 		}
 		seed := graph.NodeID(rng.Intn(n))
-		runBoth(t, g, true, seed, base, 3,
-			[]Transition{{From: 0, To: 2}, {From: 1, To: 3}}, DirOptConfig{Alpha: 2})
+		runBoth(t, g, true, seed, base, 3, []Transition{{From: 0, To: 2}, {From: 1, To: 3}}, forceBottomUp)
 	}
 }
 
 func TestDirOptRespectsCandidates(t *testing.T) {
-	// Nodes outside the candidate list can still be claimed top-down,
-	// but restricting candidates must not lose claims when candidates
-	// cover the reachable set.
+	// Bottom-up levels only ever claim candidates: with the whole
+	// reachable set listed nothing is lost, and a node left off the
+	// list is never claimed by a bottom-up sweep.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
 	color := []int32{9, 0, 0, 0}
-	res := RunDirOpt(nil, g, 2, false, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 9}}, []graph.NodeID{1, 2, 3}, DirOptConfig{Alpha: 1}, nil)
+	res := run(nil, g, 2, false, []graph.NodeID{0}, color,
+		[]Transition{{From: 0, To: 9}}, nil, []graph.NodeID{1, 2, 3}, forceBottomUp)
 	if res.Claimed[0] != 3 {
 		t.Fatalf("claimed %d, want 3", res.Claimed[0])
+	}
+	color = []int32{9, 0, 0, 0}
+	res = run(nil, g, 2, false, []graph.NodeID{0}, color,
+		[]Transition{{From: 0, To: 9}}, nil, []graph.NodeID{1, 2}, forceBottomUp)
+	if res.Claimed[0] != 2 || color[3] != 0 {
+		t.Fatalf("claimed %d with colors %v, want 2 and node 3 untouched", res.Claimed[0], color)
 	}
 }
 
 func TestDirOptEmptySeeds(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	res := RunDirOpt(nil, g, 2, false, nil, make([]int32, 2),
-		[]Transition{{From: 0, To: 1}}, nil, DirOptConfig{}, nil)
+	res := run(nil, g, 2, false, nil, make([]int32, 2),
+		[]Transition{{From: 0, To: 1}}, nil, allNodes(g), forceBottomUp)
 	if res.Levels != 0 {
 		t.Fatalf("levels = %d", res.Levels)
 	}
 }
 
 func TestDirOptPlantedGiant(t *testing.T) {
-	// On a graph dominated by one giant SCC, bottom-up must engage and
-	// still claim the exact forward-reachable set.
+	// On a graph dominated by one giant SCC, both the adaptive and the
+	// all-bottom-up schedules claim the exact forward-reachable set.
 	p := gen.SmallWorldSCC(5000, 100, 2.5, 10, 1.0, 6)
 	g := p.Graph
 	n := g.NumNodes()
@@ -135,34 +159,43 @@ func TestDirOptPlantedGiant(t *testing.T) {
 			break
 		}
 	}
-	runBoth(t, g, false, seed, make([]int32, n), 1,
-		[]Transition{{From: 0, To: 1}}, DirOptConfig{})
-}
-
-func BenchmarkBFSTopDownGiant(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(15, 10, 1))
-	n := g.NumNodes()
-	color := make([]int32, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range color {
-			color[j] = 0
-		}
-		color[0] = 1
-		Run(nil, g, 4, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, nil)
+	for _, dir := range []direction{adaptive, forceBottomUp} {
+		runBoth(t, g, false, seed, make([]int32, n), 1, []Transition{{From: 0, To: 1}}, dir)
 	}
 }
 
-func BenchmarkBFSDirOptGiant(b *testing.B) {
+// TestDirOptDefaultsStayTopDownOnLattice pins the other side of the
+// selection: a high-diameter lattice keeps every frontier small next
+// to the unclaimed rest, so the default constants never sweep
+// bottom-up there.
+func TestDirOptDefaultsStayTopDownOnLattice(t *testing.T) {
+	g := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 128, Cols: 128, TwoWayProb: 0.05, Seed: 2})
+	for _, reverse := range []bool{false, true} {
+		bu, levels := runBoth(t, g, reverse, 0, make([]int32, g.NumNodes()), 1, []Transition{{From: 0, To: 1}}, adaptive)
+		if bu != 0 {
+			t.Fatalf("reverse=%v: %d of %d lattice levels swept bottom-up", reverse, bu, levels)
+		}
+	}
+}
+
+func BenchmarkBFSTopDownGiant(b *testing.B) {
+	benchGiant(b, forceTopDown)
+}
+
+func BenchmarkBFSAdaptiveGiant(b *testing.B) {
+	benchGiant(b, adaptive)
+}
+
+func benchGiant(b *testing.B, dir direction) {
 	g := gen.RMAT(gen.DefaultRMAT(15, 10, 1))
-	n := g.NumNodes()
-	color := make([]int32, n)
+	cand := allNodes(g)
+	color := make([]int32, g.NumNodes())
+	ar := scratch.New(4, nil)
+	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range color {
-			color[j] = 0
-		}
+		clear(color)
 		color[0] = 1
-		RunDirOpt(nil, g, 4, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, nil, DirOptConfig{}, nil)
+		run(nil, g, 4, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar, cand, dir)
 	}
 }

@@ -24,8 +24,7 @@ type Site uint8
 const (
 	// SiteTrim is hit once per Par-Trim round (Alg. 2).
 	SiteTrim Site = iota
-	// SiteBFS is hit once per FW/BW BFS level (both the queue and the
-	// direction-optimizing kernels).
+	// SiteBFS is hit once per FW/BW BFS level, top-down or bottom-up.
 	SiteBFS
 	// SiteTrim2 is hit once per Trim2 sweep (Alg. 3).
 	SiteTrim2

@@ -74,11 +74,6 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 		// Forward + backward stamped claim tables (int64 each).
 		est += nn * 16
 	}
-	if opt.DirOptBFS {
-		// Bitmap frontier plus the remaining-candidates list the
-		// bottom-up sweeps maintain.
-		est += nn/8 + nn*nodeB
-	}
 	// Two-level queue: per-worker local queues are bounded at 2K tasks
 	// (task = 32 B: color + slice header + parent).
 	est += int64(opt.Workers) * int64(opt.K) * 2 * 32
@@ -87,8 +82,7 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 
 // applyBudget walks the degradation ladder until the estimated
 // footprint fits opt.MemoryLimit: halve the workers down to 1, then
-// drop the direction-optimizing BFS bitmap in favor of the queue
-// frontier, then cap the task batch at K=1. It returns the (possibly
+// cap the task batch at K=1. It returns the (possibly
 // degraded) options and a human-readable note of the steps taken, or
 // a *BudgetError when even the floor configuration does not fit.
 func applyBudget(n int, alg Algorithm, opt Options) (Options, string, error) {
@@ -100,10 +94,6 @@ func applyBudget(n int, alg Algorithm, opt Options) (Options, string, error) {
 	for EstimateMemory(n, alg, opt) > limit && opt.Workers > 1 {
 		opt.Workers /= 2
 		steps = append(steps, fmt.Sprintf("workers=%d", opt.Workers))
-	}
-	if EstimateMemory(n, alg, opt) > limit && opt.DirOptBFS {
-		opt.DirOptBFS = false
-		steps = append(steps, "diropt=off")
 	}
 	if EstimateMemory(n, alg, opt) > limit && opt.K > 1 {
 		opt.K = 1

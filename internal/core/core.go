@@ -192,11 +192,6 @@ type Options struct {
 	// per-task durations in Result.TaskTrace, for replay through the
 	// makespan scheduling simulator.
 	TraceSchedule bool
-	// DirOptBFS uses direction-optimizing BFS (Beamer et al., cited as
-	// [10] in the paper) for the phase-1 reachability sweeps: once the
-	// frontier covers a sizable fraction of the partition the sweep
-	// flips to bottom-up probes. §4.2 suggests exactly this upgrade.
-	DirOptBFS bool
 	// Trim2Iterations applies the Trim2+Trim pair this many times in
 	// Par-Trim′. The paper applies Trim2 exactly once because it is
 	// "computationally more expensive" (§3.4); this knob ablates that
@@ -225,9 +220,8 @@ type Options struct {
 	StallTimeout time.Duration
 	// MemoryLimit, when > 0, bounds the estimated worst-case engine +
 	// scratch footprint in bytes. A configuration over the limit is
-	// degraded stepwise (fewer workers, then queue frontier instead of
-	// the direction-optimizing bitmap, then task batch K=1) before the
-	// run starts; if even the floor configuration does not fit,
+	// degraded stepwise (fewer workers, then task batch K=1) before
+	// the run starts; if even the floor configuration does not fit,
 	// RunContext fails with a *BudgetError. The applied degradation is
 	// recorded in Result.Degraded and Result.Metrics.DegradedMode.
 	MemoryLimit int64
@@ -330,7 +324,7 @@ type Result struct {
 	// scratch-arena reuse (see internal/metrics).
 	Metrics metrics.Snapshot
 	// Degraded notes the degradation steps Options.MemoryLimit forced
-	// (e.g. "workers=2,workers=1,diropt=off"); empty when the run
+	// (e.g. "workers=2,workers=1,k=1"); empty when the run
 	// executed as configured. Also mirrored to Metrics.DegradedMode.
 	Degraded string
 }

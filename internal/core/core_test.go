@@ -322,17 +322,21 @@ func TestFWBWTaskCountEqualsSCCs(t *testing.T) {
 }
 
 func TestDirOptBFSSameResult(t *testing.T) {
-	// Direction-optimizing phase-1 BFS must not change the
-	// decomposition of either method.
-	g := gen.RMAT(gen.DefaultRMAT(11, 8, 17))
+	// Phase 1's direction-optimizing sweeps must not change the
+	// decomposition of either method. The graph is large enough for
+	// the giant partition's middle levels to sweep bottom-up.
+	g := gen.RMAT(gen.DefaultRMAT(15, 8, 17))
 	tc, _ := seq.Tarjan(g)
 	for _, alg := range []Algorithm{Method1, Method2} {
-		res := Run(g, alg, Options{Workers: 4, Seed: 3, DirOptBFS: true})
+		res := Run(g, alg, Options{Workers: 4, Seed: 3})
 		if !verify.SamePartition(res.Comp, tc) {
-			t.Fatalf("%v with DirOptBFS changed the decomposition", alg)
+			t.Fatalf("%v changed the decomposition", alg)
 		}
 		if res.GiantSCC == 0 {
-			t.Fatalf("%v with DirOptBFS found no giant SCC", alg)
+			t.Fatalf("%v found no giant SCC", alg)
+		}
+		if res.Metrics.BitmapLevels == 0 {
+			t.Fatalf("%v: no phase-1 level swept bottom-up", alg)
 		}
 	}
 }

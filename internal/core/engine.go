@@ -210,6 +210,10 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, ov Overrides) (res *R
 	e := &en.run
 	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, opt.Observer), en.ar, en.ctr, pq)
 	e.ar.SetChaos(opt.Chaos)
+	// The previous run's phase 2 freed its task lists into the pools of
+	// whichever workers finished them; this run draws its root-task
+	// lists from worker 0's.
+	e.ar.GatherWorkerPools()
 	if opt.Chaos != nil {
 		opt.Chaos.Bind(runCtx.Done())
 	}

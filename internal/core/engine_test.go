@@ -79,3 +79,36 @@ func TestEngineShrinksUnderBudget(t *testing.T) {
 		t.Fatalf("retainedBytes() = %d after budgeted run, want <= %d", after, limit)
 	}
 }
+
+// TestEnginePoolsSteadyStateAllocs pins the cross-run footprint of a
+// multi-worker engine: root-task lists are drawn from worker 0's pool
+// but freed into the pool of whichever worker finished the task, so
+// without gathering the pools back the other workers' free lists grow
+// on every run. After warm-up the retained scratch must stay flat.
+func TestEnginePoolsSteadyStateAllocs(t *testing.T) {
+	core := gen.RMAT(gen.DefaultRMAT(12, 8, 9))
+	g := gen.WithTail(core, gen.TailConfig{
+		Components: 1024, Alpha: 2.0, MaxSize: 32, AttachEdges: 2, ChainProb: 0.6, Seed: 9,
+	})
+	en := NewEngine(Method2, Options{Workers: 2, Seed: 3})
+	defer en.Close()
+	run := func() {
+		if _, err := en.Run(context.Background(), g, Overrides{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		run()
+	}
+	warm := en.retainedBytes()
+	for i := 0; i < 40; i++ {
+		run()
+	}
+	// Pooled buffers still grow their capacity now and then, when one
+	// is handed a longer list than it ever held; drift instead adds
+	// whole root-task lists on every run (over half the footprint in
+	// 40 runs here).
+	if after := en.retainedBytes(); after > warm+warm/20 {
+		t.Fatalf("retained scratch grew from %d to %d bytes over 40 warm runs", warm, after)
+	}
+}

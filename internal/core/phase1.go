@@ -66,25 +66,13 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		e.seedBuf[0] = pivot
 		seeds := e.seedBuf[:]
 		e.fwTrans[0] = bfs.Transition{From: c, To: cfw}
-		var fwRes bfs.Result
-		if e.opt.DirOptBFS {
-			fwRes = bfs.RunDirOpt(e.sink, e.g, e.opt.Workers, false, seeds, e.color,
-				e.fwTrans[:], members, bfs.DirOptConfig{}, e.ar)
-		} else {
-			fwRes = bfs.Run(e.sink, e.g, e.opt.Workers, false, seeds, e.color, e.fwTrans[:], e.ar)
-		}
+		fwRes := bfs.Run(e.sink, e.g, e.opt.Workers, false, seeds, e.color, e.fwTrans[:], e.ar, members...)
 		// Backward sweep: unvisited partition nodes become BW; nodes
 		// already in FW are the SCC (Lemma 1: FW ∩ BW).
 		atomic.StoreInt32(&e.color[pivot], cscc)
 		e.bwTrans[0] = bfs.Transition{From: c, To: cbw}
 		e.bwTrans[1] = bfs.Transition{From: cfw, To: cscc}
-		var bwRes bfs.Result
-		if e.opt.DirOptBFS {
-			bwRes = bfs.RunDirOpt(e.sink, e.g, e.opt.Workers, true, seeds, e.color,
-				e.bwTrans[:], members, bfs.DirOptConfig{}, e.ar)
-		} else {
-			bwRes = bfs.Run(e.sink, e.g, e.opt.Workers, true, seeds, e.color, e.bwTrans[:], e.ar)
-		}
+		bwRes := bfs.Run(e.sink, e.g, e.opt.Workers, true, seeds, e.color, e.bwTrans[:], e.ar, members...)
 		e.ar.PutNodes(members)
 		if e.stopped() {
 			// The backward sweep may have been cut short; the partial

@@ -92,14 +92,15 @@ func (c *Counters) AddTrim2Pairs(pairs int64) {
 }
 
 // AddBFSLevel records one BFS level barrier with the given frontier
-// size; bitmap marks a bottom-up (dense-representation) level.
-func (c *Counters) AddBFSLevel(frontier int64, bitmap bool) {
+// size; bottomUp marks a level that swept the candidates bottom-up,
+// counted in BitmapLevels.
+func (c *Counters) AddBFSLevel(frontier int64, bottomUp bool) {
 	if c == nil {
 		return
 	}
 	c.BFSLevels.Add(1)
 	c.FrontierNodes.Add(frontier)
-	if bitmap {
+	if bottomUp {
 		c.BitmapLevels.Add(1)
 	}
 	for {
@@ -267,7 +268,7 @@ type Snapshot struct {
 	// BFSLevels is the total number of BFS level barriers;
 	// FrontierNodes the sum of frontier sizes over all levels;
 	// FrontierPeak the largest single-level frontier; BitmapLevels how
-	// many levels ran in the dense bitmap representation.
+	// many levels swept bottom-up.
 	BFSLevels     int64
 	FrontierNodes int64
 	FrontierPeak  int64

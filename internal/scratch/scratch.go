@@ -23,8 +23,8 @@
 //     arena-owned buffers: the caller (the engine) owns the returned
 //     slice and must PutNodes it once it stops using it.
 //   - Per-worker list sets (GetLists/PutLists), counter matrices
-//     (ClaimMatrix), counts, flags, the label array and the bitmap are
-//     retained singletons: each Get hands out the same storage, so a
+//     (ClaimMatrix), counts, flags and the label array are retained
+//     singletons: each Get hands out the same storage, so a
 //     kernel must release/stop using them before the next kernel
 //     invocation on the same arena. Kernels run one at a time within a
 //     run, which makes this safe by construction.
@@ -36,10 +36,11 @@
 //     a parallel section runs. Buffers may be freed into a different
 //     worker's pool than they were taken from (a task's list travels
 //     with the task), which is safe because each pool is only ever
-//     accessed by its own worker.
+//     accessed by its own worker; GatherWorkerPools returns them to
+//     worker 0 between runs.
 //   - Nothing is zeroed on reuse except what the arena's accessors
 //     document: list sets and counter rows come back length-reset or
-//     zeroed; Label and Bitmap come back dirty and the caller
+//     zeroed; Label comes back dirty and the caller
 //     reinitializes exactly the entries it reads.
 //
 // Every accessor is nil-safe: a nil *Arena allocates fresh memory, so
@@ -51,7 +52,6 @@ import (
 	"sync/atomic"
 
 	"repro/graph"
-	"repro/internal/bitset"
 	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
@@ -74,7 +74,6 @@ type Arena struct {
 	counts  []int64
 	flags   []bool
 	label   []int32
-	bits    *bitset.Atomic
 	backing []graph.NodeID // task node-list backing array
 	perW    []Worker
 
@@ -151,7 +150,6 @@ func (a *Arena) Shrink() {
 	a.counts = nil
 	a.flags = nil
 	a.label = nil
-	a.bits = nil
 	a.backing = nil
 	a.peelI32 = nil
 	a.marks = nil
@@ -160,6 +158,7 @@ func (a *Arena) Shrink() {
 	for w := range a.perW {
 		a.perW[w].Stack = nil
 		a.perW[w].free = nil
+		a.perW[w].own = 0
 	}
 }
 
@@ -189,9 +188,6 @@ func (a *Arena) RetainedBytes() int64 {
 	b += int64(cap(a.counts)) * 8
 	b += int64(cap(a.flags))
 	b += int64(cap(a.label)) * 4
-	if a.bits != nil {
-		b += int64((a.bits.Len() + 63) / 64 * 8)
-	}
 	b += int64(cap(a.backing)) * nodeB
 	b += int64(cap(a.peelI32))*4 + int64(cap(a.marks))
 	b += int64(cap(a.reachI64)) * 8
@@ -402,20 +398,6 @@ func (a *Arena) Label(n int) []int32 {
 	return a.label[:n]
 }
 
-// Bitmap returns the retained atomic bitset with capacity for at
-// least n bits. Contents are NOT reset; callers reset the ranges they
-// rely on.
-func (a *Arena) Bitmap(n int) *bitset.Atomic {
-	if a == nil || a.bits == nil || a.bits.Len() < n {
-		b := bitset.NewAtomic(n)
-		if a != nil {
-			a.bits = b
-		}
-		return b
-	}
-	return a.bits
-}
-
 // TaskBacking returns the retained n-length backing array that the
 // engine partitions into phase-2 task node-lists. It is distinct from
 // every pool buffer, so the alive lists the kernels produced remain
@@ -556,6 +538,29 @@ func (a *Arena) Worker(w int) *Worker {
 	return &a.perW[w]
 }
 
+// GatherWorkerPools hands node buffers back to worker 0's pool. The
+// engine draws every root-task node list from worker 0's pool, while
+// phase 2 frees each consumed list into the pool of whichever worker
+// finished the task; left alone, worker 0's pool drains and the others
+// grow on every run of a persistent engine. Each other worker keeps as
+// many buffers as it has allocated itself: the reserve its tasks draw
+// on before they free anything, which would otherwise be allocated
+// afresh on every run. Coordinator only, between parallel sections.
+// Nil-safe.
+func (a *Arena) GatherWorkerPools() {
+	if a == nil {
+		return
+	}
+	w0 := &a.perW[0]
+	for w := 1; w < len(a.perW); w++ {
+		ws := &a.perW[w]
+		extra := ws.free[min(ws.own, len(ws.free)):]
+		w0.free = append(w0.free, extra...)
+		clear(extra)
+		ws.free = ws.free[:len(ws.free)-len(extra)]
+	}
+}
+
 // Worker is one worker's private scratch: a reusable DFS stack and a
 // node-buffer pool for recycling phase-2 task node-lists.
 type Worker struct {
@@ -564,7 +569,10 @@ type Worker struct {
 	Stack []graph.NodeID
 
 	free [][]graph.NodeID
-	ctr  *metrics.Counters
+	// own counts the buffers this worker allocated itself; see
+	// Arena.GatherWorkerPools.
+	own int
+	ctr *metrics.Counters
 }
 
 // GetNodes returns an empty node buffer from the worker's pool, or a
@@ -574,6 +582,7 @@ func (w *Worker) GetNodes(capHint int) []graph.NodeID {
 		if capHint < 8 {
 			capHint = 8
 		}
+		w.own++
 		return make([]graph.NodeID, 0, capHint)
 	}
 	buf := w.free[len(w.free)-1]

@@ -185,8 +185,7 @@ func peelCascadeRange(g *graph.Graph, color, comp []int32, active []graph.NodeID
 		if c == Removed {
 			continue
 		}
-		in, out := aliveDegrees(g, color, v, c)
-		if in == 0 || out == 0 {
+		if trimmable(g, color, v, c) {
 			color[v] = Removed
 			comp[v] = int32(v)
 			removed++

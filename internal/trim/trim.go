@@ -60,6 +60,27 @@ func aliveDegrees(g *graph.Graph, color []int32, v graph.NodeID, c int32) (in, o
 	return in, out
 }
 
+// trimmable reports whether v, of color c, has no alive same-color
+// in-neighbor or no alive same-color out-neighbor — the Par-Trim
+// predicate. Each direction stops at its first live support (the
+// arc-consistency view of trimming, Guo & Sekerinski): a degree count
+// would scan every edge of a node that is not trimmable anyway.
+// Self-loops are excluded, as in aliveDegrees.
+func trimmable(g *graph.Graph, color []int32, v graph.NodeID, c int32) bool {
+	return !hasAlive(g.In(v), color, v, c) || !hasAlive(g.Out(v), color, v, c)
+}
+
+// hasAlive reports whether adj holds a neighbor other than v that
+// still carries color c.
+func hasAlive(adj []graph.NodeID, color []int32, v graph.NodeID, c int32) bool {
+	for _, k := range adj {
+		if k != v && atomic.LoadInt32(&color[k]) == c {
+			return true
+		}
+	}
+	return false
+}
+
 // allCandidates draws an arena buffer holding every node of g.
 func allCandidates(g *graph.Graph, ar *scratch.Arena) []graph.NodeID {
 	out := ar.GetNodes(g.NumNodes())
@@ -198,8 +219,7 @@ func trimRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, lo, h
 		if c == Removed {
 			continue
 		}
-		in, out := aliveDegrees(g, color, v, c)
-		if in == 0 || out == 0 {
+		if trimmable(g, color, v, c) {
 			if atomic.CompareAndSwapInt32(&color[v], c, Removed) {
 				comp[v] = int32(v)
 				removed++
@@ -262,6 +282,7 @@ func Par2(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 		}
 		ar.PutLists(bufs)
 	}
+	survivors = dropRemoved(color, survivors)
 	res.Removed = 2 * res.SCCs
 	ctr.AddTrimRound(res.Removed)
 	ctr.AddTrim2Pairs(res.SCCs)
@@ -270,6 +291,21 @@ func Par2(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 		ar.PutNodes(candidates)
 	}
 	return res, survivors
+}
+
+// dropRemoved filters Removed nodes out of a pair or triangle pass's
+// survivor list, in place. A scan keeps a node it cannot claim, but
+// the node's partner may claim it afterwards: a concurrent worker whose
+// claim was in flight during the scan, or a later pattern that an
+// intervening removal enabled.
+func dropRemoved(color []int32, survivors []graph.NodeID) []graph.NodeID {
+	out := survivors[:0]
+	for _, v := range survivors {
+		if atomic.LoadInt32(&color[v]) != Removed {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // trim2Range applies the Trim2 pass to candidates[lo:hi], appending

@@ -52,6 +52,7 @@ func Par3(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 		}
 		ar.PutLists(bufs)
 	}
+	survivors = dropRemoved(color, survivors)
 	res.Removed = 3 * res.SCCs
 	ctr.AddTrimRound(res.Removed)
 	sink.Emit(events.Event{Type: events.TrimRound, Round: 1, Nodes: res.Removed})

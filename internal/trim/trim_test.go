@@ -274,6 +274,27 @@ func TestParTrim2NoDoubleClaim(t *testing.T) {
 	}
 }
 
+// TestParTrim2SurvivorsExcludeLateClaims pins the survivor list
+// against a node claimed after its own scan kept it. Scanned in id
+// order on one worker, node 0 has two alive in- and out-neighbors and
+// survives; the pairs {1,2} and {3,4} are then claimed, which leaves
+// 0↔5 an isolated 2-cycle that node 5's scan claims.
+func TestParTrim2SurvivorsExcludeLateClaims(t *testing.T) {
+	g := graph.FromEdges(6, []graph.Edge{
+		{From: 1, To: 2}, {From: 2, To: 1}, {From: 1, To: 0},
+		{From: 3, To: 4}, {From: 4, To: 3}, {From: 0, To: 3},
+		{From: 0, To: 5}, {From: 5, To: 0},
+	})
+	color, comp := freshState(6)
+	res, alive := Par2(nil, g, 1, color, comp, nil, nil)
+	if res.SCCs != 3 {
+		t.Fatalf("SCCs = %d, want 3", res.SCCs)
+	}
+	if len(alive) != 0 {
+		t.Fatalf("survivors %v, want none", alive)
+	}
+}
+
 // TestTrim2ClaimsAreRealSCCs cross-checks Trim2 claims against Tarjan
 // on random graphs: every claimed pair must be a genuine size-2 SCC.
 func TestTrim2ClaimsAreRealSCCs(t *testing.T) {

@@ -283,3 +283,29 @@ func TestDifferentialDistributed(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialBottomUpBFS runs the parallel algorithms against
+// Tarjan on an R-MAT graph large enough for phase 1's giant partition
+// to sweep bottom-up, at several worker counts. Baseline runs no
+// phase 1, so only its partition is checked.
+func TestDifferentialBottomUpBFS(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(15, 8, 21))
+	want, err := scc.Detect(g, scc.Options{Algorithm: scc.Tarjan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []scc.Algorithm{scc.Baseline, scc.Method1, scc.Method2} {
+		for _, workers := range []int{1, 2, 4} {
+			res, err := scc.Detect(g, scc.Options{Algorithm: alg, Workers: workers, Seed: 4})
+			if err != nil {
+				t.Fatalf("%v w%d: %v", alg, workers, err)
+			}
+			if !scc.SamePartition(res.Comp, want.Comp) {
+				t.Fatalf("%v w%d diverges from Tarjan", alg, workers)
+			}
+			if alg != scc.Baseline && res.Metrics.BitmapLevels == 0 {
+				t.Fatalf("%v w%d: no phase-1 level swept bottom-up (%d levels)", alg, workers, res.Metrics.BFSLevels)
+			}
+		}
+	}
+}

@@ -229,9 +229,6 @@ type Options struct {
 	// TraceSchedule records the recursive phase's task DAG in
 	// Result.TaskTrace for scheduling simulation.
 	TraceSchedule bool
-	// DirOptBFS enables direction-optimizing BFS for the phase-1
-	// reachability sweeps (the §4.2 Beamer-style upgrade).
-	DirOptBFS bool
 	// Trim2Iterations repeats Method2's Trim2+Trim pair (the paper
 	// applies Trim2 once, §3.4); 0 = once.
 	Trim2Iterations int
@@ -266,9 +263,8 @@ type Options struct {
 	// MemoryLimit, when > 0, bounds the parallel engine's estimated
 	// worst-case scratch + engine footprint in bytes (see
 	// EstimateMemory). An over-budget configuration is degraded
-	// stepwise before the run starts — fewer workers, then the queue
-	// frontier instead of the direction-optimizing bitmap, then task
-	// batch K=1 — and the applied steps are recorded in
+	// stepwise before the run starts — fewer workers, then task batch
+	// K=1 — and the applied steps are recorded in
 	// Result.Metrics.DegradedMode. If even the floor configuration does
 	// not fit, detection fails up front with an error wrapping
 	// ErrMemoryBudget. 0 disables the budget. On a reusable Engine the
@@ -387,8 +383,7 @@ type MetricsSnapshot struct {
 	// BFSLevels is the total number of BFS level barriers across both
 	// phase-1 sweeps; FrontierNodes the summed frontier sizes;
 	// FrontierPeak the largest single-level frontier; BitmapLevels how
-	// many levels ran in the dense bitmap (bottom-up) representation
-	// under DirOptBFS.
+	// many of those levels swept bottom-up over the partition.
 	BFSLevels     int64
 	FrontierNodes int64
 	FrontierPeak  int64
@@ -432,7 +427,7 @@ type MetricsSnapshot struct {
 	BytesReused   int64
 	// DegradedMode notes the degradation steps Options.MemoryLimit
 	// forced on the run, comma-separated in the order applied (e.g.
-	// "workers=2,workers=1,diropt=off"); empty when the run executed
+	// "workers=2,workers=1,k=1"); empty when the run executed
 	// exactly as configured.
 	DegradedMode string
 }
@@ -566,7 +561,6 @@ func coreOptions(opts Options) core.Options {
 		TraceTasks:      opts.TraceTasks,
 		PivotSample:     opts.PivotSample,
 		TraceSchedule:   opts.TraceSchedule,
-		DirOptBFS:       opts.DirOptBFS,
 		Trim2Iterations: opts.Trim2Iterations,
 		EnableTrim3:     opts.EnableTrim3,
 		UseStealing:     opts.UseStealing,
