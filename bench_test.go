@@ -275,25 +275,14 @@ func BenchmarkAblationTrim3(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationScheduler contrasts the paper's two-level queue
-// (§4.3) with a work-stealing scheduler in the recursive phase.
-func BenchmarkAblationScheduler(b *testing.B) {
-	b.Run("two-level", func(b *testing.B) {
-		benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1})
-	})
-	b.Run("stealing", func(b *testing.B) {
-		benchDetect(b, "flickr", scc.Method2, scc.Options{Seed: 1, UseStealing: true})
-	})
-}
-
 // --- Work-efficient kernels: counter-peeling Trim + union-find WCC ---
 
-// BenchmarkKernels compares the legacy round-based Par-Trim/Par-WCC,
-// the worklist kernels, and the multi-pivot reachability kernel
-// like-for-like on the dataset suite. benchgate's -kernels flag keys
-// off the kernels=<name> sub-benchmark tag.
+// BenchmarkKernels compares the legacy round-based Par-Trim/Par-WCC
+// and the worklist kernels like-for-like on the dataset suite.
+// benchgate's -kernels flag keys off the kernels=<name> sub-benchmark
+// tag.
 func BenchmarkKernels(b *testing.B) {
-	for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy, scc.KernelsMultiPivot} {
+	for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy} {
 		b.Run("kernels="+kern.String(), func(b *testing.B) {
 			for _, name := range []string{"flickr", "patents", "ca-road", "deep-chain", "zig-zag"} {
 				b.Run(name, func(b *testing.B) {
@@ -324,7 +313,7 @@ func BenchmarkKernelsDeepChain(b *testing.B) {
 		edges[i] = graph.Edge{From: id(i), To: id(i + 1)}
 	}
 	g := graph.FromEdges(n, edges)
-	for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy, scc.KernelsMultiPivot} {
+	for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy} {
 		b.Run("kernels="+kern.String(), func(b *testing.B) {
 			b.SetBytes(g.NumEdges() * 4)
 			b.ReportAllocs()

@@ -8,7 +8,6 @@
 //
 //	benchgate [-threshold 0.10] [-metric allocs/op] baseline.txt current.txt
 //	benchgate -engine [-min-speedup 2.0] BENCH_scc.json
-//	benchgate -multipivot [-mp-hidiam-ratio 1.05] [-mp-ctrl-ratio 1.30] BENCH_scc.json
 //	benchgate -serve [-min-qps 50] [-max-p99 2s] BENCH_serve.json
 //	benchgate -recover [-max-recovery 30s] BENCH_serve.json
 //	benchgate -incr [-incr-speedup 50] BENCH_serve.json
@@ -23,15 +22,6 @@
 // (DetectBatch) must be at least -min-speedup times the per-call
 // oneshot throughput, and a warm engine's Detect must not allocate
 // more per run than a one-shot Detect.
-//
-// The -multipivot mode gates the kernel-comparison section written by
-// `sccbench -exp multipivot`. The rows are like-vs-like (both kernels
-// saw the identical graph, seed and worker count), so the rule is a
-// direct ratio: on high-diameter datasets the multi-pivot kernel must
-// be at least as fast as the worklist kernel (within -mp-hidiam-ratio
-// measurement noise), and on the small-world controls it must stay
-// within -mp-ctrl-ratio — the new kernel is allowed to tie on graphs
-// it was not built for, but not to regress them.
 //
 // The -serve mode gates the serving report written by `sccbench -exp
 // serve`: zero non-shedding 5xx in every scenario, real load shedding
@@ -168,55 +158,6 @@ func gateEngine(path string, minSpeedup float64) error {
 	if engine.AllocsPerRun > oneshot.AllocsPerRun {
 		return fmt.Errorf("warm engine allocates %d/run, more than oneshot's %d/run",
 			engine.AllocsPerRun, oneshot.AllocsPerRun)
-	}
-	return nil
-}
-
-// gateMultiPivot verifies the kernel-comparison section of a BENCH
-// json report: every high-diameter row's multi-pivot mean must be
-// within hiRatio of the worklist mean (the kernel has to win, or tie
-// inside noise, on the graphs it exists for), and every control row
-// within ctrlRatio (it must not tank the small-world suite). Rows with
-// reach counters all zero on a high-diameter dataset also fail — that
-// means the sweep never actually entered the multi-pivot kernel.
-func gateMultiPivot(path string, hiRatio, ctrlRatio float64) error {
-	rep, err := experiments.ReadBenchJSON(path)
-	if err != nil {
-		return err
-	}
-	if rep.MultiPivot == nil {
-		return fmt.Errorf("%s has no multipivot section (run sccbench -exp multipivot first)", path)
-	}
-	mp := rep.MultiPivot
-	if len(mp.Rows) == 0 {
-		return fmt.Errorf("%s: multipivot section has no rows", path)
-	}
-	sawHigh := false
-	for _, r := range mp.Rows {
-		limit, class := ctrlRatio, "ctrl"
-		if r.HighDiameter {
-			limit, class = hiRatio, "hidiam"
-			sawHigh = true
-		}
-		if r.WorklistNs <= 0 {
-			return fmt.Errorf("row %s: worklist mean %.0fns is not positive", r.Dataset, r.WorklistNs)
-		}
-		ratio := r.MultiPivotNs / r.WorklistNs
-		fmt.Printf("%-10s %6s worklist %12v multipivot %12v  %.2fx (gate <= %.2fx)\n",
-			r.Dataset, class,
-			time.Duration(r.WorklistNs).Round(time.Microsecond),
-			time.Duration(r.MultiPivotNs).Round(time.Microsecond),
-			ratio, limit)
-		if ratio > limit {
-			return fmt.Errorf("%s (%s): multipivot %.2fx worklist, gate is %.2fx",
-				r.Dataset, class, ratio, limit)
-		}
-		if r.HighDiameter && r.Metrics.ReachWaves == 0 && r.Metrics.ReachClaims == 0 {
-			return fmt.Errorf("%s: reach counters all zero — the multi-pivot kernel never ran", r.Dataset)
-		}
-	}
-	if !sawHigh {
-		return fmt.Errorf("%s: multipivot section has no high-diameter rows", path)
 	}
 	return nil
 }
@@ -369,81 +310,58 @@ func gateServe(path string, minQPS float64, maxP99 time.Duration) error {
 	return nil
 }
 
+// jsonGate is one BENCH json gate mode: the flag selecting it, the
+// usage line printed when the report path is missing, the gate itself
+// and the line printed when it holds.
+type jsonGate struct {
+	on    *bool
+	usage string
+	check func(path string) error
+	ok    string
+}
+
 func main() {
 	threshold := flag.Float64("threshold", 0.10, "max allowed relative regression (0.10 = +10%)")
 	metric := flag.String("metric", "allocs/op", "benchmark counter to gate on")
 	kernels := flag.String("kernels", "", "gate only benchmarks whose kernels=<name> tag matches (untagged benchmarks always compare); empty gates everything")
-	engineMode := flag.Bool("engine", false, "gate the engine section of a BENCH json report instead of comparing bench output files")
 	minSpeedup := flag.Float64("min-speedup", 2.0, "engine mode: minimum stream-vs-oneshot throughput multiple")
-	mpMode := flag.Bool("multipivot", false, "gate the multipivot kernel-comparison section of a BENCH json report")
-	mpHiRatio := flag.Float64("mp-hidiam-ratio", 1.05, "multipivot mode: max multipivot/worklist time ratio on high-diameter datasets")
-	mpCtrlRatio := flag.Float64("mp-ctrl-ratio", 1.30, "multipivot mode: max multipivot/worklist time ratio on small-world controls")
-	serveMode := flag.Bool("serve", false, "gate a BENCH_serve.json report from sccbench -exp serve")
 	minQPS := flag.Float64("min-qps", 50, "serve mode: minimum steady-state QPS")
 	maxP99 := flag.Duration("max-p99", 2*time.Second, "serve mode: maximum steady-state p99 latency")
-	recoverMode := flag.Bool("recover", false, "gate the recover section of a BENCH_serve.json report from sccbench -exp recover")
 	maxRecovery := flag.Duration("max-recovery", 30*time.Second, "recover mode: maximum single-crash-point recovery time")
-	incrMode := flag.Bool("incr", false, "gate the incr section of a BENCH_serve.json report from sccbench -exp incr")
 	incrSpeedup := flag.Float64("incr-speedup", 50, "incr mode: minimum fast-path-vs-full-rebuild speedup")
+	// When several modes are set, the first in this order runs.
+	gates := []jsonGate{
+		{flag.Bool("incr", false, "gate the incr section of a BENCH_serve.json report from sccbench -exp incr"),
+			"usage: benchgate -incr [-incr-speedup 50] BENCH_serve.json",
+			func(path string) error { return gateIncr(path, *incrSpeedup) },
+			"benchgate: incremental-maintenance gates hold"},
+		{flag.Bool("recover", false, "gate the recover section of a BENCH_serve.json report from sccbench -exp recover"),
+			"usage: benchgate -recover [-max-recovery 30s] BENCH_serve.json",
+			func(path string) error { return gateRecover(path, *maxRecovery) },
+			"benchgate: crash-recovery gates hold"},
+		{flag.Bool("serve", false, "gate a BENCH_serve.json report from sccbench -exp serve"),
+			"usage: benchgate -serve [-min-qps 50] [-max-p99 2s] BENCH_serve.json",
+			func(path string) error { return gateServe(path, *minQPS, *maxP99) },
+			"benchgate: serving robustness gates hold"},
+		{flag.Bool("engine", false, "gate the engine section of a BENCH json report instead of comparing bench output files"),
+			"usage: benchgate -engine [-min-speedup 2.0] BENCH_scc.json",
+			func(path string) error { return gateEngine(path, *minSpeedup) },
+			"benchgate: engine amortization within bounds"},
+	}
 	flag.Parse()
-	if *incrMode {
+	for _, g := range gates {
+		if !*g.on {
+			continue
+		}
 		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -incr [-incr-speedup 50] BENCH_serve.json")
+			fmt.Fprintln(os.Stderr, g.usage)
 			os.Exit(2)
 		}
-		if err := gateIncr(flag.Arg(0), *incrSpeedup); err != nil {
+		if err := g.check(flag.Arg(0)); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(1)
 		}
-		fmt.Println("benchgate: incremental-maintenance gates hold")
-		return
-	}
-	if *recoverMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -recover [-max-recovery 30s] BENCH_serve.json")
-			os.Exit(2)
-		}
-		if err := gateRecover(flag.Arg(0), *maxRecovery); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: crash-recovery gates hold")
-		return
-	}
-	if *serveMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -serve [-min-qps 50] [-max-p99 2s] BENCH_serve.json")
-			os.Exit(2)
-		}
-		if err := gateServe(flag.Arg(0), *minQPS, *maxP99); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: serving robustness gates hold")
-		return
-	}
-	if *mpMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -multipivot [-mp-hidiam-ratio 1.05] [-mp-ctrl-ratio 1.30] BENCH_scc.json")
-			os.Exit(2)
-		}
-		if err := gateMultiPivot(flag.Arg(0), *mpHiRatio, *mpCtrlRatio); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: multi-pivot kernel within like-vs-like bounds")
-		return
-	}
-	if *engineMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: benchgate -engine [-min-speedup 2.0] BENCH_scc.json")
-			os.Exit(2)
-		}
-		if err := gateEngine(flag.Arg(0), *minSpeedup); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(1)
-		}
-		fmt.Println("benchgate: engine amortization within bounds")
+		fmt.Println(g.ok)
 		return
 	}
 	if flag.NArg() != 2 {

@@ -12,10 +12,8 @@
 //	sccbench -exp tasklog                        # §3.3 execution log
 //	sccbench -exp ablations [-data flickr]       # §3.4/§4.1/§4.3 claims
 //	sccbench -exp dist [-data flickr]            # §6 distributed extension
-//	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy|multipivot]
+//	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy]
 //	                                             # JSON perf report (BENCH_scc.json)
-//	sccbench -exp multipivot [-warmup 1] [-reps 5]
-//	                                             # worklist-vs-multipivot kernel comparison
 //	sccbench -exp engine [-stream 64] [-engine-workers 4]
 //	                                             # engine-amortization report
 //	sccbench -exp serve [-serve-clients 16] [-serve-duration 800ms]
@@ -49,7 +47,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|figure2|figure6|figure7|figure8|figure9|tasklog|ablations|dist|related|smallworld|bench|multipivot|engine|all")
+		exp      = flag.String("exp", "all", "experiment: table1|figure2|figure6|figure7|figure8|figure9|tasklog|ablations|dist|related|smallworld|bench|engine|all")
 		data     = flag.String("data", "", "restrict figure6/figure7/tasklog/ablations to one dataset (default: all for figure6, flickr otherwise)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor (halving repeatedly shrinks node counts)")
 		mode     = flag.String("mode", "modeled", "thread-sweep mode: modeled|measured")
@@ -62,7 +60,7 @@ func main() {
 		warmup   = flag.Int("warmup", 1, "bench experiment: discarded warmup runs per dataset")
 		reps     = flag.Int("reps", 5, "bench experiment: measured repetitions per dataset")
 		workers  = flag.Int("workers", 0, "bench experiment: Detect workers (0 = GOMAXPROCS)")
-		kernSpec = flag.String("kernels", "worklist", "bench experiment: kernel set: worklist|legacy|multipivot")
+		kernSpec = flag.String("kernels", "worklist", "bench experiment: kernel set: worklist|legacy")
 
 		stream     = flag.Int("stream", 64, "engine experiment: graphs per stream pass")
 		engWorkers = flag.Int("engine-workers", 0, "engine experiment: fixed Detect worker count (0 = default 1)")
@@ -210,40 +208,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Preserve the sections previous engine/multipivot runs wrote.
+		// Preserve the section a previous engine run wrote.
 		if *jsonPath != "" {
 			if old, err := experiments.ReadBenchJSON(*jsonPath); err == nil {
 				rep.Engine = old.Engine
-				rep.MultiPivot = old.MultiPivot
 			}
 		}
 		fmt.Print(experiments.FormatBench(rep))
 		writeBenchReport(*jsonPath, rep)
-	}
-
-	// multipivot is the kernel-comparison perf artifact: like-vs-like
-	// worklist vs multi-pivot rows over the high-diameter stress set
-	// (ca-road, deep-chain, zig-zag) plus small-world controls, merged
-	// into the bench report's "multipivot" section and gated by
-	// benchgate -multipivot.
-	if *exp == "multipivot" {
-		mpRep, err := experiments.MultiPivotSweep(experiments.MultiPivotBenchConfig{
-			Scale: *scale, Workers: *workers, Warmup: *warmup, Reps: *reps, Seed: *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(experiments.FormatMultiPivot(mpRep))
-		if *jsonPath != "" {
-			rep, err := experiments.ReadBenchJSON(*jsonPath)
-			if err != nil {
-				// No existing bench report to merge into: write a shell
-				// document holding only the multipivot section.
-				rep = experiments.BenchReport{GoVersion: mpRep.GoVersion}
-			}
-			rep.MultiPivot = &mpRep
-			writeBenchReport(*jsonPath, rep)
-		}
 	}
 
 	// engine is the amortization perf artifact: a small-graph detection

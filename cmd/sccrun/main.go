@@ -4,7 +4,7 @@
 // Usage:
 //
 //	sccrun -alg method2 -workers 8 graph.sccg
-//	sccrun -alg method2 -kernels multipivot graph.sccg
+//	sccrun -alg method2 -kernels legacy graph.sccg
 //	sccrun -alg tarjan graph.sccg
 //	sccrun -alg method1 -tasklog 5 -text edges.txt
 //	sccrun -alg method2 -timeout 30s -progress graph.sccg
@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/dist"
@@ -54,7 +53,7 @@ import (
 func main() {
 	var (
 		algName  = flag.String("alg", "method2", "algorithm: tarjan|kosaraju|gabow|baseline|method1|method2|fwbw|obf|coloring|multistep")
-		kernSpec = flag.String("kernels", "worklist", "trim/WCC kernel set: worklist|legacy|multipivot")
+		kernSpec = flag.String("kernels", "worklist", "trim/WCC kernel set: worklist|legacy")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		k        = flag.Int("k", 0, "work-queue batch size (0 = paper default)")
 		seed     = flag.Int64("seed", 1, "pivot seed")
@@ -70,7 +69,7 @@ func main() {
 
 		memLimit     = flag.String("mem-limit", "", "degrade the parallel engine to fit this memory budget (bytes; K/M/G suffixes)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "abort the run if no kernel progress for this long (0 = no watchdog)")
-		chaosPanic   = flag.String("chaos-panic", "", "inject a panic at site[:hit][,...] (sites: trim|bfs|trim2|wcc|task|peel|uf|reach|condense)")
+		chaosPanic   = flag.String("chaos-panic", "", "inject a panic at site[:hit][,...] (sites: trim|bfs|trim2|wcc|task|peel|uf|condense)")
 		chaosStall   = flag.String("chaos-stall", "", "inject a stall at site[:hit][,...]")
 		chaosFor     = flag.Duration("chaos-stall-for", 0, "bound injected stalls (0 = stall until teardown)")
 
@@ -90,7 +89,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	alg, err := parseAlg(*algName)
+	alg, err := scc.ParseAlgorithm(*algName)
 	if err != nil {
 		fatal(err)
 	}
@@ -381,32 +380,6 @@ func (distProgressObserver) Observe(ev dist.Event) {
 	case scc.EventRollback:
 		fmt.Fprintf(os.Stderr, "[%s] ROLLBACK #%d: replaying %d supersteps\n", phase, ev.Round, ev.Nodes)
 	}
-}
-
-func parseAlg(s string) (scc.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "tarjan":
-		return scc.Tarjan, nil
-	case "kosaraju":
-		return scc.Kosaraju, nil
-	case "baseline":
-		return scc.Baseline, nil
-	case "method1":
-		return scc.Method1, nil
-	case "method2":
-		return scc.Method2, nil
-	case "fwbw", "fw-bw":
-		return scc.FWBW, nil
-	case "obf":
-		return scc.OBF, nil
-	case "coloring":
-		return scc.Coloring, nil
-	case "multistep":
-		return scc.MultiStep, nil
-	case "gabow":
-		return scc.Gabow, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func load(path string, text bool) (*graph.Graph, error) {

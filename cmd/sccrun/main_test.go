@@ -10,36 +10,6 @@ import (
 	"repro/scc"
 )
 
-func TestParseAlg(t *testing.T) {
-	cases := map[string]scc.Algorithm{
-		"tarjan":   scc.Tarjan,
-		"Kosaraju": scc.Kosaraju,
-		"BASELINE": scc.Baseline,
-		"method1":  scc.Method1,
-		"method2":  scc.Method2,
-	}
-	for in, want := range cases {
-		got, err := parseAlg(in)
-		if err != nil || got != want {
-			t.Fatalf("parseAlg(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseAlg("nope"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-}
-
-func TestParseAlgExtended(t *testing.T) {
-	for in, want := range map[string]scc.Algorithm{
-		"fwbw": scc.FWBW, "fw-bw": scc.FWBW, "obf": scc.OBF, "coloring": scc.Coloring,
-	} {
-		got, err := parseAlg(in)
-		if err != nil || got != want {
-			t.Fatalf("parseAlg(%q) = %v, %v", in, got, err)
-		}
-	}
-}
-
 func TestExitCode(t *testing.T) {
 	wrap := func(err error) error { return &scc.Error{Op: "detect", Err: err} }
 	cases := []struct {

@@ -104,7 +104,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		workers   = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		k         = fs.Int("k", 0, "work-queue batch size (0 = paper default)")
 		seed      = fs.Int64("seed", 1, "pivot seed")
-		kernSpec  = fs.String("kernels", "worklist", "trim/WCC kernel set: worklist|legacy|multipivot")
+		kernSpec  = fs.String("kernels", "worklist", "trim/WCC kernel set: worklist|legacy")
 
 		maxNodes    = fs.String("max-nodes", "4M", "reject graphs/updates beyond this many nodes (K/M/G suffixes)")
 		maxEdges    = fs.String("max-edges", "64M", "reject graphs/updates beyond this many edges (K/M/G suffixes)")
@@ -143,7 +143,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fs.Usage()
 		return exitUsage
 	}
-	alg, err := parseAlg(*algName)
+	alg, err := scc.ParseAlgorithm(*algName)
 	if err != nil {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage
@@ -232,10 +232,10 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 
 		DisableIncr:     *noIncr,
 		IncrVerifyEvery: *incrVerifyEvery,
-		RebuildChaos:   chaosCfg,
-		ChaosAtRebuild: *chaosRebuild,
-		Durable:        store,
-		Logf:           logf,
+		RebuildChaos:    chaosCfg,
+		ChaosAtRebuild:  *chaosRebuild,
+		Durable:         store,
+		Logf:            logf,
 	}, g)
 	if err != nil {
 		if errors.Is(err, scc.ErrInvalidOption) {
@@ -348,32 +348,6 @@ func loadGraph(ctx context.Context, path, format string, lim graph.Limits) (*gra
 		return graph.ReadMETISLimited(ctx, f, lim)
 	}
 	return nil, fmt.Errorf("unknown format %q (want sccg|edgelist|mm|metis)", format)
-}
-
-func parseAlg(s string) (scc.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "tarjan":
-		return scc.Tarjan, nil
-	case "kosaraju":
-		return scc.Kosaraju, nil
-	case "gabow":
-		return scc.Gabow, nil
-	case "baseline":
-		return scc.Baseline, nil
-	case "method1":
-		return scc.Method1, nil
-	case "method2":
-		return scc.Method2, nil
-	case "fwbw", "fw-bw":
-		return scc.FWBW, nil
-	case "obf":
-		return scc.OBF, nil
-	case "coloring":
-		return scc.Coloring, nil
-	case "multistep":
-		return scc.MultiStep, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 // parseScaled parses a count with an optional K/M/G suffix (powers of

@@ -88,11 +88,6 @@ type BenchReport struct {
 	// Each experiment rewrites only its own section, preserving the
 	// others' from the existing file.
 	Engine *EngineReport `json:"engine,omitempty"`
-
-	// MultiPivot is the kernel-comparison section (sccbench -exp
-	// multipivot): worklist vs multi-pivot like-vs-like rows over the
-	// high-diameter stress set, gated by benchgate -multipivot.
-	MultiPivot *MultiPivotReport `json:"multipivot,omitempty"`
 }
 
 // BenchSweep measures Method2 over the configured datasets and

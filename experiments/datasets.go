@@ -197,7 +197,7 @@ func withStandardTail(core *graph.Graph, div int, seed int64) *graph.Graph {
 }
 
 // Extras returns the high-diameter stress datasets that are findable
-// by name (sccbench -data, the multipivot experiment) but excluded
+// by name (sccbench -data, BenchmarkKernels) but excluded
 // from Names() — they are not Table 1 analogs, so the paper's figures
 // and the default bench sweep never include them.
 func Extras() []Dataset {

@@ -43,12 +43,6 @@ const (
 	// (sampling and full passes), once per chunk, exercising failure
 	// capture mid-union rather than at the pass boundary.
 	SiteUF
-	// SiteReach is hit inside the multi-pivot reachability kernel
-	// (internal/reach), once per concurrent wave (per frontier chunk
-	// when parallel), so injected failures land mid-sweep while the
-	// claim tables are half-written — the hardest rollback case the
-	// KernelsMultiPivot path has. Fires only under KernelsMultiPivot.
-	SiteReach
 	// SiteCondense is hit once per condensation build on the serving
 	// path (internal/server), after detection succeeds and before the
 	// new epoch is published. It exists to sabotage the rebuild at the
@@ -75,11 +69,11 @@ const (
 	// detection engine never hits this site.
 	SiteIncr
 
-	numSites = 12
+	numSites = 11
 )
 
 // String returns the flag spelling of the site (trim, bfs, trim2,
-// wcc, task, peel, uf, reach, condense, wal, snapshot, incr).
+// wcc, task, peel, uf, condense, wal, snapshot, incr).
 func (s Site) String() string {
 	switch s {
 	case SiteTrim:
@@ -96,8 +90,6 @@ func (s Site) String() string {
 		return "peel"
 	case SiteUF:
 		return "uf"
-	case SiteReach:
-		return "reach"
 	case SiteCondense:
 		return "condense"
 	case SiteWAL:
@@ -112,14 +104,14 @@ func (s Site) String() string {
 
 // Sites lists every injection site, in flag-spelling order.
 func Sites() []Site {
-	return []Site{SiteTrim, SiteBFS, SiteTrim2, SiteWCC, SiteTask, SitePeel, SiteUF, SiteReach, SiteCondense, SiteWAL, SiteSnapshot, SiteIncr}
+	return []Site{SiteTrim, SiteBFS, SiteTrim2, SiteWCC, SiteTask, SitePeel, SiteUF, SiteCondense, SiteWAL, SiteSnapshot, SiteIncr}
 }
 
 // EngineSites lists the sites the in-memory detection engine hits
 // (everything but the serving-path SiteCondense/SiteIncr and the
 // durability sites SiteWAL/SiteSnapshot).
 func EngineSites() []Site {
-	return []Site{SiteTrim, SiteBFS, SiteTrim2, SiteWCC, SiteTask, SitePeel, SiteUF, SiteReach}
+	return []Site{SiteTrim, SiteBFS, SiteTrim2, SiteWCC, SiteTask, SitePeel, SiteUF}
 }
 
 // ParseSite maps a flag spelling (see Site.String) to its Site.
@@ -129,7 +121,7 @@ func ParseSite(name string) (Site, error) {
 			return s, nil
 		}
 	}
-	return 0, fmt.Errorf("chaos: unknown site %q (want trim|bfs|trim2|wcc|task|peel|uf|reach|condense|wal|snapshot|incr)", name)
+	return 0, fmt.Errorf("chaos: unknown site %q (want trim|bfs|trim2|wcc|task|peel|uf|condense|wal|snapshot|incr)", name)
 }
 
 // Panic is the value an injected panic panics with. Engine panic

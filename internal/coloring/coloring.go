@@ -149,7 +149,10 @@ func RunOn(g *graph.Graph, opt Options, comp []int32, alive []graph.NodeID) *Res
 					v := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					for _, k := range g.In(v) {
-						if res.Comp[k] < 0 && color[k] == rc {
+						// Color first: colors are fixed in this step and
+						// each color region has one writer, so Comp[k] is
+						// only read by the traversal that may write it.
+						if color[k] == rc && res.Comp[k] < 0 {
 							res.Comp[k] = rc
 							stack = append(stack, k)
 						}

@@ -8,28 +8,15 @@ import (
 	"repro/internal/worklist"
 )
 
-// sinkQueue is a taskQueue that recycles pushed child lists straight
-// back into a worker pool, emulating the steady state where every
-// child task is eventually consumed.
-type sinkQueue struct{ ws *scratch.Worker }
-
-func (q *sinkQueue) Seed([]task)             {}
-func (q *sinkQueue) Push(worker int, t task) { q.ws.PutNodes(t.nodes) }
-func (q *sinkQueue) Run(fn func(int, task))  {}
-func (q *sinkQueue) Cancel()                 {}
-func (q *sinkQueue) abandon()                {}
-func (q *sinkQueue) stats() worklist.Stats   { return worklist.Stats{} }
-func (q *sinkQueue) steals() int64           { return 0 }
-
 // TestRecurFWBWSteadyStateAllocs pins the zero-allocation contract of
 // one recycled phase-2 task: with a warmed worker pool, executing a
-// task — DFS sweeps, SCC publication, child-partition assembly —
-// allocates nothing.
+// task — DFS sweeps, SCC publication, child-partition assembly, the
+// pushes onto the work queue — allocates nothing.
 func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 	// A 4-cycle SCC with a 2-node tail: the task finds the SCC and
 	// assembles a non-empty forward-remainder child, exercising both
 	// the recycle path (consumed lists) and the push path (forwarded
-	// lists, recycled by sinkQueue).
+	// lists, recycled when the queue runs the child).
 	g := graph.FromEdges(6, []graph.Edge{
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 0},
 		{From: 0, To: 4}, {From: 4, To: 5},
@@ -44,7 +31,11 @@ func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 	e.ar = scratch.New(1, nil)
 	defer e.ar.Close()
 	ws := e.ar.Worker(0)
-	q := &sinkQueue{ws: ws}
+	q := worklist.New[task](1, 8)
+	// Running the pushed children recycles their lists straight back
+	// into the worker pool, emulating the steady state where every
+	// child task is eventually consumed.
+	recycle := func(_ int, t task) { ws.PutNodes(t.nodes) }
 	run := func() {
 		c := e.newColor()
 		for v := range e.color {
@@ -56,6 +47,7 @@ func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 			nodes = append(nodes, graph.NodeID(v))
 		}
 		e.recurFWBW(ws, task{c: c, nodes: nodes, parent: -1}, q, 0)
+		q.RunSerial(recycle)
 	}
 	run() // warm the worker pool beyond AllocsPerRun's own warmup run
 	run()

@@ -65,14 +65,9 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 		est += nn * 4
 	}
 	if opt.Kernels != KernelsLegacy {
-		// Counter-peeling trim state (worklist and multi-pivot kernels
-		// both trim by counter peeling): in/out degree counters, claimed
+		// Counter-peeling trim state: in/out degree counters, claimed
 		// colors (int32 each) and the candidacy marks (1 byte).
 		est += nn * (3*4 + 1)
-	}
-	if opt.Kernels == KernelsMultiPivot {
-		// Forward + backward stamped claim tables (int64 each).
-		est += nn * 16
 	}
 	// Two-level queue: per-worker local queues are bounded at 2K tasks
 	// (task = 32 B: color + slice header + parent).

@@ -28,7 +28,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/reach"
 	"repro/internal/scratch"
 	"repro/internal/watchdog"
 	"repro/internal/worklist"
@@ -81,17 +80,6 @@ const (
 	// KernelsLegacy selects the paper's round-based fixpoint kernels:
 	// Par-Trim (Algorithm 4) and Par-WCC (Algorithm 7).
 	KernelsLegacy
-	// KernelsMultiPivot keeps the worklist trim/WCC kernels but
-	// replaces both phase 1's level-synchronous BFS and phase 2's
-	// per-task sequential DFS with the multi-pivot concurrent
-	// reachability engine (internal/reach): every live partition's
-	// search runs in the same wave-synchronous sweep over a stamped
-	// (vertex, pivot-label) claim table, and vertical local searches
-	// collapse long chains inside a wave. This caps the barrier count
-	// at the maximum partition depth divided by the local-search budget
-	// instead of paying the full diameter, which is what makes
-	// high-diameter (road-network-shaped) inputs cheap.
-	KernelsMultiPivot
 )
 
 // String returns the flag spelling of the kernel selection.
@@ -101,8 +89,6 @@ func (k Kernels) String() string {
 		return "worklist"
 	case KernelsLegacy:
 		return "legacy"
-	case KernelsMultiPivot:
-		return "multipivot"
 	default:
 		return "unknown"
 	}
@@ -201,9 +187,6 @@ type Options struct {
 	// — the natural next trim order beyond the paper's §3.4. Off by
 	// default (the ablation shows diminishing returns).
 	EnableTrim3 bool
-	// UseStealing replaces the paper's two-level work queue with a
-	// work-stealing scheduler in phase 2 (§4.3 design ablation).
-	UseStealing bool
 	// Observer, if non-nil, receives structured progress events
 	// (phase boundaries, trim/BFS/WCC rounds, task completions) as the
 	// run executes. It must be safe for concurrent use; see
@@ -412,16 +395,6 @@ type engine struct {
 	seedBuf [1]graph.NodeID
 	taskBuf []task
 
-	// Multi-pivot (KernelsMultiPivot) scratch, engine-hoisted for the
-	// same reason: the one-element phase-1 search seed, the per-round
-	// search list, the live-partition list and the per-worker
-	// next-round gather buffers all keep their capacity across rounds
-	// and runs.
-	mpSearch   [1]reach.Search
-	mpSearches []reach.Search
-	mpParts    []mpPart
-	mpNext     [][]mpPart
-
 	// taskFn is the phase-2 task body, bound once (first phase2 call)
 	// and retained across runs so the steady state never rebuilds the
 	// closure; its per-run inputs live in the fields below. runQ is
@@ -430,7 +403,7 @@ type engine struct {
 	// point); p2Nodes/p2SCCs accumulate the phase's totals; logMu
 	// serializes TaskLog/TaskTrace appends.
 	taskFn  func(worker int, t task)
-	runQ    taskQueue
+	runQ    *worklist.Queue[task]
 	p2Nodes atomic.Int64
 	p2SCCs  atomic.Int64
 	logMu   sync.Mutex
@@ -451,12 +424,12 @@ type engine struct {
 	// qmu guards curQ, the in-flight phase-2 queue the watchdog must
 	// abandon on a force-abort (nil outside phase 2).
 	qmu  sync.Mutex
-	curQ taskQueue
+	curQ *worklist.Queue[task]
 }
 
 // setQueue publishes (or clears) the in-flight phase-2 queue for the
 // watchdog's force-abort path.
-func (e *engine) setQueue(q taskQueue) {
+func (e *engine) setQueue(q *worklist.Queue[task]) {
 	e.qmu.Lock()
 	e.curQ = q
 	e.qmu.Unlock()
@@ -474,7 +447,7 @@ func (e *engine) abortBarriers() {
 	q := e.curQ
 	e.qmu.Unlock()
 	if q != nil {
-		q.abandon()
+		q.Abandon()
 	}
 }
 

@@ -420,14 +420,3 @@ func TestEnableTrim3SameResult(t *testing.T) {
 		t.Fatal("EnableTrim3 changed the decomposition")
 	}
 }
-
-func TestStealingSchedulerSameResult(t *testing.T) {
-	p := gen.SmallWorldSCC(1000, 300, 2.0, 30, 1.5, 37)
-	tc, _ := seq.Tarjan(p.Graph)
-	for _, alg := range []Algorithm{Baseline, Method2} {
-		res := Run(p.Graph, alg, Options{Workers: 4, Seed: 1, UseStealing: true})
-		if !verify.SamePartition(res.Comp, tc) {
-			t.Fatalf("%v with stealing scheduler changed the decomposition", alg)
-		}
-	}
-}

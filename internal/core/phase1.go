@@ -32,28 +32,6 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		}
 		pivot := e.choosePivot(members)
 
-		if e.opt.Kernels == KernelsMultiPivot {
-			// Multi-pivot kernel: run the FW/BW pair through the stamped
-			// reachability sweep (vertical local searches collapse
-			// high-diameter levels) and publish by classifying members
-			// against the claim tables.
-			sccSize, ok := e.phase1Reach(c, pivot, members)
-			e.ar.PutNodes(members)
-			if !ok {
-				return alive
-			}
-			e.res.Phases[PhaseParFWBW].Nodes += sccSize
-			e.res.Phases[PhaseParFWBW].SCCs++
-			if sccSize > e.res.GiantSCC {
-				e.res.GiantSCC = sccSize
-			}
-			alive = filterAlive(e.color, alive)
-			if sccSize >= threshold {
-				break
-			}
-			continue
-		}
-
 		cfw, cbw, cscc := e.newColor(), e.newColor(), e.newColor()
 		// Claim the pivot into the FW set, then run the forward sweep.
 		if !atomic.CompareAndSwapInt32(&e.color[pivot], c, cfw) {

@@ -25,65 +25,19 @@ type task struct {
 	parent int32
 }
 
-// taskQueue abstracts the phase-2 scheduler so the paper's two-level
-// queue (§4.3) can be ablated against a work-stealing design. Run
-// carries the worklist panic contract: a task panic re-raises as a
-// *parallel.WorkerPanic on the dispatching goroutine, and abandon
-// (the watchdog's force-abort) makes a blocked Run panic
-// parallel.ErrBarrierAbandoned.
-type taskQueue interface {
-	Seed([]task)
-	Push(worker int, t task)
-	Run(fn func(worker int, t task))
-	Cancel()
-	abandon()
-	stats() worklist.Stats
-	steals() int64
-}
-
-// twoLevelQueue adapts the paper's queue to taskQueue.
-type twoLevelQueue struct{ *worklist.Queue[task] }
-
-func (q twoLevelQueue) stats() worklist.Stats { return q.Queue.Stats() }
-func (q twoLevelQueue) steals() int64         { return 0 }
-func (q twoLevelQueue) abandon()              { q.Queue.Abandon() }
-
-// stealingQueue adapts the work-stealing scheduler.
-type stealingQueue struct{ *worklist.StealingQueue[task] }
-
-func (q stealingQueue) stats() worklist.Stats { s, _ := q.StealingQueue.Stats(); return s }
-func (q stealingQueue) steals() int64         { _, s := q.StealingQueue.Stats(); return s }
-func (q stealingQueue) abandon()              { q.StealingQueue.Abandon() }
-
 // phase2 runs the task-parallel recursive FW-BW phase over the seeded
 // work queue (the "until work queue is empty do in parallel" loop of
 // Algorithms 3, 6 and 9).
 func (e *engine) phase2(tasks []task) {
-	if e.opt.Kernels == KernelsMultiPivot {
-		// The multi-pivot kernel replaces the task queue wholesale: all
-		// live partitions advance together through shared reachability
-		// sweeps instead of dequeuing one DFS pair at a time.
-		e.phase2Multi(tasks)
-		return
-	}
 	e.res.InitialTasks = len(tasks)
-	// Scheduler selection. The persistent queue (e.pq, set by Engine
-	// runs whose shape matches) is reset and reused; otherwise a fresh
-	// queue is built for this run. pq stays nil under the stealing
-	// ablation so the dispatch switch below knows to use the generic
-	// goroutine-spawning Run.
-	var q taskQueue
-	pq := e.pq
-	switch {
-	case e.opt.UseStealing:
-		pq = nil
-		q = stealingQueue{worklist.NewStealing[task](e.opt.Workers)}
-	case pq != nil:
-		pq.Reset()
-		q = twoLevelQueue{pq}
-	default:
-		pq = worklist.New[task](e.opt.Workers, e.opt.K)
-		q = twoLevelQueue{pq}
+	// The persistent queue (e.pq, set by Engine runs whose shape
+	// matches) is reset and reused; otherwise a fresh queue is built
+	// for this run.
+	q := e.pq
+	if q != nil {
+		q.Reset()
+	} else {
+		q = worklist.New[task](e.opt.Workers, e.opt.K)
 	}
 	q.Seed(tasks)
 	// Cooperative cancellation: the queue's dequeue loop is phase 2's
@@ -111,34 +65,29 @@ func (e *engine) phase2(tasks []task) {
 		e.taskFn = e.runTask
 	}
 	fn := e.taskFn
-	// Dispatch. The two-level queue has three execution vehicles:
-	// inline on this goroutine (single worker, no watchdog to force an
-	// abort — the zero-allocation steady-state path), on the arena's
-	// pinned gang (matching multi-worker runs; the watchdog's
-	// force-abort reaches it through Arena.Abort), or on freshly
-	// spawned goroutines (shape-mismatched fallback, and the only
-	// vehicle Abandon alone can release, which the single-worker
-	// watchdog path needs). The stealing ablation keeps its own Run.
+	// Dispatch. The queue has three execution vehicles: inline on this
+	// goroutine (single worker, no watchdog to force an abort — the
+	// zero-allocation steady-state path), on the arena's pinned gang
+	// (matching multi-worker runs; the watchdog's force-abort reaches
+	// it through Arena.Abort), or on freshly spawned goroutines
+	// (shape-mismatched fallback, and the only vehicle Abandon alone
+	// can release, which the single-worker watchdog path needs).
+	gang := e.ar.Gang()
 	switch {
-	case pq == nil:
-		q.Run(fn)
 	case e.opt.Workers == 1 && e.opt.StallTimeout == 0:
-		pq.RunSerial(fn)
+		q.RunSerial(fn)
+	case gang != nil && gang.Workers() == e.opt.Workers:
+		q.RunOn(gang, fn)
 	default:
-		if gang := e.ar.Gang(); gang != nil && gang.Workers() == e.opt.Workers {
-			pq.RunOn(gang, fn)
-		} else {
-			pq.Run(fn)
-		}
+		q.Run(fn)
 	}
 	e.res.Phases[PhaseRecurFWBW].Nodes += e.p2Nodes.Load()
 	e.res.Phases[PhaseRecurFWBW].SCCs += e.p2SCCs.Load()
-	e.res.Queue = q.stats()
-	e.ctr.AddSteals(q.steals())
+	e.res.Queue = q.Stats()
 }
 
 // runTask is the phase-2 task body dispatched by every execution
-// vehicle (inline, gang, spawned goroutines, stealing). It reads its
+// vehicle (inline, gang, spawned goroutines). It reads its
 // per-run inputs — the dispatch queue, chaos injector, trace flags —
 // from the engine so the bound e.taskFn closure survives across runs.
 func (e *engine) runTask(w int, t task) {
@@ -173,7 +122,7 @@ func (e *engine) runTask(w int, t task) {
 		// Periodic queue-depth samples (every 64th task) expose the
 		// paper's task-level-parallelism measure live.
 		if e.obsTasks.Add(1)%64 == 0 {
-			st := q.stats()
+			st := q.Stats()
 			e.sink.Emit(events.Event{Type: events.QueueSample,
 				Queued: st.Total - st.Executed, Executed: st.Executed})
 		}
@@ -198,7 +147,7 @@ func (e *engine) runTask(w int, t task) {
 // nothing. A list may be recycled by a different worker than the one
 // that drew it (it travels with the task), which is safe because each
 // pool is only touched by its own worker.
-func (e *engine) recurFWBW(ws *scratch.Worker, t task, q taskQueue, worker int) (TaskRecord, bool) {
+func (e *engine) recurFWBW(ws *scratch.Worker, t task, q *worklist.Queue[task], worker int) (TaskRecord, bool) {
 	nodes := t.nodes
 	scanned := false
 	if nodes == nil {

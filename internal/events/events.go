@@ -54,9 +54,9 @@ const (
 	// supersteps being discarded and replayed.
 	Rollback
 	// RunMetrics is emitted once at the end of a successful run with
-	// the run's performance-counter totals: Steals, BuffersReused and
-	// BytesReused carry the scheduler and scratch-arena counters (the
-	// full snapshot is on the Result).
+	// the run's performance-counter totals: BuffersReused and
+	// BytesReused carry the scratch-arena counters (the full snapshot
+	// is on the Result).
 	RunMetrics
 	// Stalled reports the watchdog declaring the run stalled: no kernel
 	// completed a round within the configured window. Phase is the
@@ -119,9 +119,6 @@ type Event struct {
 	Frontier int
 	// Queued and Executed are work-queue counters (QueueSample).
 	Queued, Executed int64
-	// Steals is the number of successful work steals (RunMetrics,
-	// stealing-scheduler ablation only).
-	Steals int64
 	// BuffersReused and BytesReused are the scratch-arena reuse
 	// totals: buffers recycled instead of freshly allocated, and the
 	// capacity in bytes those reuses recycled (RunMetrics).

@@ -52,19 +52,8 @@ type Counters struct {
 	UFFindHops   atomic.Int64
 	SampledSkips atomic.Int64
 
-	// Multi-pivot reachability kernel: concurrent FW/BW sweep rounds
-	// (each covering every live partition at once), wave barriers inside
-	// those sweeps, (vertex, pivot-label) claims won, and long chains
-	// collapsed by vertical local searches instead of wave barriers.
-	PivotBatches   atomic.Int64
-	ReachWaves     atomic.Int64
-	ReachClaims    atomic.Int64
-	LocalCollapses atomic.Int64
-
-	// Phase-2 scheduler: tasks executed and (stealing ablation only)
-	// successful steals.
-	Tasks  atomic.Int64
-	Steals atomic.Int64
+	// Phase-2 scheduler: tasks executed.
+	Tasks atomic.Int64
 
 	// Scratch arena: buffer reuses that would otherwise have been
 	// fresh allocations, and the capacity (in bytes) those reuses
@@ -149,43 +138,12 @@ func (c *Counters) AddUFPass(unions, hops, skips int64) {
 	c.SampledSkips.Add(skips)
 }
 
-// AddPivotBatch records one multi-pivot sweep round: a concurrent
-// forward+backward reachability pass over every live partition.
-func (c *Counters) AddPivotBatch() {
-	if c == nil {
-		return
-	}
-	c.PivotBatches.Add(1)
-}
-
-// AddReachWave records one wave barrier of a multi-pivot sweep: claims
-// is the (vertex, pivot-label) claims the wave won, collapses the
-// chain nodes its vertical local searches folded in without waiting
-// for another barrier.
-func (c *Counters) AddReachWave(claims, collapses int64) {
-	if c == nil {
-		return
-	}
-	c.ReachWaves.Add(1)
-	c.ReachClaims.Add(claims)
-	c.LocalCollapses.Add(collapses)
-}
-
 // AddTask records one executed phase-2 task.
 func (c *Counters) AddTask() {
 	if c == nil {
 		return
 	}
 	c.Tasks.Add(1)
-}
-
-// AddSteals records successful work steals (stealing-scheduler
-// ablation).
-func (c *Counters) AddSteals(n int64) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.Steals.Add(n)
 }
 
 // AddReuse records one scratch-buffer reuse recycling capBytes of
@@ -221,12 +179,7 @@ func (c *Counters) Reset() {
 	c.UFUnions.Store(0)
 	c.UFFindHops.Store(0)
 	c.SampledSkips.Store(0)
-	c.PivotBatches.Store(0)
-	c.ReachWaves.Store(0)
-	c.ReachClaims.Store(0)
-	c.LocalCollapses.Store(0)
 	c.Tasks.Store(0)
-	c.Steals.Store(0)
 	c.BuffersReused.Store(0)
 	c.BytesReused.Store(0)
 }
@@ -250,9 +203,6 @@ func (c *Counters) Progress() uint64 {
 		uint64(c.PeelDepth.Load()) +
 		uint64(c.UFUnions.Load()) +
 		uint64(c.UFFindHops.Load()) +
-		uint64(c.PivotBatches.Load()) +
-		uint64(c.ReachWaves.Load()) +
-		uint64(c.ReachClaims.Load()) +
 		uint64(c.Tasks.Load())
 }
 
@@ -288,20 +238,8 @@ type Snapshot struct {
 	UFUnions     int64
 	UFFindHops   int64
 	SampledSkips int64
-	// PivotBatches is the number of multi-pivot sweep rounds (each a
-	// concurrent FW+BW pass over every live partition); ReachWaves the
-	// wave barriers inside those sweeps; ReachClaims the (vertex,
-	// pivot-label) claims won; LocalCollapses the chain nodes folded
-	// into an earlier wave by vertical local searches (all 0 unless
-	// KernelsMultiPivot).
-	PivotBatches   int64
-	ReachWaves     int64
-	ReachClaims    int64
-	LocalCollapses int64
-	// Tasks is the number of phase-2 tasks executed; Steals the
-	// successful steals under the work-stealing ablation.
-	Tasks  int64
-	Steals int64
+	// Tasks is the number of phase-2 tasks executed.
+	Tasks int64
 	// BuffersReused counts scratch-buffer reuses that replaced fresh
 	// allocations; BytesReused is the capacity they recycled.
 	BuffersReused int64
@@ -319,26 +257,21 @@ func (c *Counters) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	return Snapshot{
-		TrimRounds:     c.TrimRounds.Load(),
-		TrimmedNodes:   c.TrimmedNodes.Load(),
-		Trim2Pairs:     c.Trim2Pairs.Load(),
-		BFSLevels:      c.BFSLevels.Load(),
-		FrontierNodes:  c.FrontierNodes.Load(),
-		FrontierPeak:   c.FrontierPeak.Load(),
-		BitmapLevels:   c.BitmapLevels.Load(),
-		WCCRounds:      c.WCCRounds.Load(),
-		TrimPushes:     c.TrimPushes.Load(),
-		PeelDepth:      c.PeelDepth.Load(),
-		UFUnions:       c.UFUnions.Load(),
-		UFFindHops:     c.UFFindHops.Load(),
-		SampledSkips:   c.SampledSkips.Load(),
-		PivotBatches:   c.PivotBatches.Load(),
-		ReachWaves:     c.ReachWaves.Load(),
-		ReachClaims:    c.ReachClaims.Load(),
-		LocalCollapses: c.LocalCollapses.Load(),
-		Tasks:          c.Tasks.Load(),
-		Steals:         c.Steals.Load(),
-		BuffersReused:  c.BuffersReused.Load(),
-		BytesReused:    c.BytesReused.Load(),
+		TrimRounds:    c.TrimRounds.Load(),
+		TrimmedNodes:  c.TrimmedNodes.Load(),
+		Trim2Pairs:    c.Trim2Pairs.Load(),
+		BFSLevels:     c.BFSLevels.Load(),
+		FrontierNodes: c.FrontierNodes.Load(),
+		FrontierPeak:  c.FrontierPeak.Load(),
+		BitmapLevels:  c.BitmapLevels.Load(),
+		WCCRounds:     c.WCCRounds.Load(),
+		TrimPushes:    c.TrimPushes.Load(),
+		PeelDepth:     c.PeelDepth.Load(),
+		UFUnions:      c.UFUnions.Load(),
+		UFFindHops:    c.UFFindHops.Load(),
+		SampledSkips:  c.SampledSkips.Load(),
+		Tasks:         c.Tasks.Load(),
+		BuffersReused: c.BuffersReused.Load(),
+		BytesReused:   c.BytesReused.Load(),
 	}
 }

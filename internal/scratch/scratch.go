@@ -49,8 +49,6 @@
 package scratch
 
 import (
-	"sync/atomic"
-
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/metrics"
@@ -83,13 +81,6 @@ type Arena struct {
 	peelI32  []int32
 	marks    []uint8
 	frontier worklist.Frontier[graph.NodeID]
-
-	// Multi-pivot reachability claim tables (see Reach). reachI64 backs
-	// both the forward and backward (vertex, label) tables and comes
-	// back dirty; reachStamp is the sweep-stamp high-water mark that
-	// makes dirty reuse safe without an O(n) wipe.
-	reachI64   []int64
-	reachStamp uint32
 
 	inj *chaos.Injector
 }
@@ -153,7 +144,6 @@ func (a *Arena) Shrink() {
 	a.backing = nil
 	a.peelI32 = nil
 	a.marks = nil
-	a.reachI64 = nil
 	a.frontier.Init(nil, nil, nil)
 	for w := range a.perW {
 		a.perW[w].Stack = nil
@@ -190,7 +180,6 @@ func (a *Arena) RetainedBytes() int64 {
 	b += int64(cap(a.label)) * 4
 	b += int64(cap(a.backing)) * nodeB
 	b += int64(cap(a.peelI32))*4 + int64(cap(a.marks))
-	b += int64(cap(a.reachI64)) * 8
 	for w := range a.perW {
 		b += int64(cap(a.perW[w].Stack)) * nodeB
 		for _, buf := range a.perW[w].free {
@@ -455,64 +444,6 @@ func (a *Arena) Peel(n int) PeelScratch {
 		Orig:   backing[2*c : 2*c+n : 3*c],
 		Marks:  a.marks[:n],
 	}
-}
-
-// ReachScratch is the multi-pivot reachability kernel's retained
-// per-node state: the forward and backward (vertex, pivot-label) claim
-// tables. Entries pack a sweep stamp in the high 32 bits and the
-// claiming pivot label in the low 32; an entry belongs to the current
-// sweep only when its stamp matches, so the tables come back dirty —
-// stale stamps read as unclaimed and reuse needs no O(n) wipe.
-type ReachScratch struct {
-	// F and B are the forward- and backward-sweep claim tables. NOT
-	// zeroed on reuse.
-	F, B []int64
-}
-
-// Reach returns the retained multi-pivot claim tables sized for n
-// nodes. Only one kernel may hold them at a time. Both tables share
-// one backing allocation (sized together, one malloc — the same
-// budget argument as Peel).
-func (a *Arena) Reach(n int) ReachScratch {
-	if a == nil {
-		backing := make([]int64, 2*n)
-		return ReachScratch{F: backing[:n:n], B: backing[n : 2*n : 2*n]}
-	}
-	if cap(a.reachI64) < 2*n {
-		a.reachI64 = make([]int64, 2*n)
-	} else if n > 0 {
-		a.ctr.AddReuse(int64(cap(a.reachI64)) * 8)
-	}
-	c := cap(a.reachI64) / 2
-	backing := a.reachI64[:2*c]
-	return ReachScratch{F: backing[:n:c], B: backing[c : c+n : 2*c]}
-}
-
-// nilStamp backs NextStamp for nil arenas, where callers get fresh
-// zeroed tables anyway but still must never see stamp 0.
-var nilStamp atomic.Uint32
-
-// NextStamp returns a fresh, never-zero sweep stamp for the stamped
-// claim protocol: each forward or backward sweep claims under its own
-// stamp, so consecutive sweeps share the Reach tables without clearing
-// them. Stamps are coordinator-issued (call only between parallel
-// sections). On the (once per 2^32 sweeps) wraparound the retained
-// tables are wiped, because a 2^32-sweep-old dirty entry under a
-// recycled stamp would read as a live claim. Nil-safe.
-func (a *Arena) NextStamp() uint32 {
-	if a == nil {
-		s := nilStamp.Add(1)
-		if s == 0 {
-			s = nilStamp.Add(1)
-		}
-		return s
-	}
-	a.reachStamp++
-	if a.reachStamp == 0 {
-		clear(a.reachI64)
-		a.reachStamp = 1
-	}
-	return a.reachStamp
 }
 
 // Frontier returns the retained wave-synchronous worklist the

@@ -289,18 +289,38 @@ func TestChaosKernelSiteRollback(t *testing.T) {
 	}
 }
 
-// TestChaosReachRebuildRollback runs the server on a multi-pivot
-// engine and sabotages rebuild attempt 2 inside the reach sweep: the
-// detection fails typed, the old epoch keeps serving with zero query
-// 5xx, and the retry publishes the new epoch. This is the end-to-end
-// form of the kernel's free-rollback property — a mid-sweep panic
-// leaves only dirty claim tables behind, never a half-published epoch.
-func TestChaosReachRebuildRollback(t *testing.T) {
+// TestChaosPeelRebuildRollback sabotages rebuild attempt 2 inside the
+// two-worker engine's counter-peeling trim while readers query the
+// live epoch: the detection fails typed, the old epoch keeps serving
+// with zero query 5xx, and the retry publishes the new epoch. A panic
+// inside the kernel leaves only engine scratch half-written, never a
+// half-published epoch.
+func TestChaosPeelRebuildRollback(t *testing.T) {
 	cfg := quietCfg()
-	cfg.Options = scc.Options{Kernels: scc.KernelsMultiPivot, Workers: 2, Seed: 5}
-	cfg.RebuildChaos = &scc.ChaosConfig{PanicAt: map[string]int64{"reach": 1}}
+	cfg.Options = scc.Options{Workers: 2, Seed: 5}
+	cfg.RebuildChaos = &scc.ChaosConfig{PanicAt: map[string]int64{"peel": 1}}
 	cfg.ChaosAtRebuild = 2
-	s, ts := newTestServer(t, cfg)
+	// The fixture plus a path 7→6→8: the trim's first scan reaches 6
+	// while both neighbors are still alive and removes them after it,
+	// so 6 is left to the peel drain that hits the site.
+	b := graph.NewBuilder(9)
+	fixture := testGraph()
+	for v := 0; v < fixture.NumNodes(); v++ {
+		for _, w := range fixture.Out(graph.NodeID(v)) {
+			b.AddEdge(graph.NodeID(v), w)
+		}
+	}
+	b.AddEdge(7, 6)
+	b.AddEdge(6, 8)
+	s, err := New(cfg, b.Build())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -327,7 +347,7 @@ func TestChaosReachRebuildRollback(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if resp.StatusCode != http.StatusOK || m["rebuilt"] != true {
-		t.Fatalf("update through reach-sabotaged rebuild: status %d body %v", resp.StatusCode, m)
+		t.Fatalf("update through peel-sabotaged rebuild: status %d body %v", resp.StatusCode, m)
 	}
 	if bad.Load() != 0 {
 		t.Errorf("query 5xx during sabotaged rebuild: %d, want 0", bad.Load())

@@ -13,18 +13,15 @@ import (
 // pass), "task" (per phase-2 recursive FW-BW task), "peel" (inside the
 // counter-peeling trim kernel's drain loop, per wave or per frontier
 // chunk), "uf" (inside the union-find WCC kernel's hook loops, per
-// chunk), "reach" (inside the multi-pivot reachability kernel, once
-// per concurrent wave — per frontier chunk when parallel), and
-// "condense" (once per condensation build on the serving path's
-// rebuild — internal/server — after detection succeeds), "wal" (once
-// per write-ahead-log append on the durability path —
-// internal/durable), and "snapshot" (once per durable snapshot
-// write), and "incr" (inside the incremental SCC maintainer —
-// internal/incr — once per commit and per staged merge during a cycle
-// collapse). The "peel" and "uf" sites fire only under KernelsWorklist
-// and "reach" only under KernelsMultiPivot; "condense", "incr", "wal",
-// and "snapshot" are never hit by Detect itself, only by the server's
-// rebuild and durability paths.
+// chunk), "condense" (once per condensation build on the serving
+// path's rebuild — internal/server — after detection succeeds), "wal"
+// (once per write-ahead-log append on the durability path —
+// internal/durable), "snapshot" (once per durable snapshot write), and
+// "incr" (inside the incremental SCC maintainer — internal/incr — once
+// per commit and per staged merge during a cycle collapse). The "peel"
+// and "uf" sites fire only under KernelsWorklist; "condense", "incr",
+// "wal", and "snapshot" are never hit by Detect itself, only by the
+// server's rebuild and durability paths.
 func ChaosSites() []string {
 	sites := chaos.Sites()
 	names := make([]string, len(sites))

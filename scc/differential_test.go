@@ -127,19 +127,18 @@ func chainOfTwoCycles(pairs int) *graph.Graph {
 	return b.Build()
 }
 
-// TestDifferentialKernels runs every parallel algorithm under all
-// three kernel sets — the legacy round-based Par-Trim/Par-WCC, the
-// work-efficient worklist kernels, and the multi-pivot reachability
-// kernel — and requires canonically identical partitions against
-// Tarjan, on random, planted-oracle, deep-peeling and high-diameter
-// graphs. The distributed pipeline is held to the same bar under
-// every Kernels setting.
+// TestDifferentialKernels runs every parallel algorithm under both
+// kernel sets — the legacy round-based Par-Trim/Par-WCC and the
+// work-efficient worklist kernels — and requires canonically identical
+// partitions against Tarjan, on random, planted-oracle, deep-peeling
+// and high-diameter graphs. The distributed pipeline is held to the
+// same bar under every Kernels setting.
 func TestDifferentialKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	graphs := map[string]*graph.Graph{
 		"chain-of-2-cycles": chainOfTwoCycles(400),
-		// High-diameter shapes: the multi-pivot kernel's vertical local
-		// searches must not change the answer, only the wave count.
+		// High-diameter shapes: thousands of BFS levels and trim rounds
+		// must not change the answer.
 		"deep-chain":      chainGraph(1200),
 		"cycle-of-chains": cycleOfChains(8, 150),
 		"lollipop":        lollipop(200, 600),
@@ -168,7 +167,7 @@ func TestDifferentialKernels(t *testing.T) {
 		graphs[fmt.Sprintf("random-%d", trial)] = b.Build()
 	}
 
-	kernels := []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy, scc.KernelsMultiPivot}
+	kernels := []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy}
 	algs := []scc.Algorithm{scc.Baseline, scc.Method1, scc.Method2}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {

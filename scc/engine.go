@@ -337,28 +337,23 @@ func fillFromCore(dst *Result, a Algorithm, r *core.Result) {
 		WCCRounds:     r.WCCRounds,
 		InitialTasks:  r.InitialTasks,
 		Metrics: MetricsSnapshot{
-			TrimRounds:     r.Metrics.TrimRounds,
-			TrimmedNodes:   r.Metrics.TrimmedNodes,
-			Trim2Pairs:     r.Metrics.Trim2Pairs,
-			BFSLevels:      r.Metrics.BFSLevels,
-			FrontierNodes:  r.Metrics.FrontierNodes,
-			FrontierPeak:   r.Metrics.FrontierPeak,
-			BitmapLevels:   r.Metrics.BitmapLevels,
-			WCCRounds:      r.Metrics.WCCRounds,
-			TrimPushes:     r.Metrics.TrimPushes,
-			PeelDepth:      r.Metrics.PeelDepth,
-			UFUnions:       r.Metrics.UFUnions,
-			UFFindHops:     r.Metrics.UFFindHops,
-			SampledSkips:   r.Metrics.SampledSkips,
-			PivotBatches:   r.Metrics.PivotBatches,
-			ReachWaves:     r.Metrics.ReachWaves,
-			ReachClaims:    r.Metrics.ReachClaims,
-			LocalCollapses: r.Metrics.LocalCollapses,
-			Tasks:          r.Metrics.Tasks,
-			Steals:         r.Metrics.Steals,
-			BuffersReused:  r.Metrics.BuffersReused,
-			BytesReused:    r.Metrics.BytesReused,
-			DegradedMode:   r.Metrics.DegradedMode,
+			TrimRounds:    r.Metrics.TrimRounds,
+			TrimmedNodes:  r.Metrics.TrimmedNodes,
+			Trim2Pairs:    r.Metrics.Trim2Pairs,
+			BFSLevels:     r.Metrics.BFSLevels,
+			FrontierNodes: r.Metrics.FrontierNodes,
+			FrontierPeak:  r.Metrics.FrontierPeak,
+			BitmapLevels:  r.Metrics.BitmapLevels,
+			WCCRounds:     r.Metrics.WCCRounds,
+			TrimPushes:    r.Metrics.TrimPushes,
+			PeelDepth:     r.Metrics.PeelDepth,
+			UFUnions:      r.Metrics.UFUnions,
+			UFFindHops:    r.Metrics.UFFindHops,
+			SampledSkips:  r.Metrics.SampledSkips,
+			Tasks:         r.Metrics.Tasks,
+			BuffersReused: r.Metrics.BuffersReused,
+			BytesReused:   r.Metrics.BytesReused,
+			DegradedMode:  r.Metrics.DegradedMode,
 		},
 	}
 	for p := 0; p < int(NumPhases); p++ {

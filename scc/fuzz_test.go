@@ -40,9 +40,10 @@ func FuzzDetect(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 1, 0, 1, 0, 0, 0}) // 2-cycle
 	f.Add([]byte{0, 1, 5, 0, 9, 0, 9, 0, 5, 0}) // cycle in a 257-node graph
 	f.Add([]byte{255, 255, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	// High-diameter shapes: the topologies the multi-pivot kernel's
-	// vertical local searches reorder most aggressively, seeded so the
-	// fuzzer mutates from deep-traversal starting points.
+	// High-diameter shapes, seeded so the fuzzer mutates from
+	// deep-traversal starting points: long BFS level chains, trim
+	// cascades one level per round, and untrimmable cycles that reach
+	// the recursive phase.
 	f.Add(encodeGraph(chainGraph(200)))
 	f.Add(encodeGraph(cycleOfChains(4, 50)))
 	f.Add(encodeGraph(lollipop(40, 120)))
@@ -53,7 +54,7 @@ func FuzzDetect(f *testing.F) {
 		if err != nil {
 			t.Fatalf("tarjan: %v", err)
 		}
-		for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsMultiPivot} {
+		for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy} {
 			res, err := scc.Detect(g, scc.Options{
 				Algorithm: scc.Method2, Workers: 2, Seed: 1,
 				Kernels: kern, Validate: true,

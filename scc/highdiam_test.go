@@ -9,10 +9,9 @@ import (
 )
 
 // High-diameter shape builders shared by the differential matrix, the
-// metamorphic suite and the fuzz seed corpus. These are the topologies
-// the multi-pivot reachability kernel exists for: traversal depth is
-// O(n), so a level-synchronous sweep pays one barrier per hop while
-// the vertical local searches collapse whole runs per wave.
+// metamorphic suite and the fuzz seed corpus. Traversal depth is O(n),
+// so a level-synchronous sweep pays one barrier per hop and the
+// recursive phase runs long sequential DFS chains.
 
 // chainGraph is the pure directed path 0→1→…→n-1: n singleton SCCs
 // and diameter n-1.
@@ -90,12 +89,12 @@ func encodeGraph(g *graph.Graph) []byte {
 	return buf
 }
 
-// TestPivotOrderIndependence checks that the multi-pivot kernel's
-// answer does not depend on which pivots the seeded RNG happens to
-// draw, or on the claim races between concurrent searches: across
-// seeds and worker counts the partition must stay canonically equal
-// to Tarjan's. Pivot choice may legally change *which* representative
-// labels an SCC, so the comparison is canonical, not byte-wise.
+// TestPivotOrderIndependence checks that the answer does not depend on
+// which pivots the seeded RNG happens to draw, or on the claim races
+// between concurrent workers: across seeds, worker counts and both
+// kernel sets the partition must stay canonically equal to Tarjan's.
+// Pivot choice may legally change *which* representative labels an
+// SCC, so the comparison is canonical, not byte-wise.
 func TestPivotOrderIndependence(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"deep-chain":      chainGraph(1500),
@@ -110,70 +109,22 @@ func TestPivotOrderIndependence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := canonical(t, ref.Comp)
-			for _, seed := range []int64{1, 7, 42, 1 << 40} {
-				for _, workers := range []int{1, 3} {
-					res, err := scc.Detect(g, scc.Options{
-						Algorithm: scc.Method2, Workers: workers, Seed: seed,
-						Kernels: scc.KernelsMultiPivot, Validate: true,
-					})
-					if err != nil {
-						t.Fatalf("seed=%d/w=%d: %v", seed, workers, err)
-					}
-					if !sameCanonical(want, canonical(t, res.Comp)) {
-						t.Fatalf("seed=%d/w=%d: partition depends on pivot order", seed, workers)
+			for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy} {
+				for _, seed := range []int64{1, 7, 42, 1 << 40} {
+					for _, workers := range []int{1, 3} {
+						res, err := scc.Detect(g, scc.Options{
+							Algorithm: scc.Method2, Workers: workers, Seed: seed,
+							Kernels: kern, Validate: true,
+						})
+						if err != nil {
+							t.Fatalf("%v/seed=%d/w=%d: %v", kern, seed, workers, err)
+						}
+						if !sameCanonical(want, canonical(t, res.Comp)) {
+							t.Fatalf("%v/seed=%d/w=%d: partition depends on pivot order", kern, seed, workers)
+						}
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestMultiPivotReachMetrics pins the new Result.Metrics counters to
-// the kernel actually running. A pure chain would be consumed whole by
-// the counter-peeling trim, so the workload is a necklace of untrimmable
-// cycles: phase 1 clears the first cycle and the remaining ones must
-// flow through the phase-2 multi-pivot sweep, producing pivot batches,
-// waves, claims and — because every cycle is internally a chain —
-// vertical local-search collapses.
-func TestMultiPivotReachMetrics(t *testing.T) {
-	g := necklace(20, 60)
-	res, err := scc.Detect(g, scc.Options{
-		Algorithm: scc.Method2, Workers: 1, Seed: 3,
-		Kernels: scc.KernelsMultiPivot, Validate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumSCCs != 20 {
-		t.Fatalf("NumSCCs = %d, want 20", res.NumSCCs)
-	}
-	m := res.Metrics
-	if m.PivotBatches == 0 {
-		t.Error("PivotBatches = 0 under KernelsMultiPivot")
-	}
-	if m.ReachWaves == 0 {
-		t.Error("ReachWaves = 0 under KernelsMultiPivot")
-	}
-	if m.ReachClaims == 0 {
-		t.Error("ReachClaims = 0 under KernelsMultiPivot")
-	}
-	if m.LocalCollapses == 0 {
-		t.Error("LocalCollapses = 0 on chain-shaped cycles")
-	}
-	// 20 cycles of 60 nodes are ~2400 one-hop BFS levels end to end;
-	// vertical local searches (budget 64) must claim each cycle in a
-	// handful of waves, far below one barrier per level.
-	if m.ReachWaves > 400 {
-		t.Errorf("ReachWaves = %d; local searches failed to collapse the cycles", m.ReachWaves)
-	}
-	// The worklist kernel must leave the reach counters untouched.
-	res2, err := scc.Detect(g, scc.Options{
-		Algorithm: scc.Method2, Workers: 1, Seed: 3, Validate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Metrics.PivotBatches != 0 || res2.Metrics.ReachWaves != 0 || res2.Metrics.ReachClaims != 0 {
-		t.Errorf("reach counters leaked into worklist run: %+v", res2.Metrics)
 	}
 }

@@ -24,8 +24,8 @@ func relabel(g *graph.Graph, perm []graph.NodeID) *graph.Graph {
 
 // metamorphicGraphs is a smaller matrix than the differential one:
 // each graph is decomposed several times per relation. The
-// high-diameter shapes (necklace, lollipop) are in so the multi-pivot
-// kernel's vertical local searches face every relation too.
+// high-diameter shapes (necklace, lollipop) are in so deep traversals
+// and long trim cascades face every relation too.
 func metamorphicGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"smallworld": gen.SmallWorldSCC(1500, 200, 2.3, 32, 1.0, 23).Graph,
@@ -43,9 +43,9 @@ func metamorphicGraphs() map[string]*graph.Graph {
 }
 
 // metamorphicKernels is the kernel dimension every relation runs
-// under: the default worklist kernels and the multi-pivot reachability
-// kernel (legacy is covered by the differential matrix).
-var metamorphicKernels = []scc.Kernels{scc.KernelsWorklist, scc.KernelsMultiPivot}
+// under: the default worklist kernels and the paper's round-based
+// legacy kernels.
+var metamorphicKernels = []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy}
 
 // TestMetamorphicRelabel checks the metamorphic relation under vertex
 // relabeling: for any permutation π, the SCC partition of π(g) is the

@@ -32,6 +32,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/graph"
@@ -136,21 +137,9 @@ const (
 	// rounds. Kept for ablation and as the reference the differential
 	// suite compares against.
 	KernelsLegacy
-	// KernelsMultiPivot keeps the worklist trim/WCC kernels but runs
-	// every FW/BW reachability — phase 1's giant-SCC sweeps and the
-	// whole recursive phase — through a multi-pivot concurrent
-	// reachability engine (after Wang et al., arXiv:2303.04934): all
-	// live partitions search simultaneously over a stamped (vertex,
-	// pivot-label) claim table, and vertical local searches collapse
-	// long chains inside one wave. Same partition as the other kernels;
-	// dramatically fewer barriers on high-diameter (road-network,
-	// deep-chain) graphs. TraceSchedule is ignored under this kernel —
-	// there is no per-task schedule to record.
-	KernelsMultiPivot
 )
 
-// String returns the flag spelling ("worklist", "legacy",
-// "multipivot").
+// String returns the flag spelling ("worklist" or "legacy").
 func (k Kernels) String() string { return core.Kernels(k).String() }
 
 // ParseKernels maps a flag spelling (see Kernels.String) to its
@@ -161,10 +150,27 @@ func ParseKernels(s string) (Kernels, error) {
 		return KernelsWorklist, nil
 	case "legacy":
 		return KernelsLegacy, nil
-	case "multipivot":
-		return KernelsMultiPivot, nil
 	}
-	return 0, fmt.Errorf("scc: unknown kernels %q (want worklist|legacy|multipivot)", s)
+	return 0, fmt.Errorf("scc: unknown kernels %q (want worklist|legacy)", s)
+}
+
+// ParseAlgorithm maps an algorithm name to its Algorithm value. The
+// match is case-insensitive and accepts every Algorithm.String
+// spelling ("FW-BW" also as "fwbw").
+func ParseAlgorithm(s string) (Algorithm, error) {
+	name := strings.ToLower(s)
+	if name == "fwbw" {
+		name = "fw-bw"
+	}
+	var names []string
+	for a := Method2; a <= Gabow; a++ {
+		n := strings.ToLower(a.String())
+		if name == n {
+			return a, nil
+		}
+		names = append(names, n)
+	}
+	return 0, fmt.Errorf("scc: unknown algorithm %q (want %s)", s, strings.Join(names, "|"))
 }
 
 // Phase identifies one segment of a parallel run's execution
@@ -235,9 +241,6 @@ type Options struct {
 	// EnableTrim3 adds a size-3 SCC detection pass after Trim2 (an
 	// extension beyond the paper; see BenchmarkAblationTrim3).
 	EnableTrim3 bool
-	// UseStealing swaps the §4.3 two-level work queue for a
-	// work-stealing scheduler in the recursive phase (design ablation).
-	UseStealing bool
 	// Validate re-checks the decomposition against the graph before
 	// returning (adds O(n+m) verification time).
 	Validate bool
@@ -406,21 +409,8 @@ type MetricsSnapshot struct {
 	UFUnions     int64
 	UFFindHops   int64
 	SampledSkips int64
-	// PivotBatches is the number of multi-pivot sweep rounds (one
-	// concurrent FW+BW reachability pass over every live partition);
-	// ReachWaves the wave barriers inside those sweeps; ReachClaims the
-	// (vertex, pivot-label) claims won; LocalCollapses the chain nodes
-	// folded into an earlier wave by vertical local searches. All 0
-	// unless KernelsMultiPivot.
-	PivotBatches   int64
-	ReachWaves     int64
-	ReachClaims    int64
-	LocalCollapses int64
-	// Tasks is the number of recursive-phase tasks executed (partition
-	// classifications under KernelsMultiPivot); Steals the successful
-	// steals under the work-stealing ablation.
-	Tasks  int64
-	Steals int64
+	// Tasks is the number of recursive-phase tasks executed.
+	Tasks int64
 	// BuffersReused counts scratch-arena buffer reuses that replaced
 	// fresh allocations; BytesReused is the capacity they recycled.
 	BuffersReused int64
@@ -460,7 +450,7 @@ func validateOptions(opts Options) error {
 		return &OptionError{Field: "StallTimeout", Value: opts.StallTimeout, Reason: "must be >= 0"}
 	case opts.MemoryLimit < 0:
 		return &OptionError{Field: "MemoryLimit", Value: opts.MemoryLimit, Reason: "must be >= 0"}
-	case opts.Kernels != KernelsWorklist && opts.Kernels != KernelsLegacy && opts.Kernels != KernelsMultiPivot:
+	case opts.Kernels != KernelsWorklist && opts.Kernels != KernelsLegacy:
 		return &OptionError{Field: "Kernels", Value: opts.Kernels, Reason: "unknown kernel selection"}
 	case opts.Algorithm < Method2 || opts.Algorithm > Gabow:
 		return &OptionError{Field: "Algorithm", Value: opts.Algorithm, Reason: "unknown algorithm"}
@@ -563,7 +553,6 @@ func coreOptions(opts Options) core.Options {
 		TraceSchedule:   opts.TraceSchedule,
 		Trim2Iterations: opts.Trim2Iterations,
 		EnableTrim3:     opts.EnableTrim3,
-		UseStealing:     opts.UseStealing,
 		Observer:        opts.Observer,
 		StallTimeout:    opts.StallTimeout,
 		MemoryLimit:     opts.MemoryLimit,

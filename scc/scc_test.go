@@ -2,6 +2,7 @@ package scc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -190,6 +191,25 @@ func TestAlgorithmStrings(t *testing.T) {
 		if tc.a.String() != tc.want {
 			t.Fatalf("%d.String() = %q", tc.a, tc.a.String())
 		}
+	}
+}
+
+// TestParseAlgorithm round-trips every algorithm through its
+// lowercased name, accepts the mixed-case and "fwbw" spellings the
+// command-line tools take, and rejects an unknown name with an error
+// that lists the valid ones.
+func TestParseAlgorithm(t *testing.T) {
+	cases := map[string]Algorithm{"Kosaraju": Kosaraju, "BASELINE": Baseline, "fwbw": FWBW, "FW-BW": FWBW}
+	for _, a := range allAlgorithms {
+		cases[strings.ToLower(a.String())] = a
+	}
+	for in, want := range cases {
+		if got, err := ParseAlgorithm(in); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseAlgorithm("nope"); err == nil || !strings.Contains(err.Error(), "method2") {
+		t.Errorf("ParseAlgorithm(%q) error = %v; want one listing the names", "nope", err)
 	}
 }
 

@@ -107,8 +107,7 @@ func shapeGraphs() map[string]*graph.Graph {
 	}
 
 	// Necklace of cycles: untrimmable m-cycles chained head-to-tail.
-	// Every cycle is internally a chain, so this is the multi-pivot
-	// kernel's vertical-local-search showcase; for the task kernels it
+	// Every cycle is internally a chain, so for the recursive phase it
 	// is a deep sequential-DFS workload.
 	{
 		const cycles, m = 15, 80
@@ -177,14 +176,14 @@ func TestAllAlgorithmsAdversarialShapes(t *testing.T) {
 				t.Errorf("%s: %v disagrees with Tarjan", name, alg)
 			}
 		}
-		// The multi-pivot kernel faces every adversarial shape too — the
-		// deep ones are precisely its target workload.
-		res, err := Detect(g, Options{Algorithm: Method2, Workers: 4, Seed: 7, Kernels: KernelsMultiPivot})
+		// The paper's round-based legacy kernels face every adversarial
+		// shape too: the deep ones cost them one trim round per level.
+		res, err := Detect(g, Options{Algorithm: Method2, Workers: 4, Seed: 7, Kernels: KernelsLegacy})
 		if err != nil {
-			t.Fatalf("%s/multipivot: %v", name, err)
+			t.Fatalf("%s/legacy: %v", name, err)
 		}
 		if !SamePartition(res.Comp, ref.Comp) {
-			t.Errorf("%s: multipivot disagrees with Tarjan", name)
+			t.Errorf("%s: legacy kernels disagree with Tarjan", name)
 		}
 	}
 }
