@@ -10,6 +10,38 @@ import (
 	"repro/scc"
 )
 
+// The -alg flag goes through scc.ParseAlgorithm; these pin the names
+// sccrun accepts, in the mixed case its users type.
+func TestParseAlg(t *testing.T) {
+	cases := map[string]scc.Algorithm{
+		"tarjan":   scc.Tarjan,
+		"Kosaraju": scc.Kosaraju,
+		"BASELINE": scc.Baseline,
+		"method1":  scc.Method1,
+		"method2":  scc.Method2,
+	}
+	for in, want := range cases {
+		got, err := scc.ParseAlgorithm(in)
+		if err != nil || got != want {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := scc.ParseAlgorithm("nope"); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+}
+
+func TestParseAlgExtended(t *testing.T) {
+	for in, want := range map[string]scc.Algorithm{
+		"fwbw": scc.FWBW, "fw-bw": scc.FWBW, "obf": scc.OBF, "coloring": scc.Coloring,
+	} {
+		got, err := scc.ParseAlgorithm(in)
+		if err != nil || got != want {
+			t.Fatalf("ParseAlgorithm(%q) = %v, %v", in, got, err)
+		}
+	}
+}
+
 func TestExitCode(t *testing.T) {
 	wrap := func(err error) error { return &scc.Error{Op: "detect", Err: err} }
 	cases := []struct {
