@@ -40,11 +40,11 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"repro/dist"
 	"repro/graph"
+	"repro/internal/cliflag"
 	"repro/internal/verify"
 	"repro/scc"
 	"repro/schedsim"
@@ -144,11 +144,11 @@ func main() {
 	if *progress {
 		obs = progressObserver{}
 	}
-	limit, err := parseBytes(*memLimit)
+	limit, err := cliflag.ParseScaled(*memLimit, "-mem-limit")
 	if err != nil {
 		fatal(err)
 	}
-	chaosCfg, err := parseChaos(*chaosPanic, *chaosStall, *chaosFor)
+	chaosCfg, err := cliflag.ParseChaos(*chaosPanic, *chaosStall, *chaosFor)
 	if err != nil {
 		fatal(err)
 	}
@@ -464,45 +464,6 @@ func reportFailure(err error, timeout time.Duration) int {
 		fmt.Fprintln(os.Stderr, "sccrun:", err)
 	}
 	return code
-}
-
-// parseBytes parses a byte count with an optional K/M/G suffix
-// (powers of 1024); empty input means 0 (no limit).
-func parseBytes(s string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	mult := int64(1)
-	switch s[len(s)-1] {
-	case 'k', 'K':
-		mult, s = 1<<10, s[:len(s)-1]
-	case 'm', 'M':
-		mult, s = 1<<20, s[:len(s)-1]
-	case 'g', 'G':
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad -mem-limit %q (want bytes with optional K/M/G suffix)", s)
-	}
-	return n * mult, nil
-}
-
-// parseChaos builds the chaos configuration from the -chaos-* flags;
-// all empty means no injection (nil).
-func parseChaos(panicSpec, stallSpec string, stallFor time.Duration) (*scc.ChaosConfig, error) {
-	panicAt, err := scc.ParseChaosSpec(panicSpec)
-	if err != nil {
-		return nil, fmt.Errorf("-chaos-panic: %w", err)
-	}
-	stallAt, err := scc.ParseChaosSpec(stallSpec)
-	if err != nil {
-		return nil, fmt.Errorf("-chaos-stall: %w", err)
-	}
-	if panicAt == nil && stallAt == nil {
-		return nil, nil
-	}
-	return &scc.ChaosConfig{PanicAt: panicAt, StallAt: stallAt, StallFor: stallFor}, nil
 }
 
 func fatal(err error) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/cliflag"
 	"repro/scc"
 )
 
@@ -71,36 +73,44 @@ func TestParseBytes(t *testing.T) {
 		"4K":   4 << 10,
 		"64M":  64 << 20,
 		"2g":   2 << 30,
+		// The largest values that fit in an int64.
+		"9223372036854775807": math.MaxInt64,
+		"8589934591G":         8589934591 << 30,
 	}
 	for in, want := range cases {
-		got, err := parseBytes(in)
+		got, err := cliflag.ParseScaled(in, "-mem-limit")
 		if err != nil || got != want {
-			t.Fatalf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
+			t.Fatalf("ParseScaled(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"-1", "x", "4T", "K", "1.5M"} {
-		if _, err := parseBytes(bad); err == nil {
-			t.Fatalf("parseBytes(%q) accepted", bad)
+	// The last three overflow int64: 2^64 (which used to wrap to 0,
+	// meaning no limit), 2^63 and 2^63 + 1 without a suffix.
+	for _, bad := range []string{"-1", "x", "4T", "K", "1.5M", "17179869184G", "8589934592G", "9223372036854775808"} {
+		if _, err := cliflag.ParseScaled(bad, "-mem-limit"); err == nil {
+			t.Fatalf("ParseScaled(%q) accepted", bad)
 		}
 	}
 }
 
 func TestParseChaos(t *testing.T) {
-	cfg, err := parseChaos("", "", 0)
+	cfg, err := cliflag.ParseChaos("", "", 0)
 	if err != nil || cfg != nil {
 		t.Fatalf("empty flags: cfg=%v err=%v", cfg, err)
 	}
-	cfg, err = parseChaos("bfs:2", "task", 50*time.Millisecond)
+	cfg, err = cliflag.ParseChaos("bfs:2", "task", 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.PanicAt["bfs"] != 2 || cfg.StallAt["task"] != 1 || cfg.StallFor != 50*time.Millisecond {
-		t.Fatalf("parseChaos = %+v", cfg)
+		t.Fatalf("ParseChaos = %+v", cfg)
 	}
-	if _, err := parseChaos("nosuch", "", 0); err == nil {
+	if _, err := cliflag.ParseChaos("nosuch", "", 0); err == nil {
 		t.Fatal("bad panic spec accepted")
 	}
-	if _, err := parseChaos("", "trim:0", 0); err == nil {
+	if _, err := cliflag.ParseChaos("", "trim:0", 0); err == nil {
 		t.Fatal("bad stall spec accepted")
+	}
+	if _, err := cliflag.ParseChaos("bfs:9223372036854775808", "", 0); err == nil {
+		t.Fatal("overflowing hit ordinal accepted")
 	}
 }

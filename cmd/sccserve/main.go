@@ -64,13 +64,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/graph"
 	"repro/internal/chaos"
+	"repro/internal/cliflag"
 	"repro/internal/durable"
 	"repro/internal/server"
 	"repro/scc"
@@ -153,7 +153,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage
 	}
-	memBytes, err := parseScaled(*memLimit, "-mem-limit")
+	memBytes, err := cliflag.ParseScaled(*memLimit, "-mem-limit")
 	if err != nil {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage
@@ -163,7 +163,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage
 	}
-	chaosCfg, err := parseChaos(*chaosPanic, *chaosStall, *chaosFor)
+	chaosCfg, err := cliflag.ParseChaos(*chaosPanic, *chaosStall, *chaosFor)
 	if err != nil {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage
@@ -195,13 +195,20 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 			fmt.Fprintln(stderr, "sccserve:", err)
 			return exitUsage
 		}
+		// The "wal" and "snapshot" sites fire at absolute hit ordinals
+		// over the store's lifetime (every append and every snapshot
+		// write counts), independent of -chaos-at-rebuild.
+		var walChaos *chaos.Injector
+		if chaosCfg != nil {
+			walChaos = chaos.NewNamed(chaosCfg.PanicAt, chaosCfg.StallAt, chaosCfg.StallFor, chaos.SiteWAL, chaos.SiteSnapshot)
+		}
 		store, err = durable.Open(durable.Options{
 			Dir:           *walDir,
 			Fsync:         policy,
 			FsyncEvery:    *fsyncInterval,
 			SnapshotEvery: *snapshotEvery,
 			Limits:        limits,
-			Chaos:         durableInjector(chaosCfg),
+			Chaos:         walChaos,
 			Logf:          logf,
 		})
 		if err != nil {
@@ -350,87 +357,14 @@ func loadGraph(ctx context.Context, path, format string, lim graph.Limits) (*gra
 	return nil, fmt.Errorf("unknown format %q (want sccg|edgelist|mm|metis)", format)
 }
 
-// parseScaled parses a count with an optional K/M/G suffix (powers of
-// 1024); empty means 0.
-func parseScaled(s, flagName string) (int64, error) {
-	if s == "" {
-		return 0, nil
-	}
-	mult := int64(1)
-	v := s
-	switch v[len(v)-1] {
-	case 'k', 'K':
-		mult, v = 1<<10, v[:len(v)-1]
-	case 'm', 'M':
-		mult, v = 1<<20, v[:len(v)-1]
-	case 'g', 'G':
-		mult, v = 1<<30, v[:len(v)-1]
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad %s %q (want a count with optional K/M/G suffix)", flagName, s)
-	}
-	return n * mult, nil
-}
-
 func parseLimits(nodes, edges string) (graph.Limits, error) {
-	n, err := parseScaled(nodes, "-max-nodes")
+	n, err := cliflag.ParseScaled(nodes, "-max-nodes")
 	if err != nil {
 		return graph.Limits{}, err
 	}
-	m, err := parseScaled(edges, "-max-edges")
+	m, err := cliflag.ParseScaled(edges, "-max-edges")
 	if err != nil {
 		return graph.Limits{}, err
 	}
 	return graph.Limits{MaxNodes: n, MaxEdges: m}, nil
-}
-
-// durableInjector arms the "wal" and "snapshot" chaos sites for the
-// durability layer. Unlike rebuild sabotage these fire at absolute
-// hit ordinals over the store's lifetime (every append and every
-// snapshot write counts), independent of -chaos-at-rebuild.
-func durableInjector(cfg *scc.ChaosConfig) *chaos.Injector {
-	if cfg == nil {
-		return nil
-	}
-	pick := func(src map[string]int64) map[chaos.Site]int64 {
-		var dst map[chaos.Site]int64
-		for name, n := range src {
-			site, err := chaos.ParseSite(name)
-			if err != nil || (site != chaos.SiteWAL && site != chaos.SiteSnapshot) {
-				continue
-			}
-			if dst == nil {
-				dst = make(map[chaos.Site]int64, 2)
-			}
-			dst[site] = n
-		}
-		return dst
-	}
-	c := chaos.Config{
-		PanicAt:  pick(cfg.PanicAt),
-		StallAt:  pick(cfg.StallAt),
-		StallFor: cfg.StallFor,
-	}
-	if c.PanicAt == nil && c.StallAt == nil {
-		return nil
-	}
-	return chaos.New(c)
-}
-
-// parseChaos builds the rebuild sabotage config from the -chaos-*
-// flags; all empty means none (nil).
-func parseChaos(panicSpec, stallSpec string, stallFor time.Duration) (*scc.ChaosConfig, error) {
-	panicAt, err := scc.ParseChaosSpec(panicSpec)
-	if err != nil {
-		return nil, fmt.Errorf("-chaos-panic: %w", err)
-	}
-	stallAt, err := scc.ParseChaosSpec(stallSpec)
-	if err != nil {
-		return nil, fmt.Errorf("-chaos-stall: %w", err)
-	}
-	if panicAt == nil && stallAt == nil {
-		return nil, nil
-	}
-	return &scc.ChaosConfig{PanicAt: panicAt, StallAt: stallAt, StallFor: stallFor}, nil
 }

@@ -13,6 +13,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -206,6 +207,32 @@ func New(cfg Config) *Injector {
 		if int(s) < numSites {
 			in.stallAt[s] = n
 		}
+	}
+	return in
+}
+
+// NewNamed builds an injector from PanicAt/StallAt maps keyed by site
+// name (see Site.String), the form user-facing configs carry. Entries
+// with an unknown name or an ordinal below 1 are skipped. With no
+// sites given every site is armed, and the injector is built even
+// when no entry survives. With sites given only those sites are
+// armed, and NewNamed returns nil when none of them has an entry.
+func NewNamed(panicAt, stallAt map[string]int64, stallFor time.Duration, sites ...Site) *Injector {
+	in := New(Config{StallFor: stallFor})
+	armed := false
+	arm := func(dst *[numSites]int64, src map[string]int64) {
+		for name, n := range src {
+			s, err := ParseSite(name)
+			if err == nil && n >= 1 && (len(sites) == 0 || slices.Contains(sites, s)) {
+				dst[s] = n
+				armed = true
+			}
+		}
+	}
+	arm(&in.panicAt, panicAt)
+	arm(&in.stallAt, stallAt)
+	if len(sites) > 0 && !armed {
+		return nil
 	}
 	return in
 }

@@ -60,6 +60,31 @@ func TestFormatSpecRoundTrip(t *testing.T) {
 	}
 }
 
+func TestNewNamed(t *testing.T) {
+	panicAt := map[string]int64{"bfs": 2, "condense": 1, "wal": 0, "nosuch": 1}
+	stallAt := map[string]int64{"incr": 3}
+
+	// Unlimited: every known site with an ordinal >= 1 is armed.
+	in := NewNamed(panicAt, stallAt, time.Second)
+	if in.panicAt[SiteBFS] != 2 || in.panicAt[SiteCondense] != 1 || in.panicAt[SiteWAL] != 0 ||
+		in.stallAt[SiteIncr] != 3 || in.stallFor != time.Second {
+		t.Fatalf("unlimited: panicAt %v stallAt %v", in.panicAt, in.stallAt)
+	}
+	if NewNamed(nil, nil, 0) == nil {
+		t.Fatal("unlimited with no entries: want an inert injector, got nil")
+	}
+
+	// Limited: only the listed sites are armed.
+	in = NewNamed(panicAt, stallAt, 0, SiteCondense, SiteIncr)
+	if in == nil || in.panicAt[SiteBFS] != 0 || in.panicAt[SiteCondense] != 1 || in.stallAt[SiteIncr] != 3 {
+		t.Fatalf("limited: %+v", in)
+	}
+	// A limit that leaves no entry (wal:0 is not an entry) yields nil.
+	if in := NewNamed(panicAt, stallAt, 0, SiteWAL, SiteSnapshot); in != nil {
+		t.Fatalf("limit with no entries: want nil, got %+v", in)
+	}
+}
+
 func TestPanicFiresAtExactOrdinal(t *testing.T) {
 	in := New(Config{PanicAt: map[Site]int64{SiteBFS: 3}})
 	in.Hit(SiteBFS) // 1

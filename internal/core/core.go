@@ -24,12 +24,10 @@ import (
 
 	"repro/graph"
 	"repro/internal/bfs"
-	"repro/internal/chaos"
 	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/scratch"
-	"repro/internal/watchdog"
 	"repro/internal/worklist"
 )
 
@@ -178,20 +176,6 @@ type Options struct {
 	// per-task durations in Result.TaskTrace, for replay through the
 	// makespan scheduling simulator.
 	TraceSchedule bool
-	// Trim2Iterations applies the Trim2+Trim pair this many times in
-	// Par-Trim′. The paper applies Trim2 exactly once because it is
-	// "computationally more expensive" (§3.4); this knob ablates that
-	// design decision. 0 selects the paper's single application.
-	Trim2Iterations int
-	// EnableTrim3 adds a single size-3 SCC detection pass after Trim2
-	// — the natural next trim order beyond the paper's §3.4. Off by
-	// default (the ablation shows diminishing returns).
-	EnableTrim3 bool
-	// Observer, if non-nil, receives structured progress events
-	// (phase boundaries, trim/BFS/WCC rounds, task completions) as the
-	// run executes. It must be safe for concurrent use; see
-	// internal/events. A nil observer costs nothing.
-	Observer events.Observer
 	// StallTimeout, when > 0, arms a per-run watchdog: if no kernel
 	// completes a round (trim iteration, BFS level, WCC round, phase-2
 	// task) for this long, the run emits a Stalled event and aborts
@@ -201,21 +185,6 @@ type Options struct {
 	// window after the context fires (kernels otherwise notice
 	// cancellation only at round boundaries). 0 disables it.
 	StallTimeout time.Duration
-	// MemoryLimit, when > 0, bounds the estimated worst-case engine +
-	// scratch footprint in bytes. A configuration over the limit is
-	// degraded stepwise (fewer workers, then task batch K=1) before
-	// the run starts; if even the floor configuration does not fit,
-	// RunContext fails with a *BudgetError. The applied degradation is
-	// recorded in Result.Degraded and Result.Metrics.DegradedMode.
-	MemoryLimit int64
-	// Chaos, if non-nil, injects deterministic failures at the named
-	// kernel sites (see internal/chaos) for robustness testing. The
-	// injector is bound to the run's context so injected stalls unwind
-	// on cancellation or abort. Nil costs nothing.
-	Chaos *chaos.Injector
-	// WatchClock overrides the watchdog's clock (tests only; nil
-	// selects the wall clock).
-	WatchClock watchdog.Clock
 }
 
 func (o Options) withDefaults(alg Algorithm) Options {
@@ -237,9 +206,6 @@ func (o Options) withDefaults(alg Algorithm) Options {
 	}
 	if o.PivotSample == 0 {
 		o.PivotSample = 64
-	}
-	if o.Trim2Iterations == 0 {
-		o.Trim2Iterations = 1
 	}
 	return o
 }
@@ -306,7 +272,7 @@ type Result struct {
 	// barrier rounds, frontier sizes, phase-2 scheduler activity and
 	// scratch-arena reuse (see internal/metrics).
 	Metrics metrics.Snapshot
-	// Degraded notes the degradation steps Options.MemoryLimit forced
+	// Degraded notes the degradation steps PerRun.MemoryLimit forced
 	// (e.g. "workers=2,workers=1,k=1"); empty when the run
 	// executed as configured. Also mirrored to Metrics.DegradedMode.
 	Degraded string
@@ -438,7 +404,7 @@ func (e *engine) setQueue(q *worklist.Queue[task]) {
 // abortBarriers force-releases every barrier the coordinating
 // goroutine could be wedged on: the arena's gang and the phase-2 work
 // queue. Called from the watchdog goroutine; the released dispatcher
-// panics parallel.ErrBarrierAbandoned, which RunContext's recover
+// panics parallel.ErrBarrierAbandoned, which Engine.Run's recover
 // turns into the run's error.
 func (e *engine) abortBarriers() {
 	e.barriersAborted.Store(true)

@@ -28,12 +28,12 @@ func TestEngineWarmRunsMatchTarjan(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		en := NewEngine(Method2, Options{Workers: workers, Seed: 3})
 		for round := 0; round < 4; round++ {
-			res, err := en.Run(context.Background(), big, Overrides{})
+			res, err := en.Run(context.Background(), big, PerRun{})
 			if err != nil {
 				t.Fatalf("workers=%d round=%d big: %v", workers, round, err)
 			}
 			checkAgainstTarjan(t, big, Method2, res)
-			res, err = en.Run(context.Background(), small, Overrides{})
+			res, err = en.Run(context.Background(), small, PerRun{})
 			if err != nil {
 				t.Fatalf("workers=%d round=%d small: %v", workers, round, err)
 			}
@@ -54,7 +54,7 @@ func TestEngineShrinksUnderBudget(t *testing.T) {
 
 	en := NewEngine(Method2, Options{Workers: 2, Seed: 5})
 	defer en.Close()
-	if _, err := en.Run(context.Background(), big, Overrides{}); err != nil {
+	if _, err := en.Run(context.Background(), big, PerRun{}); err != nil {
 		t.Fatalf("big run: %v", err)
 	}
 	grown := en.retainedBytes()
@@ -67,7 +67,7 @@ func TestEngineShrinksUnderBudget(t *testing.T) {
 		t.Fatalf("test graphs too close in size: limit %d >= grown %d", limit, grown)
 	}
 	res, err := en.Run(context.Background(), small,
-		Overrides{MemoryLimit: limit, HasMemoryLimit: true})
+		PerRun{MemoryLimit: limit})
 	if err != nil {
 		t.Fatalf("budgeted small run: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestEnginePoolsSteadyStateAllocs(t *testing.T) {
 	en := NewEngine(Method2, Options{Workers: 2, Seed: 3})
 	defer en.Close()
 	run := func() {
-		if _, err := en.Run(context.Background(), g, Overrides{}); err != nil {
+		if _, err := en.Run(context.Background(), g, PerRun{}); err != nil {
 			t.Fatal(err)
 		}
 	}

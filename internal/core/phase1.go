@@ -56,7 +56,7 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 			// The backward sweep may have been cut short; the partial
 			// coloring is unusable for SCC publication, so unwind
 			// without claiming anything. The whole Result is discarded
-			// by RunContext.
+			// by Engine.Run.
 			return alive
 		}
 		e.res.Phase1Levels += fwRes.Levels + bwRes.Levels

@@ -223,7 +223,9 @@ type Snapshot struct {
 	FrontierNodes int64
 	FrontierPeak  int64
 	BitmapLevels  int64
-	// WCCRounds is the number of WCC label-propagation rounds.
+	// WCCRounds is the number of WCC barrier rounds: label-propagation
+	// rounds under the legacy kernels, the constant union-find pass
+	// count under the worklist kernels.
 	WCCRounds int64
 	// TrimPushes is the number of nodes pushed onto the worklist trim
 	// kernel's peel frontier; PeelDepth the number of peel waves
@@ -245,8 +247,9 @@ type Snapshot struct {
 	BuffersReused int64
 	BytesReused   int64
 	// DegradedMode notes the degradation steps a memory budget forced
-	// on the run ("" when none). Stamped by the engine after the
-	// counters are snapshotted; it is not itself a counter.
+	// on the run, comma-separated in the order applied (e.g.
+	// "workers=2,workers=1,k=1"); "" when none. Stamped by the engine
+	// after the counters are snapshotted; it is not itself a counter.
 	DegradedMode string
 }
 

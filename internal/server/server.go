@@ -634,7 +634,12 @@ func (s *Server) rebuildOnce(ctx context.Context) error {
 	// A chaos config naming the "incr" site targets the maintainer, so
 	// the sabotaged attempt must run incrementally; any other sabotage
 	// targets detection/condensation and forces the full path.
-	chaosIncr := sabotage && hasIncrSite(s.cfg.RebuildChaos)
+	var incrChaos *chaos.Injector
+	if sabotage {
+		c := s.cfg.RebuildChaos
+		incrChaos = chaos.NewNamed(c.PanicAt, c.StallAt, c.StallFor, chaos.SiteIncr)
+	}
+	chaosIncr := incrChaos != nil
 	full := s.maint.Cond() == nil || s.cfg.DisableIncr || s.forceFull ||
 		(sabotage && !chaosIncr)
 
@@ -658,11 +663,9 @@ func (s *Server) rebuildOnce(ctx context.Context) error {
 	} else {
 		start := time.Now()
 		if chaosIncr {
-			if inj := incrInjector(s.cfg.RebuildChaos); inj != nil {
-				inj.Bind(rctx.Done())
-				s.maint.SetChaos(inj)
-				defer s.maint.SetChaos(nil)
-			}
+			incrChaos.Bind(rctx.Done())
+			s.maint.SetChaos(incrChaos)
+			defer s.maint.SetChaos(nil)
 		}
 		c, st, err := s.maint.Apply(rctx, updates)
 		if err != nil {
@@ -819,7 +822,10 @@ func (s *Server) detectAndCondense(ctx context.Context, g *graph.Graph, sabotage
 	}
 	info = buildInfo{numSCCs: res.NumSCCs, detect: res.Total}
 	if sabotage {
-		if inj := condenseInjector(s.cfg.RebuildChaos); inj != nil {
+		// In-kernel entries travel via scc.WithChaos above; this
+		// injector covers the one site the engine never hits.
+		c := s.cfg.RebuildChaos
+		if inj := chaos.NewNamed(c.PanicAt, c.StallAt, c.StallFor, chaos.SiteCondense); inj != nil {
 			inj.Bind(ctx.Done())
 			inj.Hit(chaos.SiteCondense)
 		}
@@ -883,55 +889,4 @@ func (s *Server) detectAdhoc(ctx context.Context, g *graph.Graph) (buildInfo, er
 		return buildInfo{}, err
 	}
 	return buildInfo{numSCCs: res.NumSCCs, detect: res.Total}, nil
-}
-
-// condenseInjector builds an injector for just the "condense" entries
-// of c, or nil if it has none. In-kernel entries travel separately via
-// scc.WithChaos; this injector covers the one site the engine never
-// hits.
-func condenseInjector(c *scc.ChaosConfig) *chaos.Injector {
-	if c == nil {
-		return nil
-	}
-	cfg := chaos.Config{StallFor: c.StallFor}
-	if n := c.PanicAt[chaos.SiteCondense.String()]; n > 0 {
-		cfg.PanicAt = map[chaos.Site]int64{chaos.SiteCondense: n}
-	}
-	if n := c.StallAt[chaos.SiteCondense.String()]; n > 0 {
-		cfg.StallAt = map[chaos.Site]int64{chaos.SiteCondense: n}
-	}
-	if cfg.PanicAt == nil && cfg.StallAt == nil {
-		return nil
-	}
-	return chaos.New(cfg)
-}
-
-// hasIncrSite reports whether c names the incremental maintainer's
-// "incr" site, which routes the sabotaged attempt through the
-// incremental path instead of forcing a full rebuild.
-func hasIncrSite(c *scc.ChaosConfig) bool {
-	if c == nil {
-		return false
-	}
-	return c.PanicAt[chaos.SiteIncr.String()] > 0 || c.StallAt[chaos.SiteIncr.String()] > 0
-}
-
-// incrInjector builds an injector for just the "incr" entries of c,
-// or nil if it has none — condenseInjector's sibling for the
-// maintainer's commit and cycle-collapse sites.
-func incrInjector(c *scc.ChaosConfig) *chaos.Injector {
-	if c == nil {
-		return nil
-	}
-	cfg := chaos.Config{StallFor: c.StallFor}
-	if n := c.PanicAt[chaos.SiteIncr.String()]; n > 0 {
-		cfg.PanicAt = map[chaos.Site]int64{chaos.SiteIncr: n}
-	}
-	if n := c.StallAt[chaos.SiteIncr.String()]; n > 0 {
-		cfg.StallAt = map[chaos.Site]int64{chaos.SiteIncr: n}
-	}
-	if cfg.PanicAt == nil && cfg.StallAt == nil {
-		return nil
-	}
-	return chaos.New(cfg)
 }

@@ -78,29 +78,6 @@ func (c *ChaosConfig) validate() error {
 	return nil
 }
 
-// injector builds the per-run injector; validate must have passed.
-func (c *ChaosConfig) injector() *chaos.Injector {
-	if c == nil {
-		return nil
-	}
-	cfg := chaos.Config{StallFor: c.StallFor}
-	if len(c.PanicAt) > 0 {
-		cfg.PanicAt = make(map[chaos.Site]int64, len(c.PanicAt))
-		for name, n := range c.PanicAt {
-			s, _ := chaos.ParseSite(name)
-			cfg.PanicAt[s] = n
-		}
-	}
-	if len(c.StallAt) > 0 {
-		cfg.StallAt = make(map[chaos.Site]int64, len(c.StallAt))
-		for name, n := range c.StallAt {
-			s, _ := chaos.ParseSite(name)
-			cfg.StallAt[s] = n
-		}
-	}
-	return chaos.New(cfg)
-}
-
 // ParseChaosSpec parses the "site[:n][,site[:n]...]" flag syntax used
 // by sccrun's -chaos-panic and -chaos-stall into a ChaosConfig map: a
 // bare site name means its first hit. Returns nil for empty input.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/graph"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/seq"
 	"repro/internal/verify"
@@ -109,21 +110,22 @@ func (e *Engine) detectLocked(ctx context.Context, g *graph.Graph, runOpts []Run
 	if g == nil {
 		return nil, detectErr("detect", ErrNilGraph)
 	}
-	// The zero-RunOption fast path must not materialize a heap
-	// runConfig: applying options is fenced off so rc stays on the
-	// stack when runOpts is empty (the steady-state shape the
-	// zero-alloc pin covers).
-	var rc runConfig
+	// This run's settings start from the engine-level defaults, which
+	// New validated; RunOptions overwrite them. The zero-RunOption fast
+	// path must not materialize a heap runConfig: applying options is
+	// fenced off so rc stays on the stack when runOpts is empty (the
+	// steady-state shape the zero-alloc pin covers).
+	opts := e.opts
+	rc := runConfig{observer: opts.Observer, memLimit: opts.MemoryLimit, chaos: opts.Chaos}
 	if len(runOpts) > 0 {
-		rc = applyRunOpts(runOpts)
-	}
-	if err := rc.validate(); err != nil {
-		return nil, detectErr("detect", err)
+		rc = applyRunOpts(rc, runOpts)
+		if err := rc.validate(); err != nil {
+			return nil, detectErr("detect", err)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr("detect", err)
 	}
-	opts := e.opts
 	switch opts.Algorithm {
 	case Tarjan:
 		start := time.Now()
@@ -140,32 +142,13 @@ func (e *Engine) detectLocked(ctx context.Context, g *graph.Graph, runOpts []Run
 	case OBF, Coloring, MultiStep:
 		e.res = *runExtension(g, opts)
 	case Baseline, Method1, Method2, FWBW:
-		// Per-run overrides are resolved against the engine-level
-		// defaults here and passed by value — no Options copy reaches
-		// the core engine.
-		ov := core.Overrides{
-			Observer:       opts.Observer,
-			HasObserver:    true,
-			MemoryLimit:    opts.MemoryLimit,
-			HasMemoryLimit: true,
-			HasChaos:       true,
-		}
-		if rc.obsSet {
-			ov.Observer = rc.observer
-		}
-		if rc.memSet {
-			ov.MemoryLimit = rc.memLimit
-		}
-		chaosCfg := opts.Chaos
-		if rc.chaosSet {
-			chaosCfg = rc.chaos
-		}
-		if chaosCfg != nil {
+		pr := core.PerRun{Observer: rc.observer, MemoryLimit: rc.memLimit}
+		if rc.chaos != nil {
 			// A fresh injector per run: hit ordinals are per-run, so a
 			// shared injector would drift across a request stream.
-			ov.Chaos = chaosCfg.injector()
+			pr.Chaos = chaos.NewNamed(rc.chaos.PanicAt, rc.chaos.StallAt, rc.chaos.StallFor)
 		}
-		r, err := e.core.Run(ctx, g, ov)
+		r, err := e.core.Run(ctx, g, pr)
 		if err != nil {
 			if e.core.Dead() {
 				// The watchdog force-abandoned the gang barriers; the
@@ -259,44 +242,39 @@ func (e *Engine) DetectBatch(ctx context.Context, graphs []*graph.Graph) ([]Batc
 // engine default.
 type RunOption func(*runConfig)
 
-// applyRunOpts folds the options into a runConfig. Kept out of
-// detectLocked so the config only escapes to the heap on runs that
-// actually pass options.
-func applyRunOpts(runOpts []RunOption) runConfig {
-	var rc runConfig
+// runConfig is one run's observer, memory limit and chaos config:
+// the engine's Options values with any RunOptions applied.
+type runConfig struct {
+	observer Observer
+	memLimit int64
+	chaos    *ChaosConfig
+}
+
+// applyRunOpts applies the options to rc. Kept out of detectLocked so
+// the config only escapes to the heap on runs that actually pass
+// options.
+func applyRunOpts(rc runConfig, runOpts []RunOption) runConfig {
 	for _, o := range runOpts {
 		o(&rc)
 	}
 	return rc
 }
 
-type runConfig struct {
-	observer Observer
-	obsSet   bool
-	memLimit int64
-	memSet   bool
-	chaos    *ChaosConfig
-	chaosSet bool
-}
-
 // validate applies option validation to the per-run values — the same
 // single-site rules New enforces, with the RunOption name as the
 // *OptionError field.
 func (rc *runConfig) validate() error {
-	if rc.memSet && rc.memLimit < 0 {
+	if rc.memLimit < 0 {
 		return &OptionError{Field: "WithMemoryLimit", Value: rc.memLimit, Reason: "must be >= 0"}
 	}
-	if rc.chaosSet {
-		return rc.chaos.validate()
-	}
-	return nil
+	return rc.chaos.validate()
 }
 
 // WithObserver streams this run's progress events to o, overriding the
 // engine-level Options.Observer. WithObserver(nil) silences an
 // engine-level observer for the run.
 func WithObserver(o Observer) RunOption {
-	return func(rc *runConfig) { rc.observer, rc.obsSet = o, true }
+	return func(rc *runConfig) { rc.observer = o }
 }
 
 // WithMemoryLimit bounds this run's estimated engine + scratch
@@ -307,7 +285,7 @@ func WithObserver(o Observer) RunOption {
 // before the run starts. WithMemoryLimit(0) disables the budget for
 // the run.
 func WithMemoryLimit(bytes int64) RunOption {
-	return func(rc *runConfig) { rc.memLimit, rc.memSet = bytes, true }
+	return func(rc *runConfig) { rc.memLimit = bytes }
 }
 
 // WithChaos injects deterministic failures into this run's kernels,
@@ -315,57 +293,28 @@ func WithMemoryLimit(bytes int64) RunOption {
 // ordinals are counted per run. WithChaos(nil) disables injection for
 // the run.
 func WithChaos(c *ChaosConfig) RunOption {
-	return func(rc *runConfig) { rc.chaos, rc.chaosSet = c, true }
+	return func(rc *runConfig) { rc.chaos = c }
 }
 
-// fillFromCore writes a core result into dst, reusing dst's slice
-// capacity so a warm engine's steady-state run allocates nothing. dst
-// aliases the core engine's Comp array — the engine-ownership contract
-// on Engine.Detect results exists exactly because of this.
+// fillFromCore writes a core result into dst. dst aliases the core
+// engine's Comp array — the engine-ownership contract on
+// Engine.Detect results exists exactly because of this.
 func fillFromCore(dst *Result, a Algorithm, r *core.Result) {
-	taskLog, taskTrace := dst.TaskLog[:0], dst.TaskTrace[:0]
 	*dst = Result{
 		Comp:          r.Comp,
 		NumSCCs:       r.NumSCCs,
 		Algorithm:     a,
 		Total:         r.Total,
-		Queue:         QueueStats{PeakReady: r.Queue.PeakReady, Total: r.Queue.Total},
+		Phases:        r.Phases,
+		Queue:         r.Queue,
+		TaskLog:       r.TaskLog,
+		TaskTrace:     r.TaskTrace,
 		GiantSCC:      r.GiantSCC,
 		Phase1Trials:  r.Phase1Trials,
 		Phase1Levels:  r.Phase1Levels,
 		WCCComponents: r.WCCComponents,
 		WCCRounds:     r.WCCRounds,
 		InitialTasks:  r.InitialTasks,
-		Metrics: MetricsSnapshot{
-			TrimRounds:    r.Metrics.TrimRounds,
-			TrimmedNodes:  r.Metrics.TrimmedNodes,
-			Trim2Pairs:    r.Metrics.Trim2Pairs,
-			BFSLevels:     r.Metrics.BFSLevels,
-			FrontierNodes: r.Metrics.FrontierNodes,
-			FrontierPeak:  r.Metrics.FrontierPeak,
-			BitmapLevels:  r.Metrics.BitmapLevels,
-			WCCRounds:     r.Metrics.WCCRounds,
-			TrimPushes:    r.Metrics.TrimPushes,
-			PeelDepth:     r.Metrics.PeelDepth,
-			UFUnions:      r.Metrics.UFUnions,
-			UFFindHops:    r.Metrics.UFFindHops,
-			SampledSkips:  r.Metrics.SampledSkips,
-			Tasks:         r.Metrics.Tasks,
-			BuffersReused: r.Metrics.BuffersReused,
-			BytesReused:   r.Metrics.BytesReused,
-			DegradedMode:  r.Metrics.DegradedMode,
-		},
+		Metrics:       r.Metrics,
 	}
-	for p := 0; p < int(NumPhases); p++ {
-		cp := r.Phases[p]
-		dst.Phases[p] = PhaseStats{Time: cp.Time, Nodes: cp.Nodes, SCCs: cp.SCCs, Rounds: cp.Rounds}
-	}
-	for _, rec := range r.TaskLog {
-		taskLog = append(taskLog, TaskRecord(rec))
-	}
-	dst.TaskLog = taskLog
-	for _, tr := range r.TaskTrace {
-		taskTrace = append(taskTrace, TaskTrace(tr))
-	}
-	dst.TaskTrace = taskTrace
 }

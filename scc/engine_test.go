@@ -182,7 +182,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 
 // TestEngineRunOptionPrecedence checks the override layer: a RunOption
 // replaces the engine-level Options default for exactly one run, and
-// WithObserver(nil) silences an engine-level observer.
+// an explicit zero (WithObserver(nil), WithMemoryLimit(0),
+// WithChaos(nil)) lifts an engine-level observer, budget or injector.
 func TestEngineRunOptionPrecedence(t *testing.T) {
 	g := engineGraph()
 	var defEvents, runEvents int
@@ -227,6 +228,42 @@ func TestEngineRunOptionPrecedence(t *testing.T) {
 	}
 	if defEvents == defBefore {
 		t.Fatal("engine-level observer did not resume after the override")
+	}
+
+	// An engine-level budget below the floor fails every plain run;
+	// WithMemoryLimit(0) lifts it for one run.
+	budgeted, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 1, MemoryLimit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer budgeted.Close()
+	if _, err := budgeted.Detect(ctx, g); !errors.Is(err, scc.ErrMemoryBudget) {
+		t.Fatalf("engine-level MemoryLimit: want ErrMemoryBudget, got %v", err)
+	}
+	if _, err := budgeted.Detect(ctx, g, scc.WithMemoryLimit(0)); err != nil {
+		t.Fatalf("WithMemoryLimit(0) did not lift the engine-level budget: %v", err)
+	}
+	if _, err := budgeted.Detect(ctx, g); !errors.Is(err, scc.ErrMemoryBudget) {
+		t.Fatalf("engine-level MemoryLimit did not resume after the override: %v", err)
+	}
+
+	// An engine-level chaos panic fails every plain run; WithChaos(nil)
+	// runs clean.
+	chaotic, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 1,
+		Chaos: &scc.ChaosConfig{PanicAt: map[string]int64{"trim": 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chaotic.Close()
+	var pe *scc.PanicError
+	if _, err := chaotic.Detect(ctx, g); !errors.As(err, &pe) {
+		t.Fatalf("engine-level Chaos: want *PanicError, got %v", err)
+	}
+	if _, err := chaotic.Detect(ctx, g, scc.WithChaos(nil)); err != nil {
+		t.Fatalf("WithChaos(nil) did not disable the engine-level injector: %v", err)
+	}
+	if _, err := chaotic.Detect(ctx, g); !errors.As(err, &pe) {
+		t.Fatalf("engine-level Chaos did not resume after the override: %v", err)
 	}
 }
 

@@ -38,10 +38,12 @@ import (
 	"repro/graph"
 	"repro/internal/coloring"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/multistep"
 	"repro/internal/obf"
 	"repro/internal/parallel"
 	"repro/internal/verify"
+	"repro/internal/worklist"
 )
 
 // Algorithm selects the SCC detection algorithm.
@@ -119,8 +121,9 @@ func (a Algorithm) String() string {
 
 // Kernels selects the trim and WCC kernel implementations used by the
 // parallel algorithms. Both choices produce identical SCC partitions;
-// they differ only in how much work the fixpoints cost.
-type Kernels int
+// they differ only in how much work the fixpoints cost. String returns
+// the flag spelling ("worklist" or "legacy").
+type Kernels = core.Kernels
 
 const (
 	// KernelsWorklist (the zero value, and the default) selects the
@@ -130,17 +133,14 @@ const (
 	// and union-find WCC (lock-free union by minimum representative
 	// with path halving, Afforest-style neighbor sampling, and a full
 	// pass that skips the most frequent sampled component).
-	KernelsWorklist Kernels = iota
+	KernelsWorklist = core.KernelsWorklist
 	// KernelsLegacy selects the paper's round-based fixpoint kernels:
 	// Par-Trim (Algorithm 4) rescans every candidate's adjacency each
 	// round, and Par-WCC (Algorithm 7) runs min-label propagation
 	// rounds. Kept for ablation and as the reference the differential
 	// suite compares against.
-	KernelsLegacy
+	KernelsLegacy = core.KernelsLegacy
 )
-
-// String returns the flag spelling ("worklist" or "legacy").
-func (k Kernels) String() string { return core.Kernels(k).String() }
 
 // ParseKernels maps a flag spelling (see Kernels.String) to its
 // Kernels value.
@@ -174,27 +174,25 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 }
 
 // Phase identifies one segment of a parallel run's execution
-// breakdown (Figure 7 of the paper).
-type Phase int
+// breakdown (Figure 7 of the paper). String returns the phase label
+// used in the paper's Figure 7.
+type Phase = core.Phase
 
 const (
 	// PhaseParTrim is the initial parallel Trim.
-	PhaseParTrim Phase = iota
+	PhaseParTrim = core.PhaseParTrim
 	// PhaseParFWBW is the data-parallel giant-SCC detection.
-	PhaseParFWBW
+	PhaseParFWBW = core.PhaseParFWBW
 	// PhaseParTrimPost is Par-Trim′ (post-FWBW trimming, including
 	// Trim2 for Method2).
-	PhaseParTrimPost
+	PhaseParTrimPost = core.PhaseParTrimPost
 	// PhaseParWCC is parallel weakly-connected-component seeding.
-	PhaseParWCC
+	PhaseParWCC = core.PhaseParWCC
 	// PhaseRecurFWBW is the task-parallel recursive FW-BW phase.
-	PhaseRecurFWBW
+	PhaseRecurFWBW = core.PhaseRecurFWBW
 	// NumPhases is the number of phases.
-	NumPhases
+	NumPhases = core.NumPhases
 )
-
-// String returns the phase label used in the paper's Figure 7.
-func (p Phase) String() string { return core.Phase(p).String() }
 
 // Options configures Detect.
 type Options struct {
@@ -235,24 +233,14 @@ type Options struct {
 	// TraceSchedule records the recursive phase's task DAG in
 	// Result.TaskTrace for scheduling simulation.
 	TraceSchedule bool
-	// Trim2Iterations repeats Method2's Trim2+Trim pair (the paper
-	// applies Trim2 once, §3.4); 0 = once.
-	Trim2Iterations int
-	// EnableTrim3 adds a size-3 SCC detection pass after Trim2 (an
-	// extension beyond the paper; see BenchmarkAblationTrim3).
-	EnableTrim3 bool
 	// Validate re-checks the decomposition against the graph before
 	// returning (adds O(n+m) verification time).
 	Validate bool
 	// Observer, if non-nil, receives structured progress events (phase
 	// boundaries, kernel rounds, task completions) during the parallel
 	// algorithms' runs; see the Observer type. Sequential algorithms
-	// emit no events. A nil Observer costs nothing.
-	//
-	// Deprecated: prefer the per-run WithObserver RunOption on
-	// Engine.Detect. This field keeps working as the engine-level
-	// default that WithObserver overrides, and remains the only way to
-	// attach an observer to the one-shot Detect/DetectContext.
+	// emit no events. A nil Observer costs nothing. On an Engine this
+	// is the default that WithObserver overrides for one run.
 	Observer Observer
 	// StallTimeout, when > 0, arms a per-run watchdog on the parallel
 	// algorithms: if no kernel completes a round (trim iteration, BFS
@@ -272,63 +260,36 @@ type Options struct {
 	// not fit, detection fails up front with an error wrapping
 	// ErrMemoryBudget. 0 disables the budget. On a reusable Engine the
 	// budget also bounds scratch retained across runs (the high-water
-	// pool is shed before a run that would exceed it).
-	//
-	// Deprecated: prefer the per-run WithMemoryLimit RunOption on
-	// Engine.Detect. This field keeps working as the engine-level
-	// default that WithMemoryLimit overrides.
+	// pool is shed before a run that would exceed it). On an Engine
+	// this is the default that WithMemoryLimit overrides for one run.
 	MemoryLimit int64
 	// Chaos, if non-nil, injects deterministic failures into the
 	// parallel engine's kernels for robustness testing; see
-	// ChaosConfig. Nil costs nothing.
-	//
-	// Deprecated: prefer the per-run WithChaos RunOption on
-	// Engine.Detect. This field keeps working as the engine-level
-	// default that WithChaos overrides; hit ordinals are counted per
-	// run in either form.
+	// ChaosConfig. Nil costs nothing. On an Engine this is the default
+	// that WithChaos overrides for one run; hit ordinals are counted
+	// per run either way.
 	Chaos *ChaosConfig
 }
 
-// PhaseStats is one phase's share of a parallel run.
-type PhaseStats struct {
-	// Time is the phase's wall-clock time.
-	Time time.Duration
-	// Nodes is how many nodes had their SCC identified in the phase.
-	Nodes int64
-	// SCCs is how many SCCs the phase emitted.
-	SCCs int64
-	// Rounds is the phase's number of barrier-synchronized parallel
-	// rounds (trim iterations, BFS levels, WCC rounds).
-	Rounds int
-}
+// PhaseStats is one phase's share of a parallel run: its wall time,
+// the nodes and SCCs it identified, and its barrier rounds.
+type PhaseStats = core.PhaseStats
 
 // TaskRecord is one recursive-phase task execution in the format of
-// the paper's §3.3 log.
-type TaskRecord struct {
-	// SCC is the size of the SCC the task identified.
-	SCC int
-	// FW, BW and Remain are the sizes of the three partitions the task
-	// produced.
-	FW, BW, Remain int
-}
+// the paper's §3.3 log: the size of the SCC the task identified and
+// of the three partitions (FW, BW, Remain) it produced.
+type TaskRecord = core.TaskRecord
 
-// TaskTrace is one recorded task for the scheduling simulator.
-type TaskTrace struct {
-	// Parent is the index of the spawning task, or -1 for seeds.
-	Parent int32
-	// Duration is the task's measured sequential duration.
-	Duration time.Duration
-}
+// TaskTrace is one recorded task for the scheduling simulator: the
+// index of the spawning task (-1 for seeds) and the task's measured
+// sequential duration.
+type TaskTrace = core.TaskTrace
 
-// QueueStats reports work-queue behavior for the recursive phase.
-type QueueStats struct {
-	// PeakReady is the maximum number of simultaneously queued tasks —
-	// the paper's "maximum queue depth" measure of available
-	// task-level parallelism.
-	PeakReady int64
-	// Total is the number of tasks ever enqueued.
-	Total int64
-}
+// QueueStats reports work-queue behavior for the recursive phase:
+// PeakReady is the maximum number of simultaneously queued tasks (the
+// paper's "maximum queue depth" measure of available task-level
+// parallelism), Total the tasks ever enqueued, Executed the tasks run.
+type QueueStats = worklist.Stats
 
 // Result is the outcome of a Detect call.
 type Result struct {
@@ -376,51 +337,7 @@ type Result struct {
 // (never per node or edge), so collection overhead is negligible; they
 // exist to make the paper's fixed-cost story — barrier rounds and
 // per-round allocations — observable in benchmarks and dashboards.
-type MetricsSnapshot struct {
-	// TrimRounds is the total number of trim fixpoint iterations;
-	// TrimmedNodes the nodes they removed; Trim2Pairs the size-2 SCCs
-	// found by Trim2 passes.
-	TrimRounds   int64
-	TrimmedNodes int64
-	Trim2Pairs   int64
-	// BFSLevels is the total number of BFS level barriers across both
-	// phase-1 sweeps; FrontierNodes the summed frontier sizes;
-	// FrontierPeak the largest single-level frontier; BitmapLevels how
-	// many of those levels swept bottom-up over the partition.
-	BFSLevels     int64
-	FrontierNodes int64
-	FrontierPeak  int64
-	BitmapLevels  int64
-	// WCCRounds is the number of WCC barrier rounds: label-propagation
-	// rounds under KernelsLegacy, the constant union-find pass count
-	// under KernelsWorklist.
-	WCCRounds int64
-	// TrimPushes is the number of nodes the counter-peeling trim
-	// kernel pushed onto its frontier (bounded by the candidate
-	// count); PeelDepth the number of peel waves it drained. Both are
-	// 0 under KernelsLegacy.
-	TrimPushes int64
-	PeelDepth  int64
-	// UFUnions is the union-find WCC kernel's successful hooks;
-	// UFFindHops the parent-pointer hops its finds walked (including
-	// path halving); SampledSkips the nodes whose full pass was
-	// skipped because sampling already placed them in the most
-	// frequent component. All 0 under KernelsLegacy.
-	UFUnions     int64
-	UFFindHops   int64
-	SampledSkips int64
-	// Tasks is the number of recursive-phase tasks executed.
-	Tasks int64
-	// BuffersReused counts scratch-arena buffer reuses that replaced
-	// fresh allocations; BytesReused is the capacity they recycled.
-	BuffersReused int64
-	BytesReused   int64
-	// DegradedMode notes the degradation steps Options.MemoryLimit
-	// forced on the run, comma-separated in the order applied (e.g.
-	// "workers=2,workers=1,k=1"); empty when the run executed
-	// exactly as configured.
-	DegradedMode string
-}
+type MetricsSnapshot = metrics.Snapshot
 
 // Detect decomposes g into strongly connected components. Detect is
 // safe to call concurrently on the same graph: graphs are immutable
@@ -444,8 +361,6 @@ func validateOptions(opts Options) error {
 		return &OptionError{Field: "TraceTasks", Value: opts.TraceTasks, Reason: "must be >= 0"}
 	case opts.PivotSample < 0:
 		return &OptionError{Field: "PivotSample", Value: opts.PivotSample, Reason: "must be >= 0"}
-	case opts.Trim2Iterations < 0:
-		return &OptionError{Field: "Trim2Iterations", Value: opts.Trim2Iterations, Reason: "must be >= 0"}
 	case opts.StallTimeout < 0:
 		return &OptionError{Field: "StallTimeout", Value: opts.StallTimeout, Reason: "must be >= 0"}
 	case opts.MemoryLimit < 0:
@@ -513,7 +428,7 @@ func runExtension(g *graph.Graph, opts Options) *Result {
 			NumSCCs:   r.NumSCCs,
 			Algorithm: OBF,
 			Total:     time.Since(start),
-			Queue:     QueueStats{PeakReady: r.Queue.PeakReady, Total: r.Queue.Total},
+			Queue:     r.Queue,
 		}
 	case Coloring:
 		r := coloring.Run(g, coloring.Options{Workers: opts.Workers})
@@ -537,7 +452,8 @@ func runExtension(g *graph.Graph, opts Options) *Result {
 
 // coreOptions translates the public Options into the engine's; shared
 // by DetectContext and EstimateMemory so both see the same run
-// configuration.
+// configuration. Observer, MemoryLimit and Chaos are absent: they are
+// resolved per run and reach the core engine as a core.PerRun.
 func coreOptions(opts Options) core.Options {
 	return core.Options{
 		Workers:         opts.Workers,
@@ -545,20 +461,13 @@ func coreOptions(opts Options) core.Options {
 		GiantThreshold:  opts.GiantThreshold,
 		MaxPhase1Trials: opts.MaxPhase1Trials,
 		Seed:            opts.Seed,
-		Kernels:         core.Kernels(opts.Kernels),
+		Kernels:         opts.Kernels,
 		DisableTrim2:    opts.DisableTrim2,
 		DisableHybrid:   opts.DisableHybrid,
 		TraceTasks:      opts.TraceTasks,
 		PivotSample:     opts.PivotSample,
 		TraceSchedule:   opts.TraceSchedule,
-		Trim2Iterations: opts.Trim2Iterations,
-		EnableTrim3:     opts.EnableTrim3,
-		Observer:        opts.Observer,
 		StallTimeout:    opts.StallTimeout,
-		MemoryLimit:     opts.MemoryLimit,
-		// Chaos is deliberately absent: injectors hold per-run hit
-		// counters, so a fresh one is built per run and delivered via
-		// core.Overrides rather than baked into engine construction.
 	}
 }
 
