@@ -254,7 +254,7 @@ func BenchmarkRelatedMultiStep(b *testing.B) {
 	benchDetect(b, "baidu", scc.MultiStep, scc.Options{Seed: 1})
 }
 
-// --- Work-efficient kernels: counter-peeling Trim + union-find WCC ---
+// --- Work-efficient kernels: support-pointer Trim + union-find WCC ---
 
 // BenchmarkKernels compares the legacy round-based Par-Trim/Par-WCC
 // and the worklist kernels like-for-like on the dataset suite.
@@ -276,8 +276,8 @@ func BenchmarkKernels(b *testing.B) {
 // path graph whose node ids zig-zag between the two ends of the id
 // range, so the round-based kernel's in-scan-order cascade (which
 // trims an id-sorted path in a handful of rounds) is defeated and it
-// pays Θ(n) rescan rounds, while counter-peeling still touches each
-// edge a constant number of times. This is the benchmark where the
+// pays Θ(n) rescan rounds, while support-pointer trimming still touches
+// each edge a constant number of times. This is the benchmark where the
 // O(N+M) bound separates from O(rounds × edges).
 func BenchmarkKernelsDeepChain(b *testing.B) {
 	n := int(40000 * benchScale())

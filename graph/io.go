@@ -59,7 +59,8 @@ func (g *Graph) Save(w io.Writer) error {
 // Load reads a graph in the SCCG binary format. Corrupt or truncated
 // input is rejected with an error wrapping ErrMalformed; the loaded
 // CSR arrays are validated before the graph is returned, so a
-// successful Load never yields out-of-range adjacency entries. Use
+// successful Load never yields out-of-range, unsorted or duplicate
+// adjacency entries. Use
 // LoadLimited to additionally cap the accepted size and make the load
 // cancelable.
 func Load(r io.Reader) (*Graph, error) {
@@ -165,6 +166,15 @@ func (g *Graph) validate() error {
 		for _, t := range dir.adj {
 			if t < 0 || int(t) >= n {
 				return malformed("sccg", 0, nil, "%s adjacency target %d out of range [0,%d)", dir.name, t, n)
+			}
+		}
+		// Kernels binary-search adjacency lists, so each must be sorted
+		// and duplicate-free, as Build leaves it.
+		for v := 0; v < n; v++ {
+			for i := dir.idx[v] + 1; i < dir.idx[v+1]; i++ {
+				if dir.adj[i] <= dir.adj[i-1] {
+					return malformed("sccg", 0, nil, "%s adjacency of node %d not strictly increasing", dir.name, v)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -114,6 +115,24 @@ func TestLoadRejectsCorruptIndex(t *testing.T) {
 	raw[24+7] = 0x7f
 	if _, err := Load(bytes.NewReader(raw)); err == nil {
 		t.Fatal("Load accepted corrupt index")
+	}
+}
+
+func TestLoadRejectsUnsortedAdjacency(t *testing.T) {
+	g := FromEdges(3, []Edge{{From: 0, To: 1}, {From: 0, To: 2}})
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// Node 0's out-list [1 2] starts after the 24-byte header and the
+	// four 8-byte outIdx entries; swap its two 4-byte entries.
+	const adj = 24 + 4*8
+	a, b := append([]byte(nil), raw[adj:adj+4]...), append([]byte(nil), raw[adj+4:adj+8]...)
+	copy(raw[adj:], b)
+	copy(raw[adj+4:], a)
+	if _, err := Load(bytes.NewReader(raw)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("Load of an unsorted adjacency list: got %v, want ErrMalformed", err)
 	}
 }
 

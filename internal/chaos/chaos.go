@@ -35,8 +35,9 @@ const (
 	SiteWCC
 	// SiteTask is hit once per phase-2 recursive FW-BW task (§4.3).
 	SiteTask
-	// SitePeel is hit inside the counter-peeling trim kernel's drain
-	// loop: once per peel wave (per frontier chunk when parallel), so
+	// SitePeel is hit inside the support-pointer trim kernel's drain
+	// loop: once per drain wave, the cascade's removals included (per
+	// frontier chunk when parallel), so
 	// injected failures land inside the worklist peeling itself rather
 	// than at the round boundary SiteTrim covers.
 	SitePeel

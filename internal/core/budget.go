@@ -56,8 +56,6 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 	// worker's list can, in the worst skew, hold nearly the whole next
 	// frontier, and list capacity is retained once grown.
 	est += nn * nodeB * (1 + int64(opt.Workers))
-	// Task backing array shared by all phase-2 node lists.
-	est += nn * nodeB
 	// Phase-2 per-worker DFS stacks + recycled task buffers: bounded by
 	// the alive nodes each worker can be holding.
 	est += nn * nodeB
@@ -66,8 +64,8 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 		est += nn * 4
 	}
 	if opt.Kernels != KernelsLegacy {
-		// Counter-peeling trim state: in/out degree counters, claimed
-		// colors (int32 each) and the candidacy marks (1 byte).
+		// Support-pointer trim state: in/out support pointers, removed
+		// nodes' colors (int32 each) and the candidacy marks (1 byte).
 		est += nn * (3*4 + 1)
 	}
 	// Two-level queue: per-worker local queues are bounded at 2K tasks

@@ -71,8 +71,8 @@ type Kernels int
 
 const (
 	// KernelsWorklist (the zero value, default) selects the
-	// work-efficient active-set kernels: counter-peeling trim (O(N+M)
-	// total, no per-round rescans) and union-find WCC (Afforest-style
+	// work-efficient active-set kernels: support-pointer trim
+	// (near-linear total, no per-round rescans) and union-find WCC (Afforest-style
 	// sampling + hooking instead of label-propagation rounds).
 	KernelsWorklist Kernels = iota
 	// KernelsLegacy selects the paper's round-based fixpoint kernels:
@@ -343,9 +343,8 @@ type engine struct {
 	// reachable through ar).
 	ar  *scratch.Arena
 	ctr *metrics.Counters
-	// partCounts is the reused color-histogram map behind
-	// largestPartition (cleared, not reallocated, per trial).
-	partCounts map[int32]int
+	// colorScratch backs perColor.
+	colorScratch []int32
 
 	// pq, when non-nil, is the persistent two-level queue phase 2
 	// reuses instead of allocating one; set by Engine runs whose
@@ -419,6 +418,22 @@ func (e *engine) abortBarriers() {
 
 // newColor allocates a fresh partition color.
 func (e *engine) newColor() int32 { return e.nextColor.Add(1) }
+
+// perColor returns a slice indexed by color, every entry set to fill.
+// Colors are dense — nextColor hands them out from 0 in each run — so
+// the slice covers every color in use. It is retained on the engine:
+// only one caller may hold it at a time.
+func (e *engine) perColor(fill int32) []int32 {
+	k := int(e.nextColor.Load()) + 1
+	if cap(e.colorScratch) < k {
+		e.colorScratch = make([]int32, k, 2*k)
+	}
+	s := e.colorScratch[:k]
+	for i := range s {
+		s[i] = fill
+	}
+	return s
+}
 
 // splitmix64 advances the engine's shared RNG state; used only for
 // pivot randomization, where contention is negligible (one call per

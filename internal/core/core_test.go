@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -366,6 +367,55 @@ func TestSingleTrialBudget(t *testing.T) {
 	}
 	if !verify.SamePartition(res.Comp, tc) {
 		t.Fatal("decomposition wrong with one trial")
+	}
+}
+
+// TestLargestPartitionTieIsDeterministic pins phase 1's partition
+// choice when two colors hold equally many alive nodes: the lowest
+// color wins on every call, so a fixed Seed fixes the trial sequence.
+func TestLargestPartitionTieIsDeterministic(t *testing.T) {
+	e := &engine{color: []int32{4, 1, 4, 0, 1, 4, 1, 2}}
+	e.nextColor.Store(4)
+	alive := []graph.NodeID{0, 1, 2, 4, 5, 6, 7}
+	for call := 0; call < 50; call++ {
+		c, members := e.largestPartition(alive)
+		if c != 1 || !slices.Equal(members, []graph.NodeID{1, 4, 6}) {
+			t.Fatalf("call %d: color %d members %v, want color 1 members [1 4 6]", call, c, members)
+		}
+	}
+}
+
+// TestGroupTasks pins the sort-free grouping behind buildTasks and
+// wccTasks: one task per root, in the roots' order in alive, each
+// holding its group's nodes in alive order; fresh recolors each group.
+func TestGroupTasks(t *testing.T) {
+	alive := []graph.NodeID{5, 0, 3, 2, 7, 6}
+	for _, fresh := range []bool{false, true} {
+		e := &engine{color: []int32{3, 0, 3, 3, 0, 3, 3, 3}}
+		e.nextColor.Store(3)
+		// Groups {0, 3, 5} (root 0) and {2, 6, 7} (root 2), as Par-WCC
+		// leaves them.
+		root := []int32{0, -9, 2, 0, -9, 0, 2, 2}
+		tasks := e.groupTasks(alive, root, fresh)
+		if len(tasks) != 2 ||
+			!slices.Equal(tasks[0].nodes, []graph.NodeID{5, 0, 3}) ||
+			!slices.Equal(tasks[1].nodes, []graph.NodeID{2, 7, 6}) {
+			t.Fatalf("fresh=%v: tasks %+v, want [5 0 3] then [2 7 6]", fresh, tasks)
+		}
+		for i, tk := range tasks {
+			want := int32(3)
+			if fresh {
+				want = int32(4 + i)
+			}
+			if tk.c != want || tk.parent != -1 {
+				t.Fatalf("fresh=%v: task %d color %d parent %d, want color %d parent -1", fresh, i, tk.c, tk.parent, want)
+			}
+			for _, v := range tk.nodes {
+				if e.color[v] != want {
+					t.Fatalf("fresh=%v: node %d color %d, want %d", fresh, v, e.color[v], want)
+				}
+			}
+		}
 	}
 }
 

@@ -126,14 +126,14 @@ func (en *Engine) retainedBytes() int64 {
 }
 
 // shrink sheds the engine's retained high-water state — arena buffers,
-// color/comp arrays, task buffer, partition histogram, queue backing —
+// color/comp arrays, task buffer, per-color scratch, queue backing —
 // keeping only the worker gang. The next run re-grows everything at
 // its own graph's size.
 func (en *Engine) shrink() {
 	en.ar.Shrink()
 	en.color, en.comp = nil, nil
 	en.run.taskBuf = nil
-	en.run.partCounts = nil
+	en.run.colorScratch = nil
 	en.pq = worklist.New[task](en.pqWorkers, en.pqK)
 	en.highN = 0
 }
@@ -281,8 +281,8 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, pr PerRun) (res *Resu
 
 // reset rewinds the per-run engine state for a fresh run. Fields are
 // reset individually (the struct holds a mutex and atomics, so a
-// wholesale copy is off the table); partCounts and taskBuf deliberately
-// survive as retained scratch.
+// wholesale copy is off the table); colorScratch and taskBuf
+// deliberately survive as retained scratch.
 func (e *engine) reset(g *graph.Graph, alg Algorithm, opt Options, color, comp []int32,
 	res *Result, sink *events.Sink, ar *scratch.Arena, ctr *metrics.Counters, pq *worklist.Queue[task]) {
 	e.g = g

@@ -104,32 +104,28 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 
 // largestPartition returns the most populous color among alive nodes
 // together with its members — the partition most likely to contain the
-// giant SCC for the next trial. The histogram map is retained on the
-// engine (cleared per call) and the member list is arena-owned; the
+// giant SCC for the next trial. The lowest color wins a tie, so a
+// fixed Seed fixes the trial sequence. The histogram is the engine's
+// retained per-color slice; the member list is arena-owned, and the
 // caller releases it with PutNodes after the trial.
 func (e *engine) largestPartition(alive []graph.NodeID) (int32, []graph.NodeID) {
-	if e.partCounts == nil {
-		e.partCounts = make(map[int32]int, 8)
-	} else {
-		clear(e.partCounts)
-	}
-	counts := e.partCounts
+	counts := e.perColor(0)
 	for _, v := range alive {
 		counts[e.color[v]]++
 	}
-	best, bestN := int32(0), -1
+	best := 0
 	for c, n := range counts {
-		if n > bestN {
-			best, bestN = c, n
+		if n > counts[best] {
+			best = c
 		}
 	}
-	members := e.ar.GetNodes(bestN)
+	members := e.ar.GetNodes(int(counts[best]))
 	for _, v := range alive {
-		if e.color[v] == best {
+		if e.color[v] == int32(best) {
 			members = append(members, v)
 		}
 	}
-	return best, members
+	return int32(best), members
 }
 
 // choosePivot picks a phase-1 pivot from the candidate set: the node

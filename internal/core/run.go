@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"runtime/debug"
@@ -151,8 +150,8 @@ func (e *engine) runBaseline() {
 // with two traversals) is what motivated the Trim step.
 func (e *engine) runFWBW() {
 	n := e.g.NumNodes()
-	// The seed list is a pool buffer, not the retained task backing
-	// array, for the same recycling-safety reason as buildTasks.
+	// The seed list is a pool buffer for the same recycling-safety
+	// reason as groupTasks' seed lists.
 	all := e.ar.Worker(0).GetNodes(n)
 	for i := 0; i < n; i++ {
 		all = append(all, graph.NodeID(i))
@@ -253,49 +252,25 @@ func (e *engine) runMethod2() {
 
 // buildTasks groups the alive nodes by their current color into
 // phase-2 tasks — the §4.1 "scan of non-marked nodes to construct the
-// initial work items". The nodes are copied into the arena's task
-// backing array and sorted by color to find the groups; each group is
-// then copied into a buffer from worker 0's pool. Seed lists must be
-// pool buffers, never subslices of the retained backing array: phase 2
-// recycles consumed lists into the worker pools, and on a persistent
-// engine a pooled backing alias would be handed out as a "free" buffer
-// while the next run's seeds still live in that same array. Under
-// DisableHybrid the node lists are dropped. The task slice itself is
-// the engine-retained taskBuf — safe to reuse per run because phase
-// 2's queue copies the seeds out.
+// initial work items". Each color's first alive node stands as its
+// group's root in the arena's label array, which no other phase of
+// the algorithms that call buildTasks uses.
 func (e *engine) buildTasks(alive []graph.NodeID) []task {
-	backing := e.ar.TaskBacking(len(alive))
-	copy(backing, alive)
-	color := e.color
-	slices.SortFunc(backing, func(a, b graph.NodeID) int {
-		return cmp.Compare(color[a], color[b])
-	})
-	ws := e.ar.Worker(0)
-	tasks := e.taskBuf[:0]
-	for i := 0; i < len(backing); {
-		c := color[backing[i]]
-		j := i + 1
-		for j < len(backing) && color[backing[j]] == c {
-			j++
+	root := e.ar.Label(e.g.NumNodes())
+	first := e.perColor(-1)
+	for _, v := range alive {
+		c := e.color[v]
+		if first[c] < 0 {
+			first[c] = int32(v)
 		}
-		if e.opt.DisableHybrid {
-			tasks = append(tasks, task{c: c, parent: -1})
-		} else {
-			nodes := append(ws.GetNodes(j-i), backing[i:j]...)
-			tasks = append(tasks, task{c: c, nodes: nodes, parent: -1})
-		}
-		i = j
+		root[v] = first[c]
 	}
-	e.taskBuf = tasks
-	return tasks
+	return e.groupTasks(alive, root, false)
 }
 
 // wccTasks labels weakly connected components among the alive nodes
 // (Algorithm 7), recolors each component with a fresh color, and
-// returns one task per component. Like buildTasks, the backing array
-// is only a sort staging area (here sorted by WCC label) and each
-// component's node list is copied into a pool buffer, so phase 2's
-// list recycling never pools an alias of the retained backing array.
+// returns one task per component.
 func (e *engine) wccTasks(alive []graph.NodeID) []task {
 	label := e.ar.Label(e.g.NumNodes())
 	wccKernel := wcc.RunUF
@@ -309,30 +284,71 @@ func (e *engine) wccTasks(alive []graph.NodeID) []task {
 	if e.stopped() {
 		return nil
 	}
-	backing := e.ar.TaskBacking(len(alive))
-	copy(backing, alive)
-	slices.SortFunc(backing, func(a, b graph.NodeID) int {
-		return cmp.Compare(label[a], label[b])
-	})
+	return e.groupTasks(alive, label, true)
+}
+
+// groupTasks turns the alive nodes into one phase-2 seed task per
+// group in three linear passes, without a comparison sort. root[v]
+// names v's group by one of its alive members r with root[r] == r, as
+// Par-WCC leaves its labels; each root's entry is rewritten in place,
+// first to minus its group's size, then to the complement of its
+// task's index. Tasks follow their roots' order in alive, and each
+// task's nodes keep alive's order. fresh gives every task a new color
+// and recolors its nodes; otherwise a task keeps its root's color.
+//
+// Seed lists are buffers from worker 0's pool, never subslices of a
+// retained array: phase 2 recycles consumed lists into the worker
+// pools, so on a persistent engine a pooled alias would be handed out
+// as "free" while the next run's seeds still live in it. Under
+// DisableHybrid the node lists are dropped. The task slice is the
+// engine-retained taskBuf, safe to reuse per run because phase 2's
+// queue copies the seeds out.
+func (e *engine) groupTasks(alive []graph.NodeID, root []int32, fresh bool) []task {
+	groups := 0
+	for _, v := range alive {
+		switch r := root[v]; {
+		case r < 0: // a root another member already counted in
+			root[v]--
+		case r == int32(v):
+			root[v] = -1
+			groups++
+		case root[r] >= 0: // r is still its own label
+			root[r] = -1
+			groups++
+		default:
+			root[r]--
+		}
+	}
+	hybrid := !e.opt.DisableHybrid
 	ws := e.ar.Worker(0)
-	tasks := e.taskBuf[:0]
-	for i := 0; i < len(backing); {
-		root := label[backing[i]]
-		j := i + 1
-		for j < len(backing) && label[backing[j]] == root {
-			j++
+	tasks := slices.Grow(e.taskBuf[:0], groups)
+	for _, v := range alive {
+		size := -int(root[v])
+		if size <= 0 {
+			continue
 		}
-		c := e.newColor()
-		for _, v := range backing[i:j] {
-			e.color[v] = c
+		t := task{c: e.color[v], parent: -1}
+		if fresh {
+			t.c = e.newColor()
 		}
-		if e.opt.DisableHybrid {
-			tasks = append(tasks, task{c: c, parent: -1})
-		} else {
-			nodes := append(ws.GetNodes(j-i), backing[i:j]...)
-			tasks = append(tasks, task{c: c, nodes: nodes, parent: -1})
+		if hybrid {
+			t.nodes = ws.GetNodes(size)
 		}
-		i = j
+		root[v] = ^int32(len(tasks))
+		tasks = append(tasks, t)
+	}
+	for _, v := range alive {
+		i := root[v]
+		if i >= 0 {
+			i = root[i]
+		}
+		t := &tasks[^i]
+		if fresh {
+			e.color[v] = t.c
+		}
+		if hybrid {
+			t.nodes = append(t.nodes, v)
+		}
 	}
 	e.taskBuf = tasks
 	return tasks

@@ -258,9 +258,9 @@ type faultFile struct {
 	f  File
 }
 
-func (ff *faultFile) Read(p []byte) (int, error)                   { return ff.f.Read(p) }
-func (ff *faultFile) Seek(off int64, whence int) (int64, error)    { return ff.f.Seek(off, whence) }
-func (ff *faultFile) Close() error                                 { return ff.f.Close() }
+func (ff *faultFile) Read(p []byte) (int, error)                { return ff.f.Read(p) }
+func (ff *faultFile) Seek(off int64, whence int) (int64, error) { return ff.f.Seek(off, whence) }
+func (ff *faultFile) Close() error                              { return ff.f.Close() }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
 	fault, torn := ff.fs.step(opWrite)

@@ -33,7 +33,7 @@ const snapshotMagic = "SCCSNAP1"
 // snapshotHeaderLen is magic + seq.
 const snapshotHeaderLen = 16
 
-func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016d.snap", seq) }
+func snapshotName(seq uint64) string  { return fmt.Sprintf("snap-%016d.snap", seq) }
 func segmentName(start uint64) string { return fmt.Sprintf("wal-%016d.log", start) }
 
 // parseSeqName extracts the sequence number from a "prefix-<16

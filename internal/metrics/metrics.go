@@ -37,10 +37,12 @@ type Counters struct {
 	// WCC kernel: label-propagation rounds.
 	WCCRounds atomic.Int64
 
-	// Worklist trim kernel (counter peeling): nodes pushed onto the
-	// peel frontier and the number of peel waves drained. TrimPushes is
-	// bounded by the candidate count — the work-efficiency witness the
-	// legacy kernel's TrimRounds×|active| rescans lack.
+	// Worklist trim kernel (support pointers): nodes drained through
+	// the peel frontier — the cascade's removals whenever a drain runs,
+	// plus every node a drain claims — and the number of peel waves
+	// after the cascade. TrimPushes is bounded by the candidate count —
+	// the work-efficiency witness the legacy kernel's TrimRounds×|active|
+	// rescans lack.
 	TrimPushes atomic.Int64
 	PeelDepth  atomic.Int64
 
@@ -108,7 +110,7 @@ func (c *Counters) AddWCCRound() {
 	c.WCCRounds.Add(1)
 }
 
-// AddPeelWave records one drained peel wave of the counter-peeling
+// AddPeelWave records one drained peel wave of the support-pointer
 // trim kernel that removed n nodes. Waves are the kernel's progress
 // heartbeat, replacing the legacy kernel's TrimRounds.
 func (c *Counters) AddPeelWave(n int64) {
@@ -119,7 +121,7 @@ func (c *Counters) AddPeelWave(n int64) {
 	c.TrimmedNodes.Add(n)
 }
 
-// AddTrimPushes records n nodes pushed onto the peel frontier.
+// AddTrimPushes records n nodes drained through the peel frontier.
 func (c *Counters) AddTrimPushes(n int64) {
 	if c == nil || n == 0 {
 		return

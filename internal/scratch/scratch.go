@@ -72,11 +72,10 @@ type Arena struct {
 	counts  []int64
 	flags   []bool
 	label   []int32
-	backing []graph.NodeID // task node-list backing array
 	perW    []Worker
 
-	// Counter-peeling trim state (see Peel). peelI32 backs the three
-	// int32 arrays (deg-in, deg-out, orig) and comes back dirty; marks
+	// Support-pointer trim state (see Peel). peelI32 backs the three
+	// int32 arrays (support in, support out, orig) and comes back dirty; marks
 	// must be left all-zero by the previous holder.
 	peelI32  []int32
 	marks    []uint8
@@ -141,7 +140,6 @@ func (a *Arena) Shrink() {
 	a.counts = nil
 	a.flags = nil
 	a.label = nil
-	a.backing = nil
 	a.peelI32 = nil
 	a.marks = nil
 	a.frontier.Init(nil, nil, nil)
@@ -178,7 +176,6 @@ func (a *Arena) RetainedBytes() int64 {
 	b += int64(cap(a.counts)) * 8
 	b += int64(cap(a.flags))
 	b += int64(cap(a.label)) * 4
-	b += int64(cap(a.backing)) * nodeB
 	b += int64(cap(a.peelI32))*4 + int64(cap(a.marks))
 	for w := range a.perW {
 		b += int64(cap(a.perW[w].Stack)) * nodeB
@@ -375,7 +372,8 @@ func (a *Arena) Flags(workers int) []bool {
 	return a.flags
 }
 
-// Label returns the retained n-length int32 array used by Par-WCC.
+// Label returns the retained n-length int32 array used by Par-WCC and
+// by the phase-2 task grouping.
 // Contents are NOT zeroed; the caller initializes the entries it uses.
 func (a *Arena) Label(n int) []int32 {
 	if a == nil {
@@ -387,28 +385,15 @@ func (a *Arena) Label(n int) []int32 {
 	return a.label[:n]
 }
 
-// TaskBacking returns the retained n-length backing array that the
-// engine partitions into phase-2 task node-lists. It is distinct from
-// every pool buffer, so the alive lists the kernels produced remain
-// valid while tasks are built on top of it.
-func (a *Arena) TaskBacking(n int) []graph.NodeID {
-	if a == nil {
-		return make([]graph.NodeID, n)
-	}
-	if cap(a.backing) < n {
-		a.backing = make([]graph.NodeID, n)
-	}
-	return a.backing[:n]
-}
-
-// PeelScratch is the counter-peeling trim kernel's retained per-node
-// state: the alive in/out degree counters, the pre-removal color of
-// claimed nodes, and the candidacy marks.
+// PeelScratch is the support-pointer trim kernel's retained per-node
+// state: each candidate's in/out support pointers, the pre-removal
+// color of removed nodes, and the candidacy marks.
 type PeelScratch struct {
-	// DegIn and DegOut are the alive same-color degree counters. NOT
-	// zeroed on reuse; the kernel initializes the candidate entries.
-	DegIn, DegOut []int32
-	// Orig records a claimed node's pre-removal color so the drain
+	// SupIn and SupOut are support pointers: the in- and out-neighbor
+	// that currently keeps a node from being trimmed. NOT zeroed on
+	// reuse; the kernel initializes the candidate entries.
+	SupIn, SupOut []int32
+	// Orig records a removed node's pre-removal color so the drain
 	// loop knows which neighbors shared it. NOT zeroed on reuse.
 	Orig []int32
 	// Marks flags the kernel's candidate nodes. Contract: all-zero
@@ -417,7 +402,7 @@ type PeelScratch struct {
 	Marks []uint8
 }
 
-// Peel returns the retained counter-peeling state sized for n nodes.
+// Peel returns the retained support-pointer state sized for n nodes.
 // Only one kernel may hold it at a time. The three int32 arrays share
 // one backing allocation — they are always sized together, and one
 // malloc instead of three keeps the arena-construction overhead of
@@ -426,8 +411,8 @@ func (a *Arena) Peel(n int) PeelScratch {
 	if a == nil {
 		backing := make([]int32, 3*n)
 		return PeelScratch{
-			DegIn:  backing[:n:n],
-			DegOut: backing[n : 2*n : 2*n],
+			SupIn:  backing[:n:n],
+			SupOut: backing[n : 2*n : 2*n],
 			Orig:   backing[2*n : 3*n : 3*n],
 			Marks:  make([]uint8, n),
 		}
@@ -439,15 +424,15 @@ func (a *Arena) Peel(n int) PeelScratch {
 	c := cap(a.peelI32) / 3
 	backing := a.peelI32[:3*c]
 	return PeelScratch{
-		DegIn:  backing[:n:c],
-		DegOut: backing[c : c+n : 2*c],
+		SupIn:  backing[:n:c],
+		SupOut: backing[c : c+n : 2*c],
 		Orig:   backing[2*c : 2*c+n : 3*c],
 		Marks:  a.marks[:n],
 	}
 }
 
 // Frontier returns the retained wave-synchronous worklist the
-// counter-peeling kernels drive their waves through. It lives inside
+// support-pointer trim kernel drives its waves through. It lives inside
 // the (heap-resident) arena by design: the kernels hand its pointer
 // into gang closures, which would force a stack-allocated frontier to
 // escape every invocation. State is fully overwritten by

@@ -290,7 +290,7 @@ func TestChaosKernelSiteRollback(t *testing.T) {
 }
 
 // TestChaosPeelRebuildRollback sabotages rebuild attempt 2 inside the
-// two-worker engine's counter-peeling trim while readers query the
+// two-worker engine's support-pointer trim while readers query the
 // live epoch: the detection fails typed, the old epoch keeps serving
 // with zero query 5xx, and the retry publishes the new epoch. A panic
 // inside the kernel leaves only engine scratch half-written, never a

@@ -47,11 +47,11 @@ func TestParSteadyStateAllocs(t *testing.T) {
 }
 
 // TestPeelSteadyStateAllocs pins the zero-allocation contract of the
-// single-worker counter-peeling kernel: with a warmed arena, a full
-// Peel invocation (counting pass plus every drain wave) performs no
-// heap allocations.
+// single-worker support-pointer kernel: with a warmed arena, a full
+// Peel invocation (cascade plus every drain wave) performs no heap
+// allocations. The zig-zag path makes the drain run dozens of waves.
 func TestPeelSteadyStateAllocs(t *testing.T) {
-	g := chainGraph(64)
+	g := zigzagPath(64)
 	n := g.NumNodes()
 	ar := scratch.New(1, nil)
 	defer ar.Close()
@@ -61,16 +61,21 @@ func TestPeelSteadyStateAllocs(t *testing.T) {
 	for i := range candidates {
 		candidates[i] = graph.NodeID(i)
 	}
+	var res Result
 	run := func() {
 		for i := range color {
 			color[i] = 0
 			comp[i] = -1
 		}
-		_, alive := Peel(nil, g, 1, color, comp, candidates, ar)
+		var alive []graph.NodeID
+		res, alive = Peel(nil, g, 1, color, comp, candidates, ar)
 		ar.PutNodes(alive)
 	}
 	run() // warm the arena pools beyond AllocsPerRun's own warmup run
 	run()
+	if res.Rounds < 5 {
+		t.Fatalf("rounds = %d, want a multi-wave drain", res.Rounds)
+	}
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("Peel allocates %.2f objects/run in steady state, want 0", avg)
 	}

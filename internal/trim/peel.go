@@ -1,6 +1,7 @@
 package trim
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/graph"
@@ -11,42 +12,54 @@ import (
 	"repro/internal/worklist"
 )
 
-// Peel is the work-efficient replacement for Par: counter-peeling trim
-// in the style of Guo & Sekerinski's arc-consistency trimming. Instead
-// of rescanning every candidate's full adjacency each fixpoint round
-// (O(rounds × edges)), it computes each candidate's alive same-color
-// in/out degrees once, seeds a frontier with the zero-degree nodes,
-// and peels: removing a node atomically decrements its same-color
-// neighbors' counters, and a counter hitting zero claims the neighbor
-// and pushes it onto the frontier. Every node is claimed at most once
-// and every edge is traversed a constant number of times, so total
-// work is O(N+M) regardless of how deep the trim chains run.
+// peelChunk is the multi-worker cascade's dynamic-scheduling chunk,
+// and so the size of the stack buffer each chunk gathers its output in.
+const peelChunk = 128
+
+// Peel is the work-efficient replacement for Par: support-pointer
+// trimming in the style of Guo & Sekerinski's arc-consistency (AC-6)
+// trimming. Instead of rescanning every candidate's full adjacency
+// each fixpoint round (O(rounds × edges)), it keeps two support
+// pointers per candidate: an alive same-color in-neighbor and
+// out-neighbor. A removed node revisits only the neighbors it
+// supports; each moves its pointer forward along its sorted adjacency
+// list past removed entries, and a pointer that runs off the end of
+// its list claims the neighbor (CAS on color, exactly one winner) for
+// the next wave. Pointers never move backwards and every node is
+// claimed at most once, so each adjacency entry is passed at most once
+// per pointer, plus one binary search per pointer move, regardless of
+// how deep the trim chains run.
 //
 // Round 1 is a single greedy in-scan-order cascade round, identical to
 // one Par fixpoint iteration: a removal is visible to nodes scanned
 // later in the same round, so on favorably ordered inputs (an id-sorted
 // citation DAG trims completely in one ascending scan) the cascade
 // captures the round-based kernel's best case at the round-based
-// kernel's per-node cost — one degree scan, no counter maintenance.
-// The counters are then computed only over the cascade's survivors,
-// preserving the O(N+M) bound when the ordering is adversarial.
+// kernel's per-node cost. The cascade's scan already stops at each
+// survivor's first alive in- and out-neighbor; those are the initial
+// support pointers, so no pass ever scans a survivor's full
+// adjacency. The cascade's removals then drain once, moving the
+// pointers they held, and the survivors they leave unsupported form
+// round 2's wave. A node claimed during a wave still counts as a
+// support until its own wave drains (see claimed), so every node's
+// wave is its peel distance — independent of scan order and worker
+// count, and the same waves counter peeling produces.
 //
-// The contract is Par's: same arguments, same removal semantics (CAS
-// on color to Removed, comp[v] = v), same arena-owned survivor list,
-// one TrimRound event per round (the cascade, then each wave),
-// cancellation polled at each wave boundary. Which kernel runs is the
-// engine's Options.Kernels choice.
+// The contract is Par's: same arguments, same removal semantics (color
+// to Removed, comp[v] = v), same arena-owned survivor list, one
+// TrimRound event per round (the cascade, then each wave), cancellation
+// polled at each wave boundary. Which kernel runs is the engine's
+// Options.Kernels choice.
 //
-// Non-candidate nodes are never decremented or claimed: candidacy is
-// tracked in the arena's mark array, so a candidate subset behaves
-// exactly like Par's — only candidates are removed, and degrees count
-// all alive same-color neighbors, candidate or not.
+// Non-candidate nodes are never claimed: only the cascade's survivors
+// carry pointers, and they are flagged in the arena's mark array, so a
+// candidate subset behaves exactly like Par's — only candidates are
+// removed, and any alive same-color neighbor, candidate or not, is a
+// support. Colors other than Removed must be non-negative.
 //
-// Single-worker invocations run atomics-free specializations of every
-// pass: with no concurrent claimers, the claim CAS degrades to a plain
-// store and the counter decrement to a plain decrement, which matters —
-// a LOCK-prefixed read-modify-write per alive edge is the dominant
-// cost of the drain, not the cache misses.
+// Single-worker invocations skip the atomics' read-modify-writes: with
+// no concurrent claimer, the claim CAS degrades to a plain store and
+// the pointer update to a plain write.
 func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
 	ownCandidates := false
 	if candidates == nil {
@@ -58,97 +71,37 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	}
 	ctr := ar.Counters()
 	ps := ar.Peel(g.NumNodes())
-	fr := ar.Frontier()
 
 	res := Result{Rounds: 1}
-	single := workers == 1
-	inj := ar.Chaos()
+	// The cascade writes its survivors to the front of casc and its
+	// removals to the back, so the first drain needs no buffer of its
+	// own.
 	casc := ar.GetNodes(len(candidates))
-	var cascRemoved int64
-	if sink.Err() == nil {
-		// Round 1: the greedy cascade. One Par-style scan where removals
-		// are visible to later nodes in the same scan; survivors land in
-		// casc and are the only nodes the counters are built for.
-		if single {
-			ar.Chaos().Hit(chaos.SiteTrim)
-			cascRemoved = peelCascadeRange(g, color, comp, candidates, &casc)
-		} else {
-			bufs := ar.GetLists(workers)
-			counts := ar.Counts(workers)
-			cascRemoved = trimRoundPar(g, workers, color, comp, candidates, &casc, bufs, counts, ar)
-			ar.PutLists(bufs)
-		}
-		res.Removed += cascRemoved
-		res.SCCs += cascRemoved
-		ctr.AddTrimRound(cascRemoved)
-		sink.Emit(events.Event{Type: events.TrimRound, Round: 1, Nodes: cascRemoved})
+	if cap(casc) < len(candidates) {
+		casc = make([]graph.NodeID, 0, len(candidates))
 	}
-	live := casc
-	// A cascade that removed nothing already reached the fixpoint — it
-	// is exactly one Par round, and with no removals no counter can
-	// ever reach zero — so counting is skipped and the kernel matches
-	// the round-based one's single-scan cost on partitions that have
-	// nothing to trim (every recursion step on a dense giant SCC). A
-	// cascade that removed everything leaves nothing to count or peel.
-	if cascRemoved > 0 && len(live) > 0 && sink.Err() == nil {
-		// The frontier only ever holds cascade survivors, so its swap
-		// buffers are sized by them.
-		bufA := ar.GetNodes(len(live))
-		bufB := ar.GetNodes(len(live))
-		next := ar.GetLists(workers)
-		fr.Init(bufA, bufB, next)
-		// Counting pass: one scan computes every surviving candidate's
-		// alive-degree counters and marks it as a candidate. Colors are
-		// not mutated here, so the counts are exact. Seeding is a
-		// separate pass: claiming during the count would double-discount
-		// a seed (skipped by the count, then decremented again when its
-		// wave drains).
-		if single {
-			peelCountRange(g, color, ps, live, 0, len(live))
-			peelSeedRangeST(color, comp, ps, live, 0, len(live), fr)
+	all := casc[:len(candidates)]
+	var kept, dropped int
+	if sink.Err() == nil {
+		if workers == 1 {
+			ar.Chaos().Hit(chaos.SiteTrim)
+			kept, dropped = peelCascadeRange(g, color, comp, ps, candidates, all, true)
 		} else {
-			ar.ForDynamic(workers, len(live), 128, func(w, lo, hi int) {
-				peelCountRange(g, color, ps, live, lo, hi)
-			})
-			ar.ForDynamic(workers, len(live), 128, func(w, lo, hi int) {
-				peelSeedRange(color, comp, ps, live, lo, hi, fr, w)
-			})
+			kept, dropped = peelCascadePar(g, workers, color, comp, ps, candidates, all, ar)
 		}
-
-		for {
-			wave := fr.Advance()
-			if len(wave) == 0 || sink.Err() != nil {
-				break
-			}
-			res.Rounds++
-			if single {
-				ar.Chaos().Hit(chaos.SitePeel)
-				peelDrainRangeST(g, color, comp, ps, wave, 0, len(wave), fr)
-			} else if len(wave) <= 64 {
-				// Tiny waves (deep-chain peeling produces thousands of them)
-				// drain on the coordinator: a gang dispatch per two-node wave
-				// would cost more in barriers than the drain itself.
-				ar.Chaos().Hit(chaos.SitePeel)
-				peelDrainRange(g, color, comp, ps, wave, 0, len(wave), fr, 0)
-			} else {
-				// Dynamic chunks: a wave node's cost is its degree, which is
-				// heavily skewed on scale-free graphs.
-				ar.ForDynamic(workers, len(wave), 64, func(w, lo, hi int) {
-					inj.Hit(chaos.SitePeel)
-					peelDrainRange(g, color, comp, ps, wave, lo, hi, fr, w)
-				})
-			}
-			rm := int64(len(wave))
-			res.Removed += rm
-			res.SCCs += rm
-			ctr.AddPeelWave(rm)
-			sink.Emit(events.Event{Type: events.TrimRound, Round: res.Rounds, Nodes: rm})
-		}
-		ctr.AddTrimPushes(fr.Pushes())
-		a, b, lists := fr.Buffers()
-		ar.PutNodes(a)
-		ar.PutNodes(b)
-		ar.PutLists(lists)
+		res.Removed += int64(dropped)
+		res.SCCs += int64(dropped)
+		ctr.AddTrimRound(int64(dropped))
+		sink.Emit(events.Event{Type: events.TrimRound, Round: 1, Nodes: int64(dropped)})
+	}
+	live := all[:kept]
+	// A cascade that removed nothing already reached the fixpoint — it
+	// is exactly one Par round — so the kernel matches the round-based
+	// one's single-scan cost on partitions that have nothing to trim
+	// (every recursion step on a dense giant SCC). A cascade that
+	// removed everything leaves no pointer to move.
+	if dropped > 0 && kept > 0 && sink.Err() == nil {
+		peelWaves(sink, g, workers, color, comp, ps, all[len(all)-dropped:], kept, &res, ar)
 	}
 
 	// Survivors, and the mark-clearing that upholds the arena's
@@ -174,147 +127,151 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	return res, out
 }
 
-// peelCascadeRange is the single-worker cascade round: trimRange's
-// semantics (removals visible to later nodes in the same scan) without
-// its atomics — no concurrent claimer exists, so the claim is a plain
-// store.
-func peelCascadeRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, buf *[]graph.NodeID) int64 {
-	removed := int64(0)
-	for _, v := range active {
-		c := color[v]
-		if c == Removed {
-			continue
+// peelWaves drains the cascade's removals, then wave after wave of the
+// survivors they leave unsupported, until no pointer runs out. Waves
+// after the first are claimed from the cascade's live survivors, so
+// the frontier's swap buffers are sized by them.
+func peelWaves(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ps scratch.PeelScratch,
+	wave []graph.NodeID, live int, res *Result, ar *scratch.Arena) {
+	ctr := ar.Counters()
+	fr := ar.Frontier()
+	fr.Init(ar.GetNodes(live), ar.GetNodes(live), ar.GetLists(workers))
+	pushed := int64(len(wave))
+	for first := true; ; first = false {
+		if workers == 1 || len(wave) <= 64 {
+			// Tiny waves (deep-chain peeling produces thousands of them)
+			// drain on the coordinator: a gang dispatch per two-node wave
+			// would cost more in barriers than the drain itself.
+			ar.Chaos().Hit(chaos.SitePeel)
+			peelDrainRange(g, color, comp, ps, wave, fr, 0, workers == 1)
+		} else {
+			peelDrainPar(g, workers, color, comp, ps, wave, fr, ar)
 		}
-		if trimmable(g, color, v, c) {
+		if !first {
+			rm := int64(len(wave))
+			res.Removed += rm
+			res.SCCs += rm
+			ctr.AddPeelWave(rm)
+			sink.Emit(events.Event{Type: events.TrimRound, Round: res.Rounds, Nodes: rm})
+		}
+		wave = fr.Advance()
+		// The wave's drain is about to start: its nodes stop counting
+		// as supports.
+		for _, v := range wave {
 			color[v] = Removed
-			comp[v] = int32(v)
-			removed++
-			continue
 		}
-		*buf = append(*buf, v)
+		if len(wave) == 0 || sink.Err() != nil {
+			break
+		}
+		res.Rounds++
 	}
-	return removed
+	ctr.AddTrimPushes(pushed + fr.Pushes())
+	a, b, lists := fr.Buffers()
+	ar.PutNodes(a)
+	ar.PutNodes(b)
+	ar.PutLists(lists)
 }
 
-// peelCountRange computes the alive same-color degree counters for the
-// alive nodes of candidates[lo:hi] and marks them as candidates. Plain
-// function (not a closure) so the single-worker path allocates
-// nothing.
-func peelCountRange(g *graph.Graph, color []int32, ps scratch.PeelScratch, candidates []graph.NodeID, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := candidates[i]
+// peelCascadePar is the multi-worker cascade round. Each chunk gathers
+// its survivors and removals in a stack buffer and reserves their
+// places at the two ends of out with one atomic add each, so no
+// per-worker list is grown and merged. It lives outside Peel so the
+// escaping parallel-for closure never exists on the single-worker
+// path.
+func peelCascadePar(g *graph.Graph, workers int, color, comp []int32, ps scratch.PeelScratch,
+	active, out []graph.NodeID, ar *scratch.Arena) (kept, dropped int) {
+	// Retained arena counters as the head and tail cursors: a local
+	// the closure adds to would be moved to the heap on every call.
+	cur := ar.Counts(2)
+	inj := ar.Chaos()
+	ar.ForDynamic(workers, len(active), peelChunk, func(w, lo, hi int) {
+		if lo == 0 {
+			// One chaos hit per round, fired from inside the gang
+			// dispatch so injected failures exercise worker-side
+			// capture.
+			inj.Hit(chaos.SiteTrim)
+		}
+		var buf [peelChunk]graph.NodeID
+		for ; lo < hi; lo += peelChunk {
+			k, d := peelCascadeRange(g, color, comp, ps, active[lo:min(lo+peelChunk, hi)], buf[:], false)
+			copy(out[atomic.AddInt64(&cur[0], int64(k))-int64(k):], buf[:k])
+			copy(out[len(out)-int(atomic.AddInt64(&cur[1], int64(d))):], buf[peelChunk-d:])
+		}
+	})
+	return int(cur[0]), int(cur[1])
+}
+
+// peelCascadeRange runs the cascade round over active with trimRange's
+// semantics (removals visible to later nodes in the same scan),
+// writing survivors to the front of out and removals to its back, and
+// returns how many of each; len(out) >= len(active). A survivor's
+// supports are the neighbors its two scans stopped at. single claims
+// with a plain store: no concurrent claimer exists.
+func peelCascadeRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, active, out []graph.NodeID, single bool) (kept, dropped int) {
+	for _, v := range active {
 		c := atomic.LoadInt32(&color[v])
 		if c == Removed {
 			continue
 		}
-		in, out := aliveDegrees(g, color, v, c)
-		ps.DegIn[v] = int32(in)
-		ps.DegOut[v] = int32(out)
-		ps.Marks[v] = 1
-	}
-}
-
-// peelSeedRange claims the marked candidates of candidates[lo:hi]
-// whose in- or out-counter is already zero and pushes them onto worker
-// w's frontier buffer.
-func peelSeedRange(color, comp []int32, ps scratch.PeelScratch, candidates []graph.NodeID, lo, hi int, fr *worklist.Frontier[graph.NodeID], w int) {
-	for i := lo; i < hi; i++ {
-		v := candidates[i]
-		if ps.Marks[v] == 0 || (ps.DegIn[v] != 0 && ps.DegOut[v] != 0) {
-			continue
+		ins, outs := g.In(v), g.Out(v)
+		in, o := support(ins, color, v, c, 0), -1
+		if in >= 0 {
+			o = support(outs, color, v, c, 0)
 		}
-		c := atomic.LoadInt32(&color[v])
-		if c == Removed {
-			continue
-		}
-		if atomic.CompareAndSwapInt32(&color[v], c, Removed) {
+		if o < 0 {
+			if single {
+				color[v] = Removed
+			} else if !atomic.CompareAndSwapInt32(&color[v], c, Removed) {
+				continue
+			}
 			comp[v] = int32(v)
 			ps.Orig[v] = c
-			fr.Push(w, v)
-		}
-	}
-}
-
-// peelSeedRangeST is peelSeedRange for the single-worker path: no
-// competing claimer, so the CAS degrades to a plain store.
-func peelSeedRangeST(color, comp []int32, ps scratch.PeelScratch, candidates []graph.NodeID, lo, hi int, fr *worklist.Frontier[graph.NodeID]) {
-	for i := lo; i < hi; i++ {
-		v := candidates[i]
-		if ps.Marks[v] == 0 || (ps.DegIn[v] != 0 && ps.DegOut[v] != 0) {
+			dropped++
+			out[len(out)-dropped] = v
 			continue
 		}
-		c := color[v]
-		if c == Removed {
-			continue
-		}
-		color[v] = Removed
-		comp[v] = int32(v)
-		ps.Orig[v] = c
-		fr.Push(0, v)
+		ps.SupIn[v], ps.SupOut[v] = ins[in], outs[o]
+		ps.Marks[v] = 1
+		out[kept] = v
+		kept++
 	}
+	return kept, dropped
 }
 
-// peelDrainRangeST is peelDrainRange for the single-worker path. The
-// plain decrement is the point: the multi-worker drain's LOCK-prefixed
-// add per alive edge dominates its profile, and a lone worker needs
-// none of it. A node claimed through one counter is skipped by the
-// other direction's color check.
-func peelDrainRangeST(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, wave []graph.NodeID, lo, hi int, fr *worklist.Frontier[graph.NodeID]) {
-	for i := lo; i < hi; i++ {
-		v := wave[i]
-		c := ps.Orig[v]
-		for _, k := range g.Out(v) {
-			if k == v || ps.Marks[k] == 0 || color[k] != c {
-				continue
-			}
-			if ps.DegIn[k]--; ps.DegIn[k] == 0 {
-				color[k] = Removed
-				comp[k] = int32(k)
-				ps.Orig[k] = c
-				fr.Push(0, k)
-			}
-		}
-		for _, k := range g.In(v) {
-			if k == v || ps.Marks[k] == 0 || color[k] != c {
-				continue
-			}
-			if ps.DegOut[k]--; ps.DegOut[k] == 0 {
-				color[k] = Removed
-				comp[k] = int32(k)
-				ps.Orig[k] = c
-				fr.Push(0, k)
-			}
-		}
-	}
+// peelDrainPar drains a wave in dynamic chunks: a wave node's cost is
+// its degree, which is heavily skewed on scale-free graphs.
+func peelDrainPar(g *graph.Graph, workers int, color, comp []int32, ps scratch.PeelScratch,
+	wave []graph.NodeID, fr *worklist.Frontier[graph.NodeID], ar *scratch.Arena) {
+	inj := ar.Chaos()
+	ar.ForDynamic(workers, len(wave), 64, func(w, lo, hi int) {
+		inj.Hit(chaos.SitePeel)
+		peelDrainRange(g, color, comp, ps, wave[lo:hi], fr, w, false)
+	})
 }
 
-// peelDrainRange processes the already-claimed nodes of wave[lo:hi]:
-// each one decrements its same-color marked neighbors' counters, and a
-// counter hitting zero claims the neighbor (CAS on color, exactly one
-// winner) and pushes it for the next wave. Decrements of concurrently
-// claimed nodes are benign: their counters are dead and the claim CAS
-// fails.
-func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, wave []graph.NodeID, lo, hi int, fr *worklist.Frontier[graph.NodeID], w int) {
-	for i := lo; i < hi; i++ {
-		v := wave[i]
+// peelDrainRange drains removed nodes: each revisits the marked
+// same-color neighbors it supports, and a neighbor it leaves
+// unsupported in either direction is claimed and pushed onto worker
+// w's frontier buffer for the next wave. The support test comes first:
+// it is one load per neighbor and rarely passes, while a stale pointer
+// of an unmarked or removed neighbor fails the tests after it. Plain
+// function (not a closure) so the single-worker path allocates
+// nothing.
+func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, wave []graph.NodeID,
+	fr *worklist.Frontier[graph.NodeID], w int, single bool) {
+	for _, v := range wave {
 		c := ps.Orig[v]
 		for _, k := range g.Out(v) {
-			if k == v || ps.Marks[k] == 0 || atomic.LoadInt32(&color[k]) != c {
-				continue
-			}
-			if atomic.AddInt32(&ps.DegIn[k], -1) == 0 &&
-				atomic.CompareAndSwapInt32(&color[k], c, Removed) {
+			if k != v && atomic.LoadInt32(&ps.SupIn[k]) == v && ps.Marks[k] != 0 &&
+				atomic.LoadInt32(&color[k]) == c && release(g.In(k), &ps.SupIn[k], color, k, v, c, single) {
 				comp[k] = int32(k)
 				ps.Orig[k] = c
 				fr.Push(w, k)
 			}
 		}
 		for _, k := range g.In(v) {
-			if k == v || ps.Marks[k] == 0 || atomic.LoadInt32(&color[k]) != c {
-				continue
-			}
-			if atomic.AddInt32(&ps.DegOut[k], -1) == 0 &&
-				atomic.CompareAndSwapInt32(&color[k], c, Removed) {
+			if k != v && atomic.LoadInt32(&ps.SupOut[k]) == v && ps.Marks[k] != 0 &&
+				atomic.LoadInt32(&color[k]) == c && release(g.Out(k), &ps.SupOut[k], color, k, v, c, single) {
 				comp[k] = int32(k)
 				ps.Orig[k] = c
 				fr.Push(w, k)
@@ -322,3 +279,43 @@ func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 		}
 	}
 }
+
+// release moves k's support pointer *sup off v, its departing support
+// in adj, k's sorted adjacency list (color c), and reports whether it
+// claimed k. The pointer moves forward from v's position (a binary
+// search away) to the next entry that still supports k; when none is
+// left, k is claimed for the next wave (CAS on color, exactly one
+// winner). Only the worker draining k's support writes *sup in a
+// wave: the next support is not in the wave being drained, so no other
+// wave node matches it.
+func release(adj []graph.NodeID, sup *int32, color []int32, k, v graph.NodeID, c int32, single bool) bool {
+	p, _ := slices.BinarySearch(adj, v)
+	cl := claimed(c)
+	for _, u := range adj[p+1:] {
+		if u == k {
+			continue
+		}
+		if x := atomic.LoadInt32(&color[u]); x == c || x == cl {
+			if single {
+				*sup = u
+			} else {
+				atomic.StoreInt32(sup, u)
+			}
+			return false
+		}
+	}
+	if single {
+		color[k] = cl
+		return true
+	}
+	return atomic.CompareAndSwapInt32(&color[k], c, cl)
+}
+
+// claimed is the color a drain gives a node it claims, until the
+// node's own wave starts draining and settles it to Removed. It
+// differs from every color and from Removed, so the node is neither
+// claimed again nor revisited as a neighbor, but pointer moves still
+// stop at it: a node leaves its neighbors' lists when its own wave
+// drains, not when it is claimed, which keeps each node's wave equal
+// to its peel distance.
+func claimed(c int32) int32 { return -2 - c }

@@ -1,11 +1,15 @@
 package trim
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/events"
+	"repro/internal/metrics"
 	"repro/internal/scratch"
 )
 
@@ -30,12 +34,11 @@ func TestPeelFigure1b(t *testing.T) {
 	}
 }
 
-// TestPeelZigZagMultiWave peels a path whose ids alternate between the
-// two ends of the range, so no single scan direction cascades: the
-// cascade round only takes the endpoints, and the rest must peel wave
-// by wave through the counter frontier.
-func TestPeelZigZagMultiWave(t *testing.T) {
-	const n = 40
+// zigzagPath builds a path whose ids alternate between the two ends of
+// the id range, so no single scan direction cascades: the cascade
+// round only takes the endpoints, and the rest must peel wave by wave
+// through the support-pointer frontier.
+func zigzagPath(n int) *graph.Graph {
 	id := func(pos int) graph.NodeID {
 		if pos%2 == 0 {
 			return graph.NodeID(pos / 2)
@@ -46,7 +49,12 @@ func TestPeelZigZagMultiWave(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{From: id(i), To: id(i + 1)}
 	}
-	g := graph.FromEdges(n, edges)
+	return graph.FromEdges(n, edges)
+}
+
+func TestPeelZigZagMultiWave(t *testing.T) {
+	const n = 40
+	g := zigzagPath(n)
 	for _, workers := range []int{1, 2} {
 		color, comp := freshState(n)
 		res, alive := Peel(nil, g, workers, color, comp, nil, nil)
@@ -196,5 +204,169 @@ func TestPeelArenaReuse(t *testing.T) {
 			}
 		}
 		ar.PutNodes(alive)
+	}
+}
+
+// waveLog records the TrimRound events of one kernel invocation.
+type waveLog []events.Event
+
+func (l *waveLog) Observe(ev events.Event) {
+	if ev.Type == events.TrimRound {
+		*l = append(*l, ev)
+	}
+}
+
+// withSelfLoops returns g plus a self-loop on every seventh node.
+func withSelfLoops(g *graph.Graph) *graph.Graph {
+	n := g.NumNodes()
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		for _, k := range g.Out(graph.NodeID(v)) {
+			b.AddEdge(graph.NodeID(v), k)
+		}
+		if v%7 == 0 {
+			b.AddEdge(graph.NodeID(v), graph.NodeID(v))
+		}
+	}
+	return b.Build()
+}
+
+// TestPeelDrainDifferential pins the support-pointer drain against the
+// round-based kernel where the drain runs wide enough for the
+// multi-worker path: ~2^14-node R-MAT and road-lattice graphs with
+// self-loops, three random colors and random candidate subsets, at
+// 1/2/4/8 workers, comparing every node's color and comp. Some wave
+// after the cascade must exceed the coordinator-drain bound.
+func TestPeelDrainDifferential(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"rmat": withSelfLoops(gen.RMAT(gen.DefaultRMAT(14, 4, 21))),
+		"road": withSelfLoops(gen.RoadLattice(gen.RoadLatticeConfig{Rows: 128, Cols: 128, TwoWayProb: 0.3, Seed: 22})),
+	}
+	rng := rand.New(rand.NewSource(23))
+	wideWave := false
+	for name, g := range graphs {
+		n := g.NumNodes()
+		for trial := 0; trial < 3; trial++ {
+			base := make([]int32, n)
+			for v := range base {
+				base[v] = int32(rng.Intn(3))
+			}
+			var candidates []graph.NodeID
+			if trial > 0 {
+				for v := 0; v < n; v++ {
+					if rng.Intn(5) > 0 {
+						candidates = append(candidates, graph.NodeID(v))
+					}
+				}
+			}
+			pcolor, pcomp := freshState(n)
+			copy(pcolor, base)
+			pres, _ := Par(nil, g, 4, pcolor, pcomp, candidates, nil)
+			for _, workers := range []int{1, 2, 4, 8} {
+				ar := scratch.New(workers, nil)
+				color, comp := freshState(n)
+				copy(color, base)
+				var log waveLog
+				res, _ := Peel(events.NewSink(context.Background(), &log), g, workers, color, comp, candidates, ar)
+				ar.Close()
+				if res.Removed != pres.Removed {
+					t.Fatalf("%s/%d w=%d: removed %d, Par removed %d", name, trial, workers, res.Removed, pres.Removed)
+				}
+				for v := 0; v < n; v++ {
+					if color[v] != pcolor[v] || comp[v] != pcomp[v] {
+						t.Fatalf("%s/%d w=%d: node %d color/comp (%d,%d), Par got (%d,%d)",
+							name, trial, workers, v, color[v], comp[v], pcolor[v], pcomp[v])
+					}
+				}
+				for _, ev := range log {
+					if workers > 1 && ev.Round > 1 && ev.Nodes > 64 {
+						wideWave = true
+					}
+				}
+			}
+		}
+	}
+	if !wideWave {
+		t.Fatal("no wave after the cascade exceeded the coordinator-drain bound; the multi-worker drain went untested")
+	}
+}
+
+// TestPeelDrainHighFanIn pins a node whose current support and next
+// supports are claimed in the same wave. Source s (scanned last, so
+// it is the cascade's only removal) feeds a_i and x_i; a_i feeds y_i;
+// every x_i and y_i feeds t, whose support starts at x_0. The drain of
+// s claims every a_i and x_i (round 2); draining them claims every y_i
+// while x_0's drain moves t's pointer. The y_i still support t — they
+// leave its list only when their own wave drains — so t falls in round
+// 4, not round 3, at every worker count. t's successor u survives in a
+// 2-cycle with w. The graph fits one cascade chunk, so the cascade
+// scans in id order at every worker count, while round 2 exceeds the
+// coordinator-drain bound and drains in parallel.
+func TestPeelDrainHighFanIn(t *testing.T) {
+	const f = 40
+	a := func(i int) graph.NodeID { return graph.NodeID(i) }
+	x := func(i int) graph.NodeID { return graph.NodeID(f + i) }
+	y := func(i int) graph.NodeID { return graph.NodeID(2*f + i) }
+	tn, u, w, s := graph.NodeID(3*f), graph.NodeID(3*f+1), graph.NodeID(3*f+2), graph.NodeID(3*f+3)
+	var edges []graph.Edge
+	for i := 0; i < f; i++ {
+		edges = append(edges,
+			graph.Edge{From: s, To: a(i)}, graph.Edge{From: s, To: x(i)},
+			graph.Edge{From: a(i), To: y(i)}, graph.Edge{From: x(i), To: tn}, graph.Edge{From: y(i), To: tn})
+	}
+	edges = append(edges, graph.Edge{From: tn, To: u}, graph.Edge{From: u, To: w}, graph.Edge{From: w, To: u})
+	n := int(s) + 1
+	g := graph.FromEdges(n, edges)
+	for _, workers := range []int{1, 2, 4, 8} {
+		ar := scratch.New(workers, nil)
+		color, comp := freshState(n)
+		var log waveLog
+		res, alive := Peel(events.NewSink(context.Background(), &log), g, workers, color, comp, nil, ar)
+		ar.Close()
+		want := []int64{1, 2 * f, f, 1}
+		got := make([]int64, len(log))
+		for i, ev := range log {
+			got[i] = ev.Nodes
+		}
+		if res.Rounds != 4 || !slices.Equal(got, want) {
+			t.Fatalf("w=%d: rounds=%d wave sizes %v, want 4 rounds of %v", workers, res.Rounds, got, want)
+		}
+		if len(alive) != 2 || color[u] != 0 || color[w] != 0 {
+			t.Fatalf("w=%d: survivors %v, want [%d %d]", workers, alive, u, w)
+		}
+	}
+}
+
+// TestPeelDrainSkippedOnBestCase pins §6.4's best-case guards: an
+// id-sorted DAG falls entirely to a single-worker cascade and a single
+// cycle loses nothing to it at any worker count, so neither runs a
+// drain wave or pushes a node.
+func TestPeelDrainSkippedOnBestCase(t *testing.T) {
+	const n = 2000
+	ring := make([]graph.Edge, n)
+	for i := range ring {
+		ring[i] = graph.Edge{From: graph.NodeID(i), To: graph.NodeID((i + 1) % n)}
+	}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		workers []int
+		removed int64
+	}{
+		{"dag", gen.CitationDAG(n, 4, 9), []int{1}, n},
+		{"cycle", graph.FromEdges(n, ring), []int{1, 4}, 0},
+	}
+	for _, tc := range cases {
+		for _, workers := range tc.workers {
+			ctr := new(metrics.Counters)
+			ar := scratch.New(workers, ctr)
+			color, comp := freshState(n)
+			res, _ := Peel(nil, tc.g, workers, color, comp, nil, ar)
+			ar.Close()
+			if res.Rounds != 1 || res.Removed != tc.removed || ctr.TrimPushes.Load() != 0 {
+				t.Fatalf("%s w=%d: rounds=%d removed=%d pushes=%d, want 1 round, %d removed, no pushes",
+					tc.name, workers, res.Rounds, res.Removed, ctr.TrimPushes.Load(), tc.removed)
+			}
+		}
 	}
 }

@@ -42,43 +42,26 @@ type Result struct {
 	Rounds int
 }
 
-// aliveDegrees counts v's in- and out-neighbors that share v's color.
-// Self-loops are excluded from both counts: a node whose only cycle is
-// a self-loop is still a size-1 SCC and is correctly trimmed (the SCC
-// {v} is emitted either way, just earlier).
-func aliveDegrees(g *graph.Graph, color []int32, v graph.NodeID, c int32) (in, out int) {
-	for _, k := range g.In(v) {
-		if k != v && atomic.LoadInt32(&color[k]) == c {
-			in++
-		}
-	}
-	for _, k := range g.Out(v) {
-		if k != v && atomic.LoadInt32(&color[k]) == c {
-			out++
-		}
-	}
-	return in, out
-}
-
 // trimmable reports whether v, of color c, has no alive same-color
 // in-neighbor or no alive same-color out-neighbor — the Par-Trim
 // predicate. Each direction stops at its first live support (the
 // arc-consistency view of trimming, Guo & Sekerinski): a degree count
 // would scan every edge of a node that is not trimmable anyway.
-// Self-loops are excluded, as in aliveDegrees.
 func trimmable(g *graph.Graph, color []int32, v graph.NodeID, c int32) bool {
-	return !hasAlive(g.In(v), color, v, c) || !hasAlive(g.Out(v), color, v, c)
+	return support(g.In(v), color, v, c, 0) < 0 || support(g.Out(v), color, v, c, 0) < 0
 }
 
-// hasAlive reports whether adj holds a neighbor other than v that
-// still carries color c.
-func hasAlive(adj []graph.NodeID, color []int32, v graph.NodeID, c int32) bool {
-	for _, k := range adj {
-		if k != v && atomic.LoadInt32(&color[k]) == c {
-			return true
+// support returns the position of the first entry of adj at or after
+// from that is a neighbor other than v still carrying color c, or -1.
+// Self-loops never count: a node whose only cycle is a self-loop is
+// still a size-1 SCC and is correctly trimmed.
+func support(adj []graph.NodeID, color []int32, v graph.NodeID, c int32, from int) int {
+	for i := from; i < len(adj); i++ {
+		if k := adj[i]; k != v && atomic.LoadInt32(&color[k]) == c {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // allCandidates draws an arena buffer holding every node of g.
@@ -336,28 +319,17 @@ func trim2Range(g *graph.Graph, color, comp []int32, candidates []graph.NodeID, 
 // trim2Partner checks both Figure-4 patterns for node v and returns
 // the partner node if v is half of a detectable size-2 SCC.
 func trim2Partner(g *graph.Graph, color []int32, v graph.NodeID, c int32) (graph.NodeID, bool) {
-	in, out := aliveDegrees(g, color, v, c)
-	// Pattern (a): v's single in-neighbor k, mutual edge, k also has a
-	// single in-neighbor (which must then be v).
-	if in == 1 {
-		k := soleNeighbor(g.In(v), color, v, c)
-		if k >= 0 && g.HasEdge(v, k) {
-			kin, _ := aliveDegrees(g, color, k, c)
-			if kin == 1 {
-				return k, true
-			}
-		}
+	// Pattern (a): v's single in-neighbor k, mutual edge, and v is also
+	// k's single in-neighbor.
+	if k := soleNeighbor(g.In(v), color, v, c); k >= 0 && g.HasEdge(v, k) &&
+		soleNeighbor(g.In(k), color, k, c) == v {
+		return k, true
 	}
-	// Pattern (b): v's single out-neighbor k, mutual edge, k also has a
-	// single out-neighbor.
-	if out == 1 {
-		k := soleNeighbor(g.Out(v), color, v, c)
-		if k >= 0 && g.HasEdge(k, v) {
-			_, kout := aliveDegrees(g, color, k, c)
-			if kout == 1 {
-				return k, true
-			}
-		}
+	// Pattern (b): v's single out-neighbor k, mutual edge, and v is
+	// also k's single out-neighbor.
+	if k := soleNeighbor(g.Out(v), color, v, c); k >= 0 && g.HasEdge(k, v) &&
+		soleNeighbor(g.Out(k), color, k, c) == v {
+		return k, true
 	}
 	return -1, false
 }

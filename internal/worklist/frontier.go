@@ -1,7 +1,7 @@
 package worklist
 
-// Frontier is a wave-synchronous worklist for the counter-peeling
-// kernels: workers Push newly activated items onto private per-worker
+// Frontier is a wave-synchronous worklist for the support-pointer trim
+// kernel: workers Push newly activated items onto private per-worker
 // buffers while the current wave is processed, and Advance gathers the
 // buffers into the next wave at the barrier. Unlike Queue it runs no
 // workers of its own — the caller drives the waves — and it owns no
@@ -10,14 +10,13 @@ package worklist
 // of the borrowed slices.
 //
 // Concurrency contract: Push(w, ...) may be called only by worker w,
-// and only between Advance calls; Advance and Wave may be called only
-// by the coordinating goroutine with all workers quiescent.
+// and only between Advance calls; Advance may be called only by the
+// coordinating goroutine with all workers quiescent.
 type Frontier[T any] struct {
 	wave   []T
 	spare  []T
 	next   [][]T
 	pushes int64
-	depth  int
 }
 
 // Init points the frontier at caller-owned storage: two swap buffers
@@ -28,16 +27,12 @@ func (f *Frontier[T]) Init(wave, spare []T, next [][]T) {
 	f.spare = spare[:0]
 	f.next = next
 	f.pushes = 0
-	f.depth = 0
 }
 
 // Push appends an item to worker w's private buffer for the next wave.
 func (f *Frontier[T]) Push(w int, v T) {
 	f.next[w] = append(f.next[w], v)
 }
-
-// Wave returns the current wave. Valid until the next Advance.
-func (f *Frontier[T]) Wave() []T { return f.wave }
 
 // Advance gathers every worker's pushed items into the next wave and
 // returns it; an empty return means the worklist is drained. The
@@ -50,17 +45,11 @@ func (f *Frontier[T]) Advance() []T {
 		f.pushes += int64(len(f.next[w]))
 		f.next[w] = f.next[w][:0]
 	}
-	if len(f.wave) > 0 {
-		f.depth++
-	}
 	return f.wave
 }
 
 // Pushes is the total number of items gathered by Advance so far.
 func (f *Frontier[T]) Pushes() int64 { return f.pushes }
-
-// Depth is the number of non-empty waves Advance has produced.
-func (f *Frontier[T]) Depth() int { return f.depth }
 
 // Buffers hands back the borrowed storage (the two swap buffers and
 // the per-worker set) so the caller can release it to its pool.

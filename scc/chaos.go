@@ -7,12 +7,12 @@ import (
 )
 
 // ChaosSites lists the failure-injection site names: "trim" (one hit
-// per Par-Trim round, or per counter-peeling counting pass under
+// per Par-Trim round, or per support-pointer cascade round under
 // KernelsWorklist), "bfs" (per FW/BW BFS level), "trim2" (per Trim2
 // sweep), "wcc" (per Par-WCC propagation round, or per union-find
 // pass), "task" (per phase-2 recursive FW-BW task), "peel" (inside the
-// counter-peeling trim kernel's drain loop, per wave or per frontier
-// chunk), "uf" (inside the union-find WCC kernel's hook loops, per
+// support-pointer trim kernel's drain loop, per wave — the cascade's
+// removals included — or per frontier chunk), "uf" (inside the union-find WCC kernel's hook loops, per
 // chunk), "condense" (once per condensation build on the serving
 // path's rebuild — internal/server — after detection succeeds), "wal"
 // (once per write-ahead-log append on the durability path —

@@ -112,8 +112,8 @@ func TestDifferentialAlgorithms(t *testing.T) {
 // head-to-tail: pair i is the 2-cycle {2i, 2i+1}, with a chain edge
 // 2i+1 → 2i+2. Every pair is an SCC, and trimming it only exposes the
 // next pair — the adversarial deep-peeling shape where round-based
-// trim does Θ(pairs) full rescans while the counter-peeling kernel
-// touches each edge once.
+// trim does Θ(pairs) full rescans while the support-pointer kernel
+// touches each edge a constant number of times.
 func chainOfTwoCycles(pairs int) *graph.Graph {
 	b := graph.NewBuilder(2 * pairs)
 	for i := 0; i < pairs; i++ {

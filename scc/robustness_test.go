@@ -46,7 +46,7 @@ func TestChaosPanicMatrix(t *testing.T) {
 	for _, site := range scc.ChaosSites() {
 		// Each site runs under every kernel set that can actually hit
 		// it: "peel"/"uf" exist only inside the worklist set's
-		// counter-peeling trim and union-find WCC. "condense" and
+		// support-pointer trim and union-find WCC. "condense" and
 		// "incr" live on the serving path (internal/server,
 		// internal/incr), and "wal"/"snapshot" on the durability path
 		// (internal/durable) — none of those is inside Detect, so a
@@ -106,10 +106,10 @@ func TestChaosPanicMatrix(t *testing.T) {
 
 // TestChaosPeelOrdinalsOnEngine drives the "peel" site at exact hit
 // ordinals through one pinned two-worker engine, so the second fires
-// mid-cascade with the degree counters and peel frontier half-updated.
-// The parallel trim cascade leaves two to four peel waves on this
-// graph (3,000 measured runs: never fewer than two), so both ordinals
-// fire every time. Each sabotaged run fails with a typed *PanicError
+// mid-drain with the support pointers and peel frontier half-updated.
+// Every run drains the parallel trim cascade's removals in frontier
+// chunks, each of which hits the site (300 measured runs: at least 63
+// hits each), so both ordinals fire every time. Each sabotaged run fails with a typed *PanicError
 // naming the site, and the SAME engine instance then serves a clean
 // run whose partition matches Tarjan.
 func TestChaosPeelOrdinalsOnEngine(t *testing.T) {

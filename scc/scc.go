@@ -127,10 +127,11 @@ type Kernels = core.Kernels
 
 const (
 	// KernelsWorklist (the zero value, and the default) selects the
-	// work-efficient active-set kernels: counter-peeling trim — degree
-	// counters computed once, zero-degree nodes peeled through a
-	// frontier worklist, O(N+M) total work regardless of chain depth —
-	// and union-find WCC (lock-free union by minimum representative
+	// work-efficient active-set kernels: support-pointer trim — each
+	// node keeps a pointer to one alive in- and out-neighbor, a removed
+	// node moves only the pointers it held, and nodes left unsupported
+	// are peeled through a frontier worklist, near-linear total work
+	// regardless of chain depth — and union-find WCC (lock-free union by minimum representative
 	// with path halving, Afforest-style neighbor sampling, and a full
 	// pass that skips the most frequent sampled component).
 	KernelsWorklist = core.KernelsWorklist
@@ -215,8 +216,8 @@ type Options struct {
 	// Seed makes pivot selection reproducible.
 	Seed int64
 	// Kernels selects the trim and WCC kernel implementations; the
-	// zero value is KernelsWorklist (work-efficient counter peeling +
-	// union-find). KernelsLegacy restores the paper's round-based
+	// zero value is KernelsWorklist (work-efficient support-pointer
+	// trim + union-find). KernelsLegacy restores the paper's round-based
 	// fixpoints. The partition is identical either way.
 	Kernels Kernels
 	// DisableTrim2 removes the Trim2 step from Method2 (ablation).
