@@ -9,14 +9,12 @@
 package repro
 
 import (
-	"fmt"
 	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/dist"
 	"repro/experiments"
 	"repro/graph"
 	"repro/scc"
@@ -230,20 +228,6 @@ func BenchmarkRelatedFWBW(b *testing.B) {
 
 func BenchmarkRelatedOBF(b *testing.B) {
 	benchDetect(b, "baidu", scc.OBF, scc.Options{Seed: 1})
-}
-
-// --- §6 extension: distributed pipeline ------------------------------
-
-func BenchmarkDistributed(b *testing.B) {
-	g := dataset(b, "flickr")
-	for _, w := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dist.Run(g, dist.Options{Workers: w, Seed: 1})
-			}
-		})
-	}
 }
 
 func BenchmarkRelatedColoring(b *testing.B) {

@@ -11,7 +11,6 @@
 //	sccbench -exp figure9                        # all SCC size dists
 //	sccbench -exp tasklog                        # §3.3 execution log
 //	sccbench -exp ablations [-data flickr]       # §3.4/§4.1/§4.3 claims
-//	sccbench -exp dist [-data flickr]            # §6 distributed extension
 //	sccbench -exp bench [-warmup 1] [-reps 5] [-kernels worklist|legacy]
 //	                                             # JSON perf report (BENCH_scc.json)
 //	sccbench -exp engine [-stream 64] [-engine-workers 4]
@@ -19,10 +18,12 @@
 //	sccbench -exp serve [-serve-clients 16] [-serve-duration 800ms]
 //	                                             # serving load harness (BENCH_serve.json)
 //	sccbench -exp recover [-recover-batches 6]
-//
-//	sccbench -exp incr [-incr-batches 32] [-incr-batch-size 16]
 //	                                             # crash-recovery matrix (BENCH_serve.json "recover" section)
-//	sccbench -exp all                            # everything except bench/engine/serve/recover
+//	sccbench -exp incr [-incr-batches 32] [-incr-batch-size 16]
+//	                                             # incremental maintenance (BENCH_serve.json "incr" section)
+//	sccbench -exp all                            # everything except bench/engine/serve/recover/incr
+//
+// An -exp value outside that list exits 2 and prints the valid names.
 //
 // -scale shrinks the datasets (1.0 ≈ 40-250k nodes per graph; use
 // 0.25 for quick runs). -mode modeled (default) projects thread sweeps
@@ -36,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,7 +49,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1|figure2|figure6|figure7|figure8|figure9|tasklog|ablations|dist|related|smallworld|bench|engine|all")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		data     = flag.String("data", "", "restrict figure6/figure7/tasklog/ablations to one dataset (default: all for figure6, flickr otherwise)")
 		scale    = flag.Float64("scale", 1.0, "dataset scale factor (halving repeatedly shrinks node counts)")
 		mode     = flag.String("mode", "modeled", "thread-sweep mode: modeled|measured")
@@ -75,6 +77,10 @@ func main() {
 		incrBatchSize = flag.Int("incr-batch-size", 16, "incr experiment: updates per batch")
 	)
 	flag.Parse()
+	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintln(os.Stderr, "sccbench:", err)
+		os.Exit(2)
+	}
 
 	m := experiments.Modeled
 	if *mode == "measured" {
@@ -167,14 +173,6 @@ func main() {
 	run("tasklog", func() {
 		d := mustFind(defaultTo(*data, "flickr"))
 		fmt.Print(experiments.FormatTaskLog(experiments.TaskLog(d, *scale, *seed, 5)))
-	})
-	run("dist", func() {
-		d := mustFind(defaultTo(*data, "flickr"))
-		ds := experiments.DistScalingExperiment(d, *scale, []int{1, 2, 4, 8, 16}, *seed)
-		fmt.Print(experiments.FormatDistScaling(ds))
-		fmt.Print(experiments.FormatPartitionComparison(
-			experiments.ComparePartitioning(d, *scale, 8, *seed)))
-		writeCSV("dist.csv", func(f *os.File) error { return experiments.DistScalingCSV(f, ds) })
 	})
 	run("smallworld", func() {
 		n := int(30000 * *scale)
@@ -330,6 +328,22 @@ func main() {
 		ks := experiments.AblationK(d, *scale, *seed, []int{1, 2, 4, 8, 16, 32})
 		fmt.Print(experiments.FormatAblations(h, t2, ks))
 	})
+}
+
+// experimentNames lists every -exp value. "all" runs each name before
+// "bench"; bench, engine, serve, recover and incr run only when named.
+var experimentNames = []string{
+	"table1", "figure2", "figure6", "figure7", "figure8", "figure9",
+	"tasklog", "smallworld", "related", "ablations",
+	"bench", "engine", "serve", "recover", "incr", "all",
+}
+
+// checkExperiment rejects an -exp value that names no experiment.
+func checkExperiment(name string) error {
+	if slices.Contains(experimentNames, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ", "))
 }
 
 // writeServeReport writes the merged serving report to path ("" =

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseThreads(t *testing.T) {
 	got, err := parseThreads("1, 2,16")
@@ -36,5 +39,26 @@ func TestSelectDatasets(t *testing.T) {
 func TestDefaultTo(t *testing.T) {
 	if defaultTo("", "d") != "d" || defaultTo("v", "d") != "v" {
 		t.Fatal("defaultTo wrong")
+	}
+}
+
+// TestCheckExperiment accepts every listed experiment and rejects any
+// other name with an error that lists the valid ones.
+func TestCheckExperiment(t *testing.T) {
+	for _, name := range experimentNames {
+		if err := checkExperiment(name); err != nil {
+			t.Errorf("checkExperiment(%q) = %v", name, err)
+		}
+	}
+	for _, bad := range []string{"nosuch", "dist", "", "Table1"} {
+		err := checkExperiment(bad)
+		if err == nil {
+			t.Fatalf("checkExperiment(%q) accepted", bad)
+		}
+		for _, name := range experimentNames {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("error for %q does not list %q: %v", bad, name, err)
+			}
+		}
 	}
 }

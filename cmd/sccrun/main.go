@@ -23,13 +23,6 @@
 //	sccrun -alg method2 -mem-limit 64M -stall-timeout 10s graph.sccg
 //	sccrun -alg method2 -chaos-panic bfs:2 graph.sccg
 //	sccrun -alg method2 -chaos-stall wcc -chaos-stall-for 100ms -stall-timeout 5s graph.sccg
-//
-// The -dist flag switches to the distributed (BSP message-passing)
-// engine, optionally with fault injection and checkpoint recovery:
-//
-//	sccrun -dist 4 graph.sccg
-//	sccrun -dist 4 -fault-crash 10 -checkpoint 2 -validate graph.sccg
-//	sccrun -dist 4 -fault-transient 0.05 -retries 8 -progress graph.sccg
 package main
 
 import (
@@ -42,10 +35,8 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/dist"
 	"repro/graph"
 	"repro/internal/cliflag"
-	"repro/internal/verify"
 	"repro/scc"
 	"repro/schedsim"
 )
@@ -72,16 +63,6 @@ func main() {
 		chaosPanic   = flag.String("chaos-panic", "", "inject a panic at site[:hit][,...] (sites: trim|bfs|trim2|wcc|task|peel|uf|condense)")
 		chaosStall   = flag.String("chaos-stall", "", "inject a stall at site[:hit][,...]")
 		chaosFor     = flag.Duration("chaos-stall-for", 0, "bound injected stalls (0 = stall until teardown)")
-
-		distW      = flag.Int("dist", 0, "run the distributed BSP engine with this many workers (overrides -alg)")
-		distTCP    = flag.Bool("dist-tcp", false, "distributed engine: exchange over a loopback TCP mesh instead of in memory")
-		checkpoint = flag.Int("checkpoint", 0, "distributed engine: checkpoint every K supersteps (0 = recovery off)")
-		retries    = flag.Int("retries", 1, "distributed engine: max attempts per exchange for transient faults")
-		faultSeed  = flag.Int64("fault-seed", 1, "fault injection: RNG seed")
-		faultDrop  = flag.Float64("fault-drop", 0, "fault injection: per-message drop probability")
-		faultTrans = flag.Float64("fault-transient", 0, "fault injection: per-exchange transient-error probability")
-		faultLat   = flag.Float64("fault-latency", 0, "fault injection: per-exchange latency-spike probability")
-		faultCrash = flag.Int("fault-crash", 0, "fault injection: hard-crash the mesh at this exchange (1-based, 0 = never)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -100,27 +81,6 @@ func main() {
 	g, err := load(flag.Arg(0), *text)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *distW > 0 {
-		runDist(g, distConfig{
-			workers:    *distW,
-			tcp:        *distTCP,
-			seed:       *seed,
-			timeout:    *timeout,
-			progress:   *progress,
-			validate:   *validate,
-			checkpoint: *checkpoint,
-			retries:    *retries,
-			fault: dist.FaultConfig{
-				Seed:            *faultSeed,
-				DropProb:        *faultDrop,
-				TransientProb:   *faultTrans,
-				LatencyProb:     *faultLat,
-				CrashAtExchange: *faultCrash,
-			},
-		})
-		return
 	}
 
 	if *cpuprof != "" {
@@ -253,132 +213,6 @@ func main() {
 		for _, r := range res.TaskLog {
 			fmt.Printf("%8d %8d %8d %8d\n", r.SCC, r.FW, r.BW, r.Remain)
 		}
-	}
-}
-
-// distConfig collects the -dist mode's flag values.
-type distConfig struct {
-	workers    int
-	tcp        bool
-	seed       int64
-	timeout    time.Duration
-	progress   bool
-	validate   bool
-	checkpoint int
-	retries    int
-	fault      dist.FaultConfig
-}
-
-// faultsConfigured reports whether any fault-injection flag is active.
-func (c distConfig) faultsConfigured() bool {
-	f := c.fault
-	return f.DropProb > 0 || f.TransientProb > 0 || f.LatencyProb > 0 || f.CrashAtExchange > 0
-}
-
-// runDist executes the distributed engine, optionally under fault
-// injection, and reports phase, recovery, and fault statistics.
-func runDist(g *graph.Graph, cfg distConfig) {
-	ctx := context.Background()
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-
-	opt := dist.Options{
-		Workers:         cfg.workers,
-		Seed:            cfg.seed,
-		CheckpointEvery: cfg.checkpoint,
-		Retry: dist.RetryOptions{
-			MaxAttempts: cfg.retries,
-		},
-	}
-	if cfg.progress {
-		opt.Observer = distProgressObserver{}
-	}
-	baseDial := func() (dist.Transport, error) { return dist.NewMemTransport(), nil }
-	if cfg.tcp {
-		w := cfg.workers
-		baseDial = func() (dist.Transport, error) { return dist.NewTCPTransport(w) }
-		if opt.Retry.ExchangeTimeout == 0 {
-			opt.Retry.ExchangeTimeout = 30 * time.Second
-		}
-	}
-	var inj *dist.FaultInjector
-	if cfg.faultsConfigured() {
-		inj = dist.NewFaultInjector(cfg.fault)
-		opt.Dial = inj.Dial(baseDial)
-	} else {
-		opt.Dial = baseDial
-	}
-
-	res, err := dist.RunContext(ctx, g, opt)
-	if err != nil {
-		os.Exit(reportFailure(err, cfg.timeout))
-	}
-
-	fmt.Printf("engine:      distributed (%d workers, %s transport)\n",
-		cfg.workers, map[bool]string{false: "memory", true: "tcp"}[cfg.tcp])
-	fmt.Printf("graph:       %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
-	fmt.Printf("time:        %v\n", res.Total.Round(time.Microsecond))
-	fmt.Printf("SCCs:        %d (giant %d)\n", res.NumSCCs, res.GiantSCC)
-	fmt.Println("phase breakdown:")
-	for p := dist.PhaseID(0); p < dist.NumDistPhases; p++ {
-		st := res.Phases[p]
-		if st.Supersteps == 0 {
-			continue
-		}
-		fmt.Printf("  %-11s %12v  supersteps=%d messages=%d\n",
-			p, st.Time.Round(time.Microsecond), st.Supersteps, st.Messages)
-	}
-	if cfg.checkpoint > 0 || res.Stats.Retries > 0 {
-		fmt.Printf("recovery:    %d checkpoints, %d retries, %d rollbacks, %d supersteps replayed\n",
-			res.Stats.Checkpoints, res.Stats.Retries, res.Stats.Rollbacks, res.Stats.RecoveredSupersteps)
-	}
-	if inj != nil {
-		st := inj.Stats()
-		fmt.Printf("faults:      %d exchanges: %d dropped msgs, %d dup batches, %d latency spikes, %d transients, %d crashes\n",
-			st.Exchanges, st.DroppedMessages, st.DuplicatedBatches, st.LatencySpikes, st.TransientErrors, st.Crashes)
-	}
-
-	if cfg.validate {
-		truth, err := scc.Detect(g, scc.Options{Algorithm: scc.Tarjan})
-		if err != nil {
-			fatal(err)
-		}
-		if !verify.SamePartition(res.Comp, truth.Comp) {
-			fatal(errors.New("validation failed: distributed result differs from Tarjan"))
-		}
-		if res.NumSCCs != truth.NumSCCs {
-			fatal(fmt.Errorf("validation failed: %d SCCs vs Tarjan's %d", res.NumSCCs, truth.NumSCCs))
-		}
-		fmt.Println("validated:   matches sequential Tarjan")
-	}
-}
-
-// distProgressObserver streams distributed-phase progress, including
-// fault-recovery events, to stderr.
-type distProgressObserver struct{}
-
-func (distProgressObserver) Observe(ev dist.Event) {
-	phase := dist.PhaseID(ev.Phase)
-	switch ev.Type {
-	case scc.EventPhaseStart:
-		fmt.Fprintf(os.Stderr, "[%s] start\n", phase)
-	case scc.EventPhaseEnd:
-		fmt.Fprintf(os.Stderr, "[%s] done: supersteps=%d\n", phase, ev.Round)
-	case scc.EventTrimRound:
-		fmt.Fprintf(os.Stderr, "[%s] trim round %d: removed %d\n", phase, ev.Round, ev.Nodes)
-	case scc.EventBFSLevel:
-		fmt.Fprintf(os.Stderr, "[%s] BFS level %d: frontier %d\n", phase, ev.Round, ev.Frontier)
-	case scc.EventWCCRound:
-		fmt.Fprintf(os.Stderr, "[%s] WCC round %d\n", phase, ev.Round)
-	case scc.EventRetryAttempt:
-		fmt.Fprintf(os.Stderr, "[%s] transient fault: retry attempt %d\n", phase, ev.Round)
-	case scc.EventCheckpointTaken:
-		fmt.Fprintf(os.Stderr, "[%s] checkpoint at superstep %d\n", phase, ev.Round)
-	case scc.EventRollback:
-		fmt.Fprintf(os.Stderr, "[%s] ROLLBACK #%d: replaying %d supersteps\n", phase, ev.Round, ev.Nodes)
 	}
 }
 

@@ -9,7 +9,6 @@
 //	graph       CSR directed graphs, I/O, statistics
 //	gen         synthetic graph generators (R-MAT, lattices, DAGs, ...)
 //	scc         SCC detection: Tarjan, Kosaraju, Baseline, Method1, Method2
-//	dist        the §6 distributed (BSP message-passing) pipeline
 //	schedsim    machine model + list-scheduling simulator for thread sweeps
 //	experiments dataset suite and per-figure experiment runners
 //

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,16 +43,14 @@ func AblationHybrid(d Dataset, scale float64, seed int64) HybridAblation {
 	return out
 }
 
-// Trim2Ablation quantifies the §3.4 claim: Trim2 gives only marginal
-// direct speedup but cuts the Par-WCC step's time by up to 50% by
-// removing chains of weakly connected size-2 SCCs.
+// Trim2Ablation quantifies the §3.4 claim that Trim2 cuts the Par-WCC
+// step's time by up to 50% by removing chains of weakly connected
+// size-2 SCCs.
 type Trim2Ablation struct {
 	Dataset string
-	// WCCWith/WCCWithout are Par-WCC phase times with and without the
-	// preceding Trim2.
+	// WCCWith/WCCWithout are the median Par-WCC phase times over
+	// trim2Pairs runs with and without the preceding Trim2.
 	WCCWith, WCCWithout time.Duration
-	// TotalWith/TotalWithout are end-to-end Method 2 times.
-	TotalWith, TotalWithout time.Duration
 	// Pairs is the number of size-2 SCCs Trim2 claimed.
 	Pairs int64
 	// WCCTasksWith/WCCTasksWithout are the seeded task counts.
@@ -66,22 +65,43 @@ func (t Trim2Ablation) WCCReduction() float64 {
 	return 1 - float64(t.WCCWith)/float64(t.WCCWithout)
 }
 
-// AblationTrim2 measures Method 2 with and without Trim2.
+// trim2Pairs is the number of with/without runs AblationTrim2
+// interleaves.
+const trim2Pairs = 9
+
+// AblationTrim2 measures Method 2 with and without Trim2. It runs the
+// two sides in trim2Pairs back-to-back pairs, alternating which side
+// goes first so that neither always runs on the other's warm caches
+// and heap, and reports each side's median Par-WCC time.
 func AblationTrim2(d Dataset, scale float64, seed int64) Trim2Ablation {
 	g := d.Build(scale)
 	out := Trim2Ablation{Dataset: d.Name}
-	out.TotalWith = measure(2, func() {
-		res := detect(g, scc.Options{Algorithm: scc.Method2, Seed: seed})
-		out.WCCWith = res.Phases[scc.PhaseParWCC].Time
+	var with, without []time.Duration
+	run := func(disable bool) {
+		res := detect(g, scc.Options{Algorithm: scc.Method2, Seed: seed, DisableTrim2: disable})
+		wcc := res.Phases[scc.PhaseParWCC].Time
+		if disable {
+			without = append(without, wcc)
+			out.WCCTasksWithout = res.WCCComponents
+			return
+		}
+		with = append(with, wcc)
 		out.WCCTasksWith = res.WCCComponents
 		out.Pairs = res.Phases[scc.PhaseParTrimPost].SCCs
-	})
-	out.TotalWithout = measure(2, func() {
-		res := detect(g, scc.Options{Algorithm: scc.Method2, Seed: seed, DisableTrim2: true})
-		out.WCCWithout = res.Phases[scc.PhaseParWCC].Time
-		out.WCCTasksWithout = res.WCCComponents
-	})
+	}
+	for i := 0; i < trim2Pairs; i++ {
+		withFirst := i%2 == 0
+		run(!withFirst)
+		run(withFirst)
+	}
+	out.WCCWith, out.WCCWithout = median(with), median(without)
 	return out
+}
+
+// median returns the middle element of ds, sorting ds in place.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // KSweepPoint is one batch-size sample of the §4.3 work-queue K sweep.
@@ -117,8 +137,8 @@ func FormatAblations(h HybridAblation, t2 Trim2Ablation, ks []KSweepPoint) strin
 	fmt.Fprintf(&b, "  color-scan only: total=%v recur=%v  (%.1fx slower)\n",
 		h.WithoutHybrid.Round(time.Microsecond), h.RecurWithout.Round(time.Microsecond), h.Speedup())
 	fmt.Fprintf(&b, "Trim2 (§3.4) on %s: %d pairs claimed\n", t2.Dataset, t2.Pairs)
-	fmt.Fprintf(&b, "  WCC time: with=%v without=%v (%.0f%% reduction); tasks %d vs %d\n",
-		t2.WCCWith.Round(time.Microsecond), t2.WCCWithout.Round(time.Microsecond),
+	fmt.Fprintf(&b, "  median WCC time of %d runs: with=%v without=%v (%.0f%% reduction); tasks %d vs %d\n",
+		trim2Pairs, t2.WCCWith.Round(time.Microsecond), t2.WCCWithout.Round(time.Microsecond),
 		100*t2.WCCReduction(), t2.WCCTasksWith, t2.WCCTasksWithout)
 	fmt.Fprintf(&b, "Work-queue batch size K (§4.3):\n")
 	for _, p := range ks {

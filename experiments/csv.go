@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 
-	"repro/dist"
 	"repro/scc"
 )
 
@@ -132,33 +131,6 @@ func SizeDistCSV(w io.Writer, dists []SizeDist) error {
 			if err := cw.Write([]string{d.Dataset, strconv.Itoa(i), strconv.FormatInt(c, 10)}); err != nil {
 				return err
 			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// DistScalingCSV writes the distributed-extension scaling rows.
-func DistScalingCSV(w io.Writer, ds DistScaling) error {
-	cw := csv.NewWriter(w)
-	header := []string{"dataset", "workers", "messages", "supersteps", "time_ns", "num_sccs"}
-	for ph := dist.PhaseID(0); ph < dist.NumDistPhases; ph++ {
-		header = append(header, fmt.Sprintf("%s_msgs", ph))
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, p := range ds.Points {
-		rec := []string{
-			ds.Dataset, strconv.Itoa(p.Workers),
-			strconv.FormatInt(p.Messages, 10), strconv.Itoa(p.Supersteps),
-			strconv.FormatInt(int64(p.Time), 10), strconv.FormatInt(p.NumSCCs, 10),
-		}
-		for _, m := range p.PhaseMessages {
-			rec = append(rec, strconv.FormatInt(m, 10))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
 		}
 	}
 	cw.Flush()

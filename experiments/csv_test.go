@@ -97,16 +97,6 @@ func TestSizeDistCSV(t *testing.T) {
 	}
 }
 
-func TestDistScalingCSV(t *testing.T) {
-	d, _ := Find("baidu")
-	ds := DistScalingExperiment(d, testScale, []int{1, 2}, 1)
-	var buf bytes.Buffer
-	if err := DistScalingCSV(&buf, ds); err != nil {
-		t.Fatal(err)
-	}
-	parseCSV(t, &buf, 10)
-}
-
 func TestRelatedCSV(t *testing.T) {
 	rc := RelatedComparison{Dataset: "x", Rows: []RelatedRow{
 		{Algorithm: "Tarjan", Time: time.Millisecond, VsTarjan: 1},

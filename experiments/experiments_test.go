@@ -285,9 +285,12 @@ func TestAblationTrim2CutsWCC(t *testing.T) {
 	if a.Pairs == 0 {
 		t.Fatal("Trim2 claimed no pairs on flickr analog")
 	}
-	// Trim2 must not make WCC slower by more than noise, and must
-	// reduce the task count... actually it reduces *nodes entering
-	// WCC*; tasks may stay similar. Insist WCC-with ≤ WCC-without×1.3.
+	// The pairs Trim2 claims no longer seed Par-WCC tasks.
+	if a.WCCTasksWith >= a.WCCTasksWithout {
+		t.Fatalf("Trim2 did not cut the WCC task count: %d vs %d", a.WCCTasksWith, a.WCCTasksWithout)
+	}
+	// Trim2 must not make WCC slower by more than noise: the median
+	// Par-WCC time with it stays within 1.3x the median without.
 	if float64(a.WCCWith) > 1.3*float64(a.WCCWithout) {
 		t.Fatalf("Trim2 made WCC slower: %v vs %v", a.WCCWith, a.WCCWithout)
 	}
@@ -306,26 +309,6 @@ func TestAblationKSweep(t *testing.T) {
 	}
 	out := FormatAblations(AblationHybrid(d, testScale, 1), AblationTrim2(d, testScale, 1), pts)
 	if !strings.Contains(out, "K=1") {
-		t.Fatal("format broken")
-	}
-}
-
-func TestDistScalingExperiment(t *testing.T) {
-	d, _ := Find("baidu")
-	ds := DistScalingExperiment(d, testScale, []int{1, 4}, 1)
-	if len(ds.Points) != 2 {
-		t.Fatalf("%d points", len(ds.Points))
-	}
-	if ds.Points[0].Messages != 0 {
-		t.Fatalf("1-worker run exchanged %d messages", ds.Points[0].Messages)
-	}
-	if ds.Points[1].Messages == 0 {
-		t.Fatal("4-worker run exchanged no messages")
-	}
-	if ds.Points[0].NumSCCs != ds.Points[1].NumSCCs {
-		t.Fatal("SCC counts differ across cluster sizes")
-	}
-	if out := FormatDistScaling(ds); !strings.Contains(out, "msgs/edge") {
 		t.Fatal("format broken")
 	}
 }
@@ -365,17 +348,6 @@ func TestSmallWorldSweep(t *testing.T) {
 			points[0].Phase1Levels, points[2].Phase1Levels)
 	}
 	if out := FormatSmallWorld(points); !strings.Contains(out, "beta") {
-		t.Fatal("format broken")
-	}
-}
-
-func TestComparePartitioning(t *testing.T) {
-	d, _ := Find("baidu")
-	pc := ComparePartitioning(d, testScale, 4, 1)
-	if pc.BlockMessages == 0 || pc.HashMessages == 0 {
-		t.Fatalf("%+v", pc)
-	}
-	if out := FormatPartitionComparison(pc); !strings.Contains(out, "block=") {
 		t.Fatal("format broken")
 	}
 }

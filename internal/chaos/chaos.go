@@ -1,14 +1,13 @@
-// Package chaos deterministically injects failures into the in-memory
-// SCC engine, mirroring dist.FaultInjector's role for the distributed
-// pipeline. Kernels call Injector.Hit at named sites — once per trim
+// Package chaos deterministically injects failures into the SCC
+// engine. Kernels call Injector.Hit at named sites — once per trim
 // round, BFS level, Trim2 sweep, WCC round, and phase-2 task — and the
 // injector fires a panic or a stall at a configured hit ordinal.
 //
-// Unlike dist.FaultInjector, no seeded RNG is needed: a kernel's hit
-// sequence is already deterministic for a given (graph, options) pair,
-// so "fire at the Nth hit of site S" reproduces the identical failure
-// every run, which is what the chaos matrix tests require. All methods
-// are safe for concurrent use from kernel workers (-race clean).
+// No seeded RNG is needed: a kernel's hit sequence is already
+// deterministic for a given (graph, options) pair, so "fire at the Nth
+// hit of site S" reproduces the identical failure every run, which is
+// what the chaos matrix tests require. All methods are safe for
+// concurrent use from kernel workers (-race clean).
 package chaos
 
 import (

@@ -1,10 +1,10 @@
 // Package events defines the engine's structured progress events and
 // the cancellation-aware Sink threaded through the parallel kernels.
 //
-// The public packages (scc, dist) re-export Event, Type and Observer
-// via type aliases, so a single canonical definition serves both
-// engines with zero conversion cost; the internal packages (core, bfs,
-// trim, wcc) emit events and poll cancellation through a *Sink.
+// The public scc package re-exports Event, Type and Observer via type
+// aliases, so one canonical definition serves the engine with zero
+// conversion cost; the internal packages (core, bfs, trim, wcc) emit
+// events and poll cancellation through a *Sink.
 //
 // Everything is designed around a nil fast path: a nil *Sink (no
 // observer attached and no cancelable context) makes every Emit and
@@ -40,19 +40,6 @@ const (
 	// TaskDone reports one completed recursive FW-BW task; Nodes is the
 	// size of the SCC the task identified.
 	TaskDone
-	// RetryAttempt reports a transient superstep-exchange failure being
-	// retried by the distributed pipeline; Round is the 1-based attempt
-	// number that failed.
-	RetryAttempt
-	// CheckpointTaken reports a superstep-boundary state snapshot by
-	// the distributed pipeline's recovery layer; Round is the global
-	// superstep at capture.
-	CheckpointTaken
-	// Rollback reports the distributed pipeline rolling all workers
-	// back to the last checkpoint after a fatal transport failure;
-	// Round is the 1-based rollback count and Nodes the number of
-	// supersteps being discarded and replayed.
-	Rollback
 	// RunMetrics is emitted once at the end of a successful run with
 	// the run's performance-counter totals: BuffersReused and
 	// BytesReused carry the scratch-arena counters (the full snapshot
@@ -83,12 +70,6 @@ func (t Type) String() string {
 		return "QueueSample"
 	case TaskDone:
 		return "TaskDone"
-	case RetryAttempt:
-		return "RetryAttempt"
-	case CheckpointTaken:
-		return "CheckpointTaken"
-	case Rollback:
-		return "Rollback"
 	case RunMetrics:
 		return "RunMetrics"
 	case Stalled:
@@ -103,9 +84,7 @@ func (t Type) String() string {
 type Event struct {
 	// Type discriminates which of the remaining fields are meaningful.
 	Type Type
-	// Phase is the emitting engine's phase index: an scc.Phase value
-	// for the shared-memory engine, a dist.PhaseID value for the
-	// distributed one.
+	// Phase is the emitting phase's index, an scc.Phase value.
 	Phase int
 	// Round is the 1-based barrier round within the phase (trim
 	// iteration, BFS level, WCC propagation round).

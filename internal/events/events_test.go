@@ -67,19 +67,20 @@ func TestSinkCancelOnly(t *testing.T) {
 	}
 }
 
-// TestTypeString pins the event-type names.
+// TestTypeString pins the name of every event type, and the fallback
+// for a value past the last one.
 func TestTypeString(t *testing.T) {
 	names := map[Type]string{
-		PhaseStart:      "PhaseStart",
-		PhaseEnd:        "PhaseEnd",
-		TrimRound:       "TrimRound",
-		BFSLevel:        "BFSLevel",
-		WCCRound:        "WCCRound",
-		QueueSample:     "QueueSample",
-		TaskDone:        "TaskDone",
-		RetryAttempt:    "RetryAttempt",
-		CheckpointTaken: "CheckpointTaken",
-		Rollback:        "Rollback",
+		PhaseStart:  "PhaseStart",
+		PhaseEnd:    "PhaseEnd",
+		TrimRound:   "TrimRound",
+		BFSLevel:    "BFSLevel",
+		WCCRound:    "WCCRound",
+		QueueSample: "QueueSample",
+		TaskDone:    "TaskDone",
+		RunMetrics:  "RunMetrics",
+		Stalled:     "Stalled",
+		Stalled + 1: "Unknown",
 	}
 	for typ, want := range names {
 		if typ.String() != want {

@@ -157,7 +157,6 @@ func TestHelpersCapturePanics(t *testing.T) {
 	helpers := map[string]func(){
 		"ForRange":        func() { ForRange(4, 100, func(lo, hi int) { panic("h") }) },
 		"ForDynamicRange": func() { ForDynamicRange(4, 100, 8, func(lo, hi int) { panic("h") }) },
-		"Run":             func() { Run(4, func(w int) { panic("h") }) },
 		"ForRangeWorker":  func() { ForRangeWorker(4, 100, func(w, lo, hi int) { panic("h") }) },
 		"ForDynamicWorker": func() {
 			ForDynamicWorker(4, 100, 8, func(w, lo, hi int) { panic("h") })
@@ -177,7 +176,7 @@ func TestHelpersCapturePanics(t *testing.T) {
 
 func TestWorkerPanicUnwrapsErrorValues(t *testing.T) {
 	sentinel := errors.New("kernel bug")
-	v := recoverPanic(func() { Run(2, func(w int) { panic(sentinel) }) })
+	v := recoverPanic(func() { ForRange(2, 100, func(lo, hi int) { panic(sentinel) }) })
 	err, ok := v.(error)
 	if !ok || !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is through WorkerPanic failed: %v", v)

@@ -139,35 +139,6 @@ func ForDynamicRange(workers, n, chunk int, body func(lo, hi int)) {
 	box.rethrow()
 }
 
-// Run launches fn(worker) on `workers` goroutines, passing each its
-// worker index in [0, workers), and waits for all of them. workers <= 0
-// selects DefaultWorkers.
-func Run(workers int, fn func(worker int)) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers == 1 {
-		fn(0)
-		return
-	}
-	var box panicBox
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					box.capture(w, v)
-				}
-			}()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-	box.rethrow()
-}
-
 // ReduceInt64 runs body over [0, n) with static partitioning; each
 // worker accumulates a private int64 which body updates via the
 // returned pointer, and the per-worker partials are summed.

@@ -109,17 +109,6 @@ func TestReduceInt64Empty(t *testing.T) {
 	}
 }
 
-func TestRunAllWorkers(t *testing.T) {
-	for _, workers := range []int{1, 2, 5} {
-		var mask atomic.Int64
-		Run(workers, func(w int) { mask.Or(1 << uint(w)) })
-		want := int64(1)<<uint(workers) - 1
-		if mask.Load() != want {
-			t.Fatalf("workers mask = %b, want %b", mask.Load(), want)
-		}
-	}
-}
-
 func TestZeroWorkersDefaults(t *testing.T) {
 	counts := coverage(100, func(body func(int)) { For(0, 100, body) })
 	checkExactlyOnce(t, counts)

@@ -33,11 +33,11 @@ func ChaosSites() []string {
 
 // ChaosConfig configures deterministic failure injection into the
 // parallel engine (Baseline, Method1, Method2, FWBW), for robustness
-// testing — the in-memory mirror of dist.FaultInjector. Failures fire
-// at hit ordinals rather than probabilities: a kernel's hit sequence
-// is already deterministic for a given (graph, options) pair, so
-// "panic on the 2nd BFS level" reproduces the identical failure every
-// run. Sequential algorithms never hit an injection site.
+// testing. Failures fire at hit ordinals rather than probabilities: a
+// kernel's hit sequence is already deterministic for a given (graph,
+// options) pair, so "panic on the 2nd BFS level" reproduces the
+// identical failure every run. Sequential algorithms never hit an
+// injection site.
 //
 // Keys are site names (see ChaosSites); unknown names are rejected by
 // option validation. Ordinals are 1-based; entries <= 0 are invalid.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/dist"
 	"repro/gen"
 	"repro/graph"
 	"repro/scc"
@@ -131,8 +130,7 @@ func chainOfTwoCycles(pairs int) *graph.Graph {
 // kernel sets — the legacy round-based Par-Trim/Par-WCC and the
 // work-efficient worklist kernels — and requires canonically identical
 // partitions against Tarjan, on random, planted-oracle, deep-peeling
-// and high-diameter graphs. The distributed pipeline is held to the
-// same bar under every Kernels setting.
+// and high-diameter graphs.
 func TestDifferentialKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	graphs := map[string]*graph.Graph{
@@ -195,15 +193,6 @@ func TestDifferentialKernels(t *testing.T) {
 					}
 				}
 			}
-			for _, kern := range kernels {
-				dres := dist.Run(g, dist.Options{Workers: 3, Seed: 9, Kernels: kern})
-				if dres.NumSCCs != ref.NumSCCs {
-					t.Fatalf("dist/%v: NumSCCs %d, want %d", kern, dres.NumSCCs, ref.NumSCCs)
-				}
-				if !sameCanonical(want, canonical(t, dres.Comp)) {
-					t.Fatalf("dist/%v: partition differs from Tarjan", kern)
-				}
-			}
 		})
 	}
 }
@@ -235,51 +224,6 @@ func TestDifferentialPlantedOracle(t *testing.T) {
 		if !sameCanonical(canonical(t, truth), canonical(t, res.Comp)) {
 			t.Fatalf("seed %d: partition differs from planted ground truth", seed)
 		}
-	}
-}
-
-// TestDifferentialDistributed runs the distributed pipeline over both
-// transports against the Tarjan reference on the same workload matrix.
-// TCP runs are restricted to the non-trivial graphs to keep socket
-// churn down; the in-memory transport covers everything.
-func TestDifferentialDistributed(t *testing.T) {
-	for name, g := range differentialGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			ref, err := scc.Detect(g, scc.Options{Algorithm: scc.Tarjan})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := canonical(t, ref.Comp)
-
-			dres := dist.Run(g, dist.Options{Workers: 3, Seed: 9})
-			if dres.NumSCCs != ref.NumSCCs {
-				t.Fatalf("mem transport: NumSCCs %d, want %d", dres.NumSCCs, ref.NumSCCs)
-			}
-			if !sameCanonical(want, canonical(t, dres.Comp)) {
-				t.Fatal("mem transport: partition differs from Tarjan")
-			}
-
-			if g.NumNodes() < 100 {
-				return // TCP mesh setup dwarfs the work; mem covered it
-			}
-			tr, err := dist.NewTCPTransport(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tres, err := dist.RunTransport(g, dist.Options{Workers: 3, Seed: 9, Transport: tr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if tres.NumSCCs != ref.NumSCCs {
-				t.Fatalf("tcp transport: NumSCCs %d, want %d", tres.NumSCCs, ref.NumSCCs)
-			}
-			if !sameCanonical(want, canonical(t, tres.Comp)) {
-				t.Fatal("tcp transport: partition differs from Tarjan")
-			}
-		})
 	}
 }
 

@@ -45,7 +45,7 @@ var (
 )
 
 // Error is the error type returned by Detect, DetectContext and the
-// dist entry points. Op names the failing operation ("detect",
+// Engine methods. Op names the failing operation ("detect",
 // "validate", ...); Err is the underlying cause and always wraps one
 // of the package's sentinel errors.
 type Error struct {

@@ -7,9 +7,8 @@ import "repro/internal/events"
 // BFS levels, WCC label-propagation rounds), recursive-phase task
 // completions, and periodic work-queue depth samples.
 //
-// Event.Phase carries the int value of the Phase constants above for
-// events emitted by Detect/DetectContext (convert with
-// Phase(ev.Phase)); the dist package stamps its own phase ids.
+// Event.Phase carries the int value of the Phase constants above
+// (convert with Phase(ev.Phase)).
 type Event = events.Event
 
 // EventType discriminates Event values.
@@ -37,15 +36,6 @@ const (
 	// EventTaskDone reports one completed recursive-phase task; Nodes
 	// is the size of the SCC it identified.
 	EventTaskDone = events.TaskDone
-	// EventRetryAttempt reports the distributed pipeline retrying a
-	// transient exchange failure; Round is the failed attempt number.
-	EventRetryAttempt = events.RetryAttempt
-	// EventCheckpointTaken reports a distributed recovery checkpoint;
-	// Round is the global superstep at capture.
-	EventCheckpointTaken = events.CheckpointTaken
-	// EventRollback reports distributed recovery rolling back to the
-	// last checkpoint; Nodes is the number of supersteps replayed.
-	EventRollback = events.Rollback
 	// EventRunMetrics is emitted once at the end of a successful
 	// parallel run; BuffersReused and BytesReused carry the run's
 	// scratch-arena counters (the full snapshot is Result.Metrics).
