@@ -230,14 +230,6 @@ func BenchmarkRelatedOBF(b *testing.B) {
 	benchDetect(b, "baidu", scc.OBF, scc.Options{Seed: 1})
 }
 
-func BenchmarkRelatedColoring(b *testing.B) {
-	benchDetect(b, "baidu", scc.Coloring, scc.Options{})
-}
-
-func BenchmarkRelatedMultiStep(b *testing.B) {
-	benchDetect(b, "baidu", scc.MultiStep, scc.Options{Seed: 1})
-}
-
 // --- Work-efficient kernels: support-pointer Trim + union-find WCC ---
 
 // BenchmarkKernels compares the legacy round-based Par-Trim/Par-WCC

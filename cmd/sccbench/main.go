@@ -77,15 +77,15 @@ func main() {
 		incrBatchSize = flag.Int("incr-batch-size", 16, "incr experiment: updates per batch")
 	)
 	flag.Parse()
-	if err := checkExperiment(*exp); err != nil {
+	m, err := parseMode(*mode)
+	if err == nil {
+		err = checkExperiment(*exp)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sccbench:", err)
 		os.Exit(2)
 	}
 
-	m := experiments.Modeled
-	if *mode == "measured" {
-		m = experiments.Measured
-	}
 	ths, err := parseThreads(*threads)
 	if err != nil {
 		fatal(err)
@@ -344,6 +344,17 @@ func checkExperiment(name string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ", "))
+}
+
+// parseMode maps a -mode value to its experiments.Mode, rejecting
+// anything but the two Mode.String spellings.
+func parseMode(s string) (experiments.Mode, error) {
+	for _, m := range []experiments.Mode{experiments.Modeled, experiments.Measured} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (valid: %s, %s)", s, experiments.Modeled, experiments.Measured)
 }
 
 // writeServeReport writes the merged serving report to path ("" =

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/experiments"
 )
 
 func TestParseThreads(t *testing.T) {
@@ -59,6 +61,22 @@ func TestCheckExperiment(t *testing.T) {
 			if !strings.Contains(err.Error(), name) {
 				t.Fatalf("error for %q does not list %q: %v", bad, name, err)
 			}
+		}
+	}
+}
+
+// TestParseMode accepts the two sweep modes and rejects any other
+// value, a misspelling included, with an error that lists both.
+func TestParseMode(t *testing.T) {
+	for _, m := range []experiments.Mode{experiments.Modeled, experiments.Measured} {
+		if got, err := parseMode(m.String()); err != nil || got != m {
+			t.Errorf("parseMode(%q) = %v, %v", m, got, err)
+		}
+	}
+	for _, bad := range []string{"measurd", "", "Measured", "model"} {
+		_, err := parseMode(bad)
+		if err == nil || !strings.Contains(err.Error(), "modeled") || !strings.Contains(err.Error(), "measured") {
+			t.Errorf("parseMode(%q) error = %v; want one listing modeled and measured", bad, err)
 		}
 	}
 }

@@ -33,17 +33,26 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/graph"
+	"repro/internal/chaos"
 	"repro/internal/cliflag"
 	"repro/scc"
 	"repro/schedsim"
 )
 
 func main() {
+	// Detection hits only the engine's chaos sites; the serving-path
+	// sites are rejected rather than silently never firing.
+	chaosSites := chaos.EngineSites()
+	siteNames := make([]string, len(chaosSites))
+	for i, s := range chaosSites {
+		siteNames[i] = s.String()
+	}
 	var (
-		algName  = flag.String("alg", "method2", "algorithm: tarjan|kosaraju|gabow|baseline|method1|method2|fwbw|obf|coloring|multistep")
+		algName  = flag.String("alg", "method2", "algorithm: tarjan|kosaraju|baseline|method1|method2|fwbw|obf")
 		kernSpec = flag.String("kernels", "worklist", "trim/WCC kernel set: worklist|legacy")
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		k        = flag.Int("k", 0, "work-queue batch size (0 = paper default)")
@@ -60,7 +69,7 @@ func main() {
 
 		memLimit     = flag.String("mem-limit", "", "degrade the parallel engine to fit this memory budget (bytes; K/M/G suffixes)")
 		stallTimeout = flag.Duration("stall-timeout", 0, "abort the run if no kernel progress for this long (0 = no watchdog)")
-		chaosPanic   = flag.String("chaos-panic", "", "inject a panic at site[:hit][,...] (sites: trim|bfs|trim2|wcc|task|peel|uf|condense)")
+		chaosPanic   = flag.String("chaos-panic", "", "inject a panic at site[:hit][,...] (sites: "+strings.Join(siteNames, "|")+")")
 		chaosStall   = flag.String("chaos-stall", "", "inject a stall at site[:hit][,...]")
 		chaosFor     = flag.Duration("chaos-stall-for", 0, "bound injected stalls (0 = stall until teardown)")
 	)
@@ -108,7 +117,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	chaosCfg, err := cliflag.ParseChaos(*chaosPanic, *chaosStall, *chaosFor)
+	chaosCfg, err := cliflag.ParseChaos(*chaosPanic, *chaosStall, *chaosFor, chaosSites)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/cliflag"
 	"repro/scc"
 )
@@ -35,7 +36,7 @@ func TestParseAlg(t *testing.T) {
 
 func TestParseAlgExtended(t *testing.T) {
 	for in, want := range map[string]scc.Algorithm{
-		"fwbw": scc.FWBW, "fw-bw": scc.FWBW, "obf": scc.OBF, "coloring": scc.Coloring,
+		"fwbw": scc.FWBW, "fw-bw": scc.FWBW, "obf": scc.OBF,
 	} {
 		got, err := scc.ParseAlgorithm(in)
 		if err != nil || got != want {
@@ -93,24 +94,24 @@ func TestParseBytes(t *testing.T) {
 }
 
 func TestParseChaos(t *testing.T) {
-	cfg, err := cliflag.ParseChaos("", "", 0)
+	cfg, err := cliflag.ParseChaos("", "", 0, chaos.EngineSites())
 	if err != nil || cfg != nil {
 		t.Fatalf("empty flags: cfg=%v err=%v", cfg, err)
 	}
-	cfg, err = cliflag.ParseChaos("bfs:2", "task", 50*time.Millisecond)
+	cfg, err = cliflag.ParseChaos("bfs:2", "task", 50*time.Millisecond, chaos.EngineSites())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.PanicAt["bfs"] != 2 || cfg.StallAt["task"] != 1 || cfg.StallFor != 50*time.Millisecond {
 		t.Fatalf("ParseChaos = %+v", cfg)
 	}
-	if _, err := cliflag.ParseChaos("nosuch", "", 0); err == nil {
+	if _, err := cliflag.ParseChaos("nosuch", "", 0, chaos.EngineSites()); err == nil {
 		t.Fatal("bad panic spec accepted")
 	}
-	if _, err := cliflag.ParseChaos("", "trim:0", 0); err == nil {
+	if _, err := cliflag.ParseChaos("", "trim:0", 0, chaos.EngineSites()); err == nil {
 		t.Fatal("bad stall spec accepted")
 	}
-	if _, err := cliflag.ParseChaos("bfs:9223372036854775808", "", 0); err == nil {
+	if _, err := cliflag.ParseChaos("bfs:9223372036854775808", "", 0, chaos.EngineSites()); err == nil {
 		t.Fatal("overflowing hit ordinal accepted")
 	}
 }

@@ -100,7 +100,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		addr      = fs.String("addr", "127.0.0.1:8080", "listen address")
 		graphPath = fs.String("graph", "", "graph file to serve (required)")
 		format    = fs.String("format", "", "graph format: sccg|edgelist|mm|metis (default: by extension)")
-		algName   = fs.String("alg", "method2", "detection algorithm: tarjan|kosaraju|gabow|baseline|method1|method2|fwbw|obf|coloring|multistep")
+		algName   = fs.String("alg", "method2", "detection algorithm: tarjan|kosaraju|baseline|method1|method2|fwbw|obf")
 		workers   = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		k         = fs.Int("k", 0, "work-queue batch size (0 = paper default)")
 		seed      = fs.Int64("seed", 1, "pivot seed")
@@ -163,7 +163,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, args []string) int {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage
 	}
-	chaosCfg, err := cliflag.ParseChaos(*chaosPanic, *chaosStall, *chaosFor)
+	chaosCfg, err := cliflag.ParseChaos(*chaosPanic, *chaosStall, *chaosFor, chaos.Sites())
 	if err != nil {
 		fmt.Fprintln(stderr, "sccserve:", err)
 		return exitUsage

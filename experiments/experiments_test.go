@@ -316,10 +316,14 @@ func TestAblationKSweep(t *testing.T) {
 func TestRelatedComparison(t *testing.T) {
 	d, _ := Find("baidu")
 	rc := Related(d, testScale, 1)
-	if len(rc.Rows) != 9 {
-		t.Fatalf("%d rows, want 9 algorithms", len(rc.Rows))
+	want := []string{"Tarjan", "Kosaraju", "FW-BW", "OBF", "Baseline", "Method1", "Method2"}
+	if len(rc.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d algorithms", len(rc.Rows), len(want))
 	}
-	for _, r := range rc.Rows {
+	for i, r := range rc.Rows {
+		if r.Algorithm != want[i] {
+			t.Fatalf("row %d is %s, want %s", i, r.Algorithm, want[i])
+		}
 		if r.Time <= 0 {
 			t.Fatalf("%s time %v", r.Algorithm, r.Time)
 		}

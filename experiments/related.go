@@ -33,7 +33,7 @@ func Related(d Dataset, scale float64, seed int64) RelatedComparison {
 	tarjanTime := measure(3, func() { detect(g, scc.Options{Algorithm: scc.Tarjan}) })
 	out := RelatedComparison{Dataset: d.Name}
 	out.Rows = append(out.Rows, RelatedRow{Algorithm: "Tarjan", Time: tarjanTime, VsTarjan: 1})
-	for _, alg := range []scc.Algorithm{scc.Kosaraju, scc.FWBW, scc.OBF, scc.Coloring, scc.MultiStep, scc.Baseline, scc.Method1, scc.Method2} {
+	for _, alg := range []scc.Algorithm{scc.Kosaraju, scc.FWBW, scc.OBF, scc.Baseline, scc.Method1, scc.Method2} {
 		var peak int64
 		t := measure(2, func() {
 			res := detect(g, scc.Options{Algorithm: alg, Seed: seed})

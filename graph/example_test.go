@@ -52,12 +52,3 @@ func ExampleComputeStats() {
 	fmt.Println(s.Nodes, s.Edges, s.MaxOutDegree)
 	// Output: 4 4 1
 }
-
-// ExampleInducedSubgraph extracts a node subset.
-func ExampleInducedSubgraph() {
-	g := graph.FromEdges(4, []graph.Edge{
-		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
-	sub, orig := graph.InducedSubgraph(g, []graph.NodeID{1, 2})
-	fmt.Println(sub.NumNodes(), sub.NumEdges(), orig)
-	// Output: 2 1 [1 2]
-}

@@ -163,20 +163,3 @@ func undirectedEccentricity(g *Graph, src NodeID, dist []int32, queue *[]NodeID)
 	*queue = q
 	return int(dist[far]), far
 }
-
-// DegreeHistogram returns counts[d] = number of nodes with out-degree
-// d, up to the maximum degree.
-func DegreeHistogram(g *Graph) []int64 {
-	maxd := 0
-	n := g.NumNodes()
-	for v := 0; v < n; v++ {
-		if d := g.OutDegree(NodeID(v)); d > maxd {
-			maxd = d
-		}
-	}
-	h := make([]int64, maxd+1)
-	for v := 0; v < n; v++ {
-		h[g.OutDegree(NodeID(v))]++
-	}
-	return h
-}

@@ -103,18 +103,3 @@ func TestDegreeGiniSkewed(t *testing.T) {
 		t.Fatalf("star Gini = %f, want > 0.9", gini)
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1}, {0, 2}, {0, 3}, {1, 2}})
-	h := DegreeHistogram(g)
-	// degrees: node0=3, node1=1, node2=0, node3=0
-	want := []int64{2, 1, 0, 1}
-	if len(h) != len(want) {
-		t.Fatalf("histogram %v, want %v", h, want)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("histogram %v, want %v", h, want)
-		}
-	}
-}

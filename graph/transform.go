@@ -3,32 +3,6 @@ package graph
 // Transformations produce new graphs; inputs are never mutated
 // (consistent with the library's immutable-graph discipline).
 
-// InducedSubgraph returns the subgraph induced by the given nodes
-// (edges with both endpoints in the set), together with the mapping
-// from new ids (dense, in the order given) back to the original ids.
-// Duplicate nodes in the input are an error (panic), since the id
-// mapping would be ambiguous.
-func InducedSubgraph(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
-	local := make(map[NodeID]NodeID, len(nodes))
-	orig := make([]NodeID, len(nodes))
-	for i, v := range nodes {
-		if _, dup := local[v]; dup {
-			panic("graph: duplicate node in InducedSubgraph")
-		}
-		local[v] = NodeID(i)
-		orig[i] = v
-	}
-	b := NewBuilder(len(nodes))
-	for i, v := range nodes {
-		for _, t := range g.Out(v) {
-			if lt, ok := local[t]; ok {
-				b.AddEdge(NodeID(i), lt)
-			}
-		}
-	}
-	return b.Build(), orig
-}
-
 // Relabel returns a copy of g with node v renamed to perm[v]. perm
 // must be a permutation of 0..n-1 (validated; panics otherwise).
 // Relabeling is used to destroy accidental locality in generated
@@ -52,81 +26,4 @@ func Relabel(g *Graph, perm []NodeID) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// Symmetrize returns the graph with every edge mirrored (u→v implies
-// v→u), excluding duplicate reverse edges that already exist. The
-// result's SCCs equal the input's weakly connected components.
-func Symmetrize(g *Graph) *Graph {
-	n := g.NumNodes()
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for _, t := range g.Out(NodeID(v)) {
-			b.AddEdge(NodeID(v), t)
-			b.AddEdge(t, NodeID(v))
-		}
-	}
-	return b.Build()
-}
-
-// RemoveSelfLoops returns a copy of g without self-loop edges.
-func RemoveSelfLoops(g *Graph) *Graph {
-	n := g.NumNodes()
-	b := NewBuilder(n)
-	for v := 0; v < n; v++ {
-		for _, t := range g.Out(NodeID(v)) {
-			if t != NodeID(v) {
-				b.AddEdge(NodeID(v), t)
-			}
-		}
-	}
-	return b.Build()
-}
-
-// LargestWCC returns the subgraph induced by the largest weakly
-// connected component, with its original-id mapping — the standard
-// preprocessing step for graph benchmarks (Table 1 graphs are usually
-// taken this way).
-func LargestWCC(g *Graph) (*Graph, []NodeID) {
-	n := g.NumNodes()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []NodeID
-	var best, bestSize int32
-	var next int32
-	for root := 0; root < n; root++ {
-		if comp[root] >= 0 {
-			continue
-		}
-		id := next
-		next++
-		comp[root] = id
-		queue = append(queue[:0], NodeID(root))
-		size := int32(1)
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, lists := range [][]NodeID{g.Out(v), g.In(v)} {
-				for _, t := range lists {
-					if comp[t] < 0 {
-						comp[t] = id
-						size++
-						queue = append(queue, t)
-					}
-				}
-			}
-		}
-		if size > bestSize {
-			best, bestSize = id, size
-		}
-	}
-	nodes := make([]NodeID, 0, bestSize)
-	for v := 0; v < n; v++ {
-		if comp[v] == best {
-			nodes = append(nodes, NodeID(v))
-		}
-	}
-	return InducedSubgraph(g, nodes)
 }

@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestInducedSubgraph(t *testing.T) {
-	g := FromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}})
-	sub, orig := InducedSubgraph(g, []NodeID{0, 1, 2})
-	if sub.NumNodes() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("sub: n=%d m=%d", sub.NumNodes(), sub.NumEdges())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(2, 0) || sub.HasEdge(2, 1) {
-		t.Fatal("induced edges wrong")
-	}
-	for i, v := range orig {
-		if v != NodeID(i) {
-			t.Fatalf("orig mapping %v", orig)
-		}
-	}
-	// Non-contiguous selection with remapping.
-	sub2, orig2 := InducedSubgraph(g, []NodeID{3, 2})
-	if sub2.NumEdges() != 1 || !sub2.HasEdge(1, 0) {
-		t.Fatalf("remapped sub wrong: m=%d", sub2.NumEdges())
-	}
-	if orig2[0] != 3 || orig2[1] != 2 {
-		t.Fatalf("orig2 = %v", orig2)
-	}
-}
-
-func TestInducedSubgraphDuplicatePanics(t *testing.T) {
-	g := FromEdges(2, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate node accepted")
-		}
-	}()
-	InducedSubgraph(g, []NodeID{0, 0})
-}
-
 func TestRelabelPreservesStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGraph(t, 9, 40, 200)
@@ -76,66 +42,5 @@ func TestRelabelRejectsBadPermutation(t *testing.T) {
 			}()
 			Relabel(g, perm)
 		}()
-	}
-}
-
-func TestSymmetrize(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}})
-	s := Symmetrize(g)
-	if s.NumEdges() != 4 {
-		t.Fatalf("edges = %d, want 4", s.NumEdges())
-	}
-	if !s.HasEdge(1, 0) || !s.HasEdge(2, 1) {
-		t.Fatal("mirror edges missing")
-	}
-	// Already-reciprocal edges must not duplicate.
-	g2 := FromEdges(2, []Edge{{0, 1}, {1, 0}})
-	if s2 := Symmetrize(g2); s2.NumEdges() != 2 {
-		t.Fatalf("reciprocal symmetrize edges = %d", s2.NumEdges())
-	}
-}
-
-func TestRemoveSelfLoops(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 0}, {0, 1}, {1, 1}, {1, 2}})
-	r := RemoveSelfLoops(g)
-	if r.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", r.NumEdges())
-	}
-	if r.HasEdge(0, 0) || r.HasEdge(1, 1) {
-		t.Fatal("self loop survived")
-	}
-}
-
-func TestLargestWCC(t *testing.T) {
-	// Two components: {0,1,2} (size 3, via directed edges) and {3,4}.
-	g := FromEdges(6, []Edge{{0, 1}, {2, 1}, {3, 4}})
-	sub, orig := LargestWCC(g)
-	if sub.NumNodes() != 3 {
-		t.Fatalf("largest WCC has %d nodes, want 3", sub.NumNodes())
-	}
-	want := map[NodeID]bool{0: true, 1: true, 2: true}
-	for _, v := range orig {
-		if !want[v] {
-			t.Fatalf("unexpected node %d in largest WCC", v)
-		}
-	}
-	if sub.NumEdges() != 2 {
-		t.Fatalf("edges = %d", sub.NumEdges())
-	}
-}
-
-func TestLargestWCCWholeGraphConnected(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	sub, _ := LargestWCC(g)
-	if sub.NumNodes() != 4 {
-		t.Fatalf("connected graph: largest WCC %d nodes", sub.NumNodes())
-	}
-}
-
-func TestLargestWCCEmpty(t *testing.T) {
-	g := FromEdges(0, nil)
-	sub, orig := LargestWCC(g)
-	if sub.NumNodes() != 0 || len(orig) != 0 {
-		t.Fatal("empty graph mishandled")
 	}
 }

@@ -117,12 +117,22 @@ func EngineSites() []Site {
 
 // ParseSite maps a flag spelling (see Site.String) to its Site.
 func ParseSite(name string) (Site, error) {
-	for _, s := range Sites() {
+	return parseSite(name, Sites())
+}
+
+// parseSite is ParseSite limited to sites: any other name fails with
+// an error that lists exactly their spellings.
+func parseSite(name string, sites []Site) (Site, error) {
+	for _, s := range sites {
 		if s.String() == name {
 			return s, nil
 		}
 	}
-	return 0, fmt.Errorf("chaos: unknown site %q (want trim|bfs|trim2|wcc|task|peel|uf|condense|wal|snapshot|incr)", name)
+	names := make([]string, len(sites))
+	for i, s := range sites {
+		names[i] = s.String()
+	}
+	return 0, fmt.Errorf("chaos: unknown site %q (want %s)", name, strings.Join(names, "|"))
 }
 
 // Panic is the value an injected panic panics with. Engine panic
@@ -327,10 +337,14 @@ func FormatSpec(m map[Site]int64) string {
 }
 
 // ParseSpec parses the sccrun flag syntax "site:n[,site:n...]" into a
-// PanicAt/StallAt map. Empty input yields a nil map.
-func ParseSpec(spec string) (map[Site]int64, error) {
+// PanicAt/StallAt map. Empty input yields a nil map. With sites given,
+// a name outside them is rejected; with none, every site is accepted.
+func ParseSpec(spec string, sites ...Site) (map[Site]int64, error) {
 	if spec == "" {
 		return nil, nil
+	}
+	if len(sites) == 0 {
+		sites = Sites()
 	}
 	m := make(map[Site]int64)
 	for _, part := range strings.Split(spec, ",") {
@@ -341,7 +355,7 @@ func ParseSpec(spec string) (map[Site]int64, error) {
 				return nil, fmt.Errorf("chaos: bad hit ordinal %q in %q", ord, part)
 			}
 		}
-		s, err := ParseSite(name)
+		s, err := parseSite(name, sites)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/scc"
 )
 
@@ -38,13 +39,15 @@ func ParseScaled(s, flagName string) (int64, error) {
 
 // ParseChaos builds a chaos configuration from the -chaos-panic and
 // -chaos-stall specs (see scc.ParseChaosSpec) and -chaos-stall-for;
-// all empty means no injection (nil).
-func ParseChaos(panicSpec, stallSpec string, stallFor time.Duration) (*scc.ChaosConfig, error) {
-	panicAt, err := scc.ParseChaosSpec(panicSpec)
+// all empty means no injection (nil). sites are the injection sites
+// the calling command can hit: a spec naming any other site fails with
+// an error that lists them.
+func ParseChaos(panicSpec, stallSpec string, stallFor time.Duration, sites []chaos.Site) (*scc.ChaosConfig, error) {
+	panicAt, err := parseChaosSpec(panicSpec, sites)
 	if err != nil {
 		return nil, fmt.Errorf("-chaos-panic: %w", err)
 	}
-	stallAt, err := scc.ParseChaosSpec(stallSpec)
+	stallAt, err := parseChaosSpec(stallSpec, sites)
 	if err != nil {
 		return nil, fmt.Errorf("-chaos-stall: %w", err)
 	}
@@ -52,4 +55,12 @@ func ParseChaos(panicSpec, stallSpec string, stallFor time.Duration) (*scc.Chaos
 		return nil, nil
 	}
 	return &scc.ChaosConfig{PanicAt: panicAt, StallAt: stallAt, StallFor: stallFor}, nil
+}
+
+// parseChaosSpec is scc.ParseChaosSpec limited to sites.
+func parseChaosSpec(spec string, sites []chaos.Site) (map[string]int64, error) {
+	if _, err := chaos.ParseSpec(spec, sites...); err != nil {
+		return nil, err
+	}
+	return scc.ParseChaosSpec(spec)
 }

@@ -139,28 +139,6 @@ func ForDynamicRange(workers, n, chunk int, body func(lo, hi int)) {
 	box.rethrow()
 }
 
-// ReduceInt64 runs body over [0, n) with static partitioning; each
-// worker accumulates a private int64 which body updates via the
-// returned pointer, and the per-worker partials are summed.
-func ReduceInt64(workers, n int, body func(i int, acc *int64)) int64 {
-	if n <= 0 {
-		return 0
-	}
-	workers = clampWorkers(workers, n)
-	partial := make([]int64, workers)
-	ForRangeWorker(workers, n, func(w, lo, hi int) {
-		acc := &partial[w]
-		for i := lo; i < hi; i++ {
-			body(i, acc)
-		}
-	})
-	var total int64
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
 // ForRangeWorker is ForRange where the body also receives the worker
 // index, for per-worker scratch state.
 func ForRangeWorker(workers, n int, body func(worker, lo, hi int)) {

@@ -94,21 +94,6 @@ func TestForDynamicWorkerCoverage(t *testing.T) {
 	checkExactlyOnce(t, counts)
 }
 
-func TestReduceInt64Sum(t *testing.T) {
-	n := 10000
-	got := ReduceInt64(4, n, func(i int, acc *int64) { *acc += int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("ReduceInt64 = %d, want %d", got, want)
-	}
-}
-
-func TestReduceInt64Empty(t *testing.T) {
-	if got := ReduceInt64(4, 0, func(int, *int64) {}); got != 0 {
-		t.Fatalf("ReduceInt64 over empty range = %d, want 0", got)
-	}
-}
-
 func TestZeroWorkersDefaults(t *testing.T) {
 	counts := coverage(100, func(body func(int)) { For(0, 100, body) })
 	checkExactlyOnce(t, counts)

@@ -163,74 +163,14 @@ func BenchmarkKosarajuRMAT(b *testing.B) {
 	}
 }
 
-func TestGabowMatchesTarjanRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100)
-		b := graph.NewBuilder(n)
-		for i := 0; i < rng.Intn(500); i++ {
-			b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-		}
-		g := b.Build()
-		ct, nt := Tarjan(g)
-		cg, ng := Gabow(g)
-		return nt == ng && verify.SamePartition(ct, cg)
-	}
-	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(5)), MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGabowKnownCases(t *testing.T) {
-	g := graph.FromEdges(5, []graph.Edge{
-		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, {From: 2, To: 3}, {From: 3, To: 4}})
-	comp, nc := Gabow(g)
-	if nc != 3 {
-		t.Fatalf("numComps = %d, want 3", nc)
-	}
-	if err := verify.CheckDecomposition(g, comp); err != nil {
-		t.Fatal(err)
-	}
-	// Empty graph.
-	if _, nc := Gabow(graph.FromEdges(0, nil)); nc != 0 {
-		t.Fatal("empty graph mishandled")
-	}
-}
-
-func TestGabowDeepStructures(t *testing.T) {
-	const n = 200_000
-	edges := make([]graph.Edge, n)
-	for i := range edges {
-		edges[i] = graph.Edge{From: graph.NodeID(i), To: graph.NodeID((i + 1) % n)}
-	}
-	comp, nc := Gabow(graph.FromEdges(n, edges))
-	if nc != 1 {
-		t.Fatalf("deep cycle: %d comps", nc)
-	}
-	for _, c := range comp {
-		if c != 0 {
-			t.Fatal("cycle not one component")
-		}
-	}
-}
-
 func TestThreeOraclesAgreeOnRMAT(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(11, 8, 29))
 	ct, nt := Tarjan(g)
 	ck, nk := Kosaraju(g)
-	cg, ng := Gabow(g)
-	if nt != nk || nk != ng {
-		t.Fatalf("counts differ: %d %d %d", nt, nk, ng)
+	if nt != nk {
+		t.Fatalf("counts differ: %d %d", nt, nk)
 	}
-	if !verify.SamePartition(ct, ck) || !verify.SamePartition(ck, cg) {
+	if !verify.SamePartition(ct, ck) {
 		t.Fatal("oracles disagree")
-	}
-}
-
-func BenchmarkGabowRMAT(b *testing.B) {
-	g := gen.RMAT(gen.DefaultRMAT(14, 8, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Gabow(g)
 	}
 }

@@ -100,25 +100,3 @@ func (r *Result) TrivialSCCs() int64 {
 	}
 	return 0
 }
-
-// Condensation builds the component quotient graph: one node per SCC
-// (using dense ids as returned by Renumber), with an edge between two
-// components iff the original graph has an edge between them. The
-// result is a DAG.
-func Condensation(comp []int32, edges func(yield func(u, v int32))) ([]int32, int, [][2]int32) {
-	dense, k := Renumber(comp)
-	type key struct{ a, b int32 }
-	seen := make(map[key]bool)
-	var out [][2]int32
-	edges(func(u, v int32) {
-		a, b := dense[u], dense[v]
-		if a == b {
-			return
-		}
-		if kk := (key{a, b}); !seen[kk] {
-			seen[kk] = true
-			out = append(out, [2]int32{a, b})
-		}
-	})
-	return dense, k, out
-}

@@ -10,6 +10,7 @@ import (
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/obf"
 	"repro/internal/seq"
 	"repro/internal/verify"
 )
@@ -135,12 +136,10 @@ func (e *Engine) detectLocked(ctx context.Context, g *graph.Graph, runOpts []Run
 		start := time.Now()
 		comp, n := seq.Kosaraju(g)
 		e.res = Result{Comp: comp, NumSCCs: int64(n), Algorithm: Kosaraju, Total: time.Since(start)}
-	case Gabow:
+	case OBF:
 		start := time.Now()
-		comp, n := seq.Gabow(g)
-		e.res = Result{Comp: comp, NumSCCs: int64(n), Algorithm: Gabow, Total: time.Since(start)}
-	case OBF, Coloring, MultiStep:
-		e.res = *runExtension(g, opts)
+		r := obf.Run(g, obf.Options{Workers: opts.Workers, K: opts.K, Seed: opts.Seed})
+		e.res = Result{Comp: r.Comp, NumSCCs: r.NumSCCs, Algorithm: OBF, Total: time.Since(start), Queue: r.Queue}
 	case Baseline, Method1, Method2, FWBW:
 		pr := core.PerRun{Observer: rc.observer, MemoryLimit: rc.memLimit}
 		if rc.chaos != nil {

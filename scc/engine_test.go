@@ -420,7 +420,7 @@ func TestEngineDetectBatch(t *testing.T) {
 // (pinning its gang lazily on first use).
 func TestEngineSequentialAlgorithms(t *testing.T) {
 	g := engineGraph()
-	for _, alg := range []scc.Algorithm{scc.Tarjan, scc.Kosaraju, scc.Gabow} {
+	for _, alg := range []scc.Algorithm{scc.Tarjan, scc.Kosaraju} {
 		e, err := scc.New(scc.Options{Algorithm: alg, Workers: 2})
 		if err != nil {
 			t.Fatal(err)

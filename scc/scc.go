@@ -19,13 +19,16 @@
 // errors.Is, and extract the offending field from an *OptionError
 // with errors.As.
 //
-// Five algorithms are available: the sequential baselines Tarjan and
-// Kosaraju, and the three parallel algorithms from the paper —
-// Baseline (parallel FW-BW-Trim), Method1 (two-phase parallelization
-// that peels the giant SCC with data-parallel BFS), and Method2
-// (Method1 plus Trim2 and parallel WCC seeding of the work queue).
-// Method2 is the right default for small-world graphs; Tarjan wins on
-// high-diameter graphs such as road networks (§5 of the paper).
+// Seven algorithms are available: the sequential baselines Tarjan and
+// Kosaraju; the three parallel algorithms from the paper — Baseline
+// (parallel FW-BW-Trim), Method1 (two-phase parallelization that peels
+// the giant SCC with data-parallel BFS), and Method2 (Method1 plus
+// Trim2 and parallel WCC seeding of the work queue); and the two
+// parallel algorithms the paper's related work compares against, FWBW
+// (Fleischer et al.'s FW-BW without trimming) and OBF (Barnat et al.'s
+// OWCTY-Backward-Forward). Method2 is the right default for
+// small-world graphs; Tarjan wins on high-diameter graphs such as road
+// networks (§5 of the paper).
 package scc
 
 import (
@@ -36,11 +39,8 @@ import (
 	"time"
 
 	"repro/graph"
-	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/multistep"
-	"repro/internal/obf"
 	"repro/internal/parallel"
 	"repro/internal/verify"
 	"repro/internal/worklist"
@@ -77,18 +77,10 @@ const (
 	// no large improvement on real-world graphs with few big SCCs;
 	// it is provided to reproduce that comparison.
 	OBF
-	// Coloring is Orzan's color-propagation algorithm, the third
-	// classic parallel SCC approach and the basis of the MultiStep and
-	// iSpan follow-on work. Provided as an extension baseline.
-	Coloring
-	// MultiStep is Slota, Rathi & Madduri's follow-on to the paper:
-	// Trim, one FW-BW step for the giant SCC, color propagation for
-	// the mid-size residue, and a sequential-Tarjan finish below a
-	// size cutoff.
-	MultiStep
-	// Gabow is the sequential path-based (two-stack) algorithm — the
-	// third classic linear-time method, used as an extra oracle.
-	Gabow
+
+	// numAlgorithms bounds the enum: the valid Algorithm values are
+	// exactly [Method2, numAlgorithms).
+	numAlgorithms
 )
 
 // String returns the algorithm's name as used in the paper.
@@ -108,12 +100,6 @@ func (a Algorithm) String() string {
 		return "FW-BW"
 	case OBF:
 		return "OBF"
-	case Coloring:
-		return "Coloring"
-	case MultiStep:
-		return "MultiStep"
-	case Gabow:
-		return "Gabow"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -164,7 +150,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		name = "fw-bw"
 	}
 	var names []string
-	for a := Method2; a <= Gabow; a++ {
+	for a := Method2; a < numAlgorithms; a++ {
 		n := strings.ToLower(a.String())
 		if name == n {
 			return a, nil
@@ -368,7 +354,7 @@ func validateOptions(opts Options) error {
 		return &OptionError{Field: "MemoryLimit", Value: opts.MemoryLimit, Reason: "must be >= 0"}
 	case opts.Kernels != KernelsWorklist && opts.Kernels != KernelsLegacy:
 		return &OptionError{Field: "Kernels", Value: opts.Kernels, Reason: "unknown kernel selection"}
-	case opts.Algorithm < Method2 || opts.Algorithm > Gabow:
+	case opts.Algorithm < Method2 || opts.Algorithm >= numAlgorithms:
 		return &OptionError{Field: "Algorithm", Value: opts.Algorithm, Reason: "unknown algorithm"}
 	}
 	return opts.Chaos.validate()
@@ -383,9 +369,8 @@ func validateOptions(opts Options) error {
 // round — trim iterations, BFS levels, WCC propagation rounds and
 // work-queue dequeues — so a canceled run returns within one parallel
 // round, after all worker goroutines have joined; partial results are
-// discarded and the error wraps both ErrCanceled and ctx.Err(). The
-// sequential and extension algorithms (Tarjan, Kosaraju, Gabow, OBF,
-// Coloring, MultiStep) check ctx only on entry and then run to
+// discarded and the error wraps both ErrCanceled and ctx.Err().
+// Tarjan, Kosaraju and OBF check ctx only on entry and then run to
 // completion.
 //
 // Failure envelope (parallel algorithms): a panic on any engine
@@ -415,40 +400,6 @@ func DetectContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, 
 	}
 	defer e.Close()
 	return e.detectLocked(ctx, g, nil)
-}
-
-// runExtension runs the extension algorithms (OBF, Coloring,
-// MultiStep), which execute outside the parallel engine.
-func runExtension(g *graph.Graph, opts Options) *Result {
-	start := time.Now()
-	switch opts.Algorithm {
-	case OBF:
-		r := obf.Run(g, obf.Options{Workers: opts.Workers, K: opts.K, Seed: opts.Seed})
-		return &Result{
-			Comp:      r.Comp,
-			NumSCCs:   r.NumSCCs,
-			Algorithm: OBF,
-			Total:     time.Since(start),
-			Queue:     r.Queue,
-		}
-	case Coloring:
-		r := coloring.Run(g, coloring.Options{Workers: opts.Workers})
-		return &Result{
-			Comp:      r.Comp,
-			NumSCCs:   r.NumSCCs,
-			Algorithm: Coloring,
-			Total:     time.Since(start),
-		}
-	default: // MultiStep
-		r := multistep.Run(g, multistep.Options{Workers: opts.Workers, Seed: opts.Seed})
-		return &Result{
-			Comp:      r.Comp,
-			NumSCCs:   r.NumSCCs,
-			Algorithm: MultiStep,
-			Total:     time.Since(start),
-			GiantSCC:  r.GiantSCC,
-		}
-	}
 }
 
 // coreOptions translates the public Options into the engine's; shared
