@@ -67,6 +67,14 @@ type Transition struct {
 	From, To int32
 }
 
+// maxTransitions bounds a transition table. Phase 1 passes one (the
+// forward sweep) or two (the backward sweep), so a range body can
+// count its claims in a fixed-size local tally.
+const maxTransitions = 2
+
+// tally is one chunk's claim count per transition.
+type tally [maxTransitions]int64
+
 // Result reports the nodes claimed by each transition.
 type Result struct {
 	// Claimed[i] counts nodes claimed via Transitions[i]. With an
@@ -95,6 +103,9 @@ type Result struct {
 // once and polls cancellation, returning the partial result early
 // when the run is canceled — callers discard partial state via the
 // sink's error.
+//
+// transitions holds at most two entries; Run panics on a longer
+// table.
 //
 // The color slice is shared with concurrent readers/writers and is
 // accessed only with atomic operations.
@@ -129,6 +140,9 @@ func (d direction) bottomUp(frontier, candidates, claimed int) bool {
 func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []graph.NodeID,
 	color []int32, transitions []Transition, ar *scratch.Arena, candidates []graph.NodeID, dir direction) Result {
 
+	if len(transitions) > maxTransitions {
+		panic("bfs: more than two transitions")
+	}
 	res := Result{Claimed: ar.ResultRow(len(transitions))}
 	if len(seeds) == 0 {
 		return res
@@ -159,7 +173,9 @@ func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []g
 			// Direct call on the coordinator: no closure, no goroutines —
 			// the steady-state zero-allocation path.
 			ar.Chaos().Hit(chaos.SiteBFS)
-			level(g, reverse, nodes, 0, len(nodes), color, transitions, &next[0], claims[0])
+			var cnt tally
+			next[0], cnt = level(g, reverse, nodes, 0, len(nodes), color, transitions, next[0])
+			cnt.addTo(claims[0])
 		} else {
 			levelPar(level, g, workers, reverse, nodes, chunk, color, transitions, next, claims, ar)
 		}
@@ -182,10 +198,20 @@ func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []g
 }
 
 // levelFunc processes nodes[lo:hi] of one level, appending claims to
-// *buf and counting them into cnt: expandRange top-down over the
-// frontier, sweepRange bottom-up over the candidates.
+// buf and returning it with the claims counted per transition:
+// expandRange top-down over the frontier, sweepRange bottom-up over the
+// candidates. The caller writes both into the worker's slots once per
+// chunk; per-item writes there would bounce the cache line the
+// workers' adjacent slots share.
 type levelFunc func(g *graph.Graph, reverse bool, nodes []graph.NodeID, lo, hi int,
-	color []int32, transitions []Transition, buf *[]graph.NodeID, cnt []int64)
+	color []int32, transitions []Transition, buf []graph.NodeID) ([]graph.NodeID, tally)
+
+// addTo adds the tally into a worker's claim row.
+func (t tally) addTo(row []int64) {
+	for ti := range row {
+		row[ti] += t[ti]
+	}
+}
 
 // levelPar runs one level on the gang with dynamic chunks: top-down
 // frontier nodes vary wildly in degree on scale-free graphs (§4.3),
@@ -201,16 +227,19 @@ func levelPar(level levelFunc, g *graph.Graph, workers int, reverse bool, nodes 
 			// One chaos hit per level, from inside the dispatch.
 			inj.Hit(chaos.SiteBFS)
 		}
-		level(g, reverse, nodes, lo, hi, color, transitions, &next[w], claims[w])
+		buf, cnt := level(g, reverse, nodes, lo, hi, color, transitions, next[w])
+		next[w] = buf
+		cnt.addTo(claims[w])
 	})
 }
 
 // expandRange expands frontier[lo:hi], claiming admissible neighbors
-// by CAS, appending wins to *buf and counting them into cnt. It is a
-// plain function (not a closure) so the single-worker path can call
-// it without any per-level allocation.
+// by CAS, appending wins to buf and counting them per transition. It
+// is a plain function (not a closure) so the single-worker path can
+// call it without any per-level allocation.
 func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi int,
-	color []int32, transitions []Transition, buf *[]graph.NodeID, cnt []int64) {
+	color []int32, transitions []Transition, buf []graph.NodeID) ([]graph.NodeID, tally) {
+	var cnt tally
 	for i := lo; i < hi; i++ {
 		v := frontier[i]
 		var nbrs []graph.NodeID
@@ -224,7 +253,7 @@ func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi i
 			for ti := range transitions {
 				if c == transitions[ti].From {
 					if atomic.CompareAndSwapInt32(&color[t], c, transitions[ti].To) {
-						*buf = append(*buf, t)
+						buf = append(buf, t)
 						cnt[ti]++
 					}
 					break
@@ -232,6 +261,7 @@ func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi i
 			}
 		}
 	}
+	return buf, cnt
 }
 
 // sweepRange is the bottom-up counterpart of expandRange over
@@ -241,7 +271,8 @@ func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi i
 // claimed earlier in the same sweep counts as visited, which is sound —
 // it is reachable — and only merges levels.
 func sweepRange(g *graph.Graph, reverse bool, candidates []graph.NodeID, lo, hi int,
-	color []int32, transitions []Transition, buf *[]graph.NodeID, cnt []int64) {
+	color []int32, transitions []Transition, buf []graph.NodeID) ([]graph.NodeID, tally) {
+	var cnt tally
 	for i := lo; i < hi; i++ {
 		u := candidates[i]
 		c := atomic.LoadInt32(&color[u])
@@ -261,13 +292,14 @@ func sweepRange(g *graph.Graph, reverse bool, candidates []graph.NodeID, lo, hi 
 		for _, p := range parents {
 			if visited(atomic.LoadInt32(&color[p]), transitions) {
 				if atomic.CompareAndSwapInt32(&color[u], c, transitions[ti].To) {
-					*buf = append(*buf, u)
+					buf = append(buf, u)
 					cnt[ti]++
 				}
 				break
 			}
 		}
 	}
+	return buf, cnt
 }
 
 // visited reports whether c is a post-claim color.

@@ -1,11 +1,16 @@
 package bfs
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/metrics"
+	"repro/internal/scratch"
 )
 
 // serialReach computes the forward (or backward) reachable set from
@@ -112,6 +117,18 @@ func TestRunTwoTransitions(t *testing.T) {
 	}
 }
 
+func TestRunRejectsThreeTransitions(t *testing.T) {
+	// Range bodies tally claims in a two-entry array.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run accepted a three-transition table")
+		}
+	}()
+	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
+	Run(nil, g, 1, false, []graph.NodeID{0}, []int32{1, 0},
+		[]Transition{{From: 0, To: 1}, {From: 2, To: 3}, {From: 4, To: 5}}, nil)
+}
+
 func TestRunEmptySeeds(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
 	res := Run(nil, g, 2, false, nil, make([]int32, 2), []Transition{{From: 0, To: 1}}, nil)
@@ -139,34 +156,85 @@ func TestRunLevelsOnPath(t *testing.T) {
 	}
 }
 
+// TestRunParallelDeterministicClaims pins that the claimed set does not
+// depend on the worker count. On benchGiant's graph, forward and
+// backward, with the one-transition table and the backward sweep's
+// two-transition one, and under every schedule, the 2- and 8-worker
+// runs claim what the 1-worker run claims per transition and leave the
+// same colors; top-down runs also take the same number of levels. The
+// graph is large enough that levels run on the gang in many chunks.
 func TestRunParallelDeterministicClaims(t *testing.T) {
-	// Total claims must be identical across worker counts even though
-	// interleaving differs.
-	g := gen.RMAT(gen.DefaultRMAT(10, 8, 4))
+	g := gen.RMAT(gen.DefaultRMAT(15, 10, 1))
 	n := g.NumNodes()
-	base := -1
-	for _, workers := range []int{1, 2, 8} {
-		color := make([]int32, n)
-		color[3] = 1
-		res := Run(nil, g, workers, false, []graph.NodeID{3}, color, []Transition{{From: 0, To: 1}}, nil)
-		if base == -1 {
-			base = int(res.Claimed[0])
-		} else if int(res.Claimed[0]) != base {
-			t.Fatalf("workers=%d claimed %d, want %d", workers, res.Claimed[0], base)
+	cand := allNodes(g)
+	// Half the nodes precolored cfw=1, as after a forward sweep.
+	rng := rand.New(rand.NewSource(4))
+	half := make([]int32, n)
+	for v := range half {
+		if rng.Intn(2) == 0 {
+			half[v] = 1
+		}
+	}
+	tables := []struct {
+		base        []int32
+		seedColor   int32
+		transitions []Transition
+	}{
+		{make([]int32, n), 1, []Transition{{From: 0, To: 1}}},
+		{half, 3, []Transition{{From: 0, To: 2}, {From: 1, To: 3}}},
+	}
+	for _, tb := range tables {
+		for _, reverse := range []bool{false, true} {
+			for _, dir := range []direction{adaptive, forceTopDown, forceBottomUp} {
+				var wantClaimed []int64
+				var wantColor []int32
+				var wantLevels int
+				for _, workers := range []int{1, 2, 8} {
+					color := append([]int32(nil), tb.base...)
+					color[0] = tb.seedColor
+					var ctr metrics.Counters
+					ar := scratch.New(workers, &ctr)
+					res := run(nil, g, workers, reverse, []graph.NodeID{0}, color, tb.transitions, ar, cand, dir)
+					claimed := append([]int64(nil), res.Claimed...)
+					ar.Close()
+					where := fmt.Sprintf("%d transitions, reverse=%v, direction %d, workers=%d",
+						len(tb.transitions), reverse, dir, workers)
+					if peak := ctr.Snapshot().FrontierPeak; peak <= inlineFrontier {
+						t.Fatalf("%s: frontier peak %d never leaves the coordinator", where, peak)
+					}
+					if workers == 1 {
+						wantClaimed, wantColor, wantLevels = claimed, color, res.Levels
+						continue
+					}
+					if !slices.Equal(claimed, wantClaimed) {
+						t.Fatalf("%s: claimed %v, want %v", where, claimed, wantClaimed)
+					}
+					for v := range color {
+						if color[v] != wantColor[v] {
+							t.Fatalf("%s: node %d color %d, want %d", where, v, color[v], wantColor[v])
+						}
+					}
+					if dir == forceTopDown && res.Levels != wantLevels {
+						t.Fatalf("%s: %d levels, want %d", where, res.Levels, wantLevels)
+					}
+				}
+			}
 		}
 	}
 }
 
+// The kernel benchmarks run GOMAXPROCS workers on a retained arena of
+// that size, as the engine does, so -cpu sets the worker count.
 func BenchmarkBFSRMAT(b *testing.B) {
 	g := gen.RMAT(gen.DefaultRMAT(14, 8, 1))
-	n := g.NumNodes()
-	color := make([]int32, n)
+	workers := runtime.GOMAXPROCS(0)
+	ar := scratch.New(workers, nil)
+	defer ar.Close()
+	color := make([]int32, g.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range color {
-			color[j] = 0
-		}
+		clear(color)
 		color[0] = 1
-		Run(nil, g, 4, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, nil)
+		Run(nil, g, workers, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar)
 	}
 }

@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/gen"
@@ -190,12 +191,13 @@ func benchGiant(b *testing.B, dir direction) {
 	g := gen.RMAT(gen.DefaultRMAT(15, 10, 1))
 	cand := allNodes(g)
 	color := make([]int32, g.NumNodes())
-	ar := scratch.New(4, nil)
+	workers := runtime.GOMAXPROCS(0)
+	ar := scratch.New(workers, nil)
 	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(color)
 		color[0] = 1
-		run(nil, g, 4, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar, cand, dir)
+		run(nil, g, workers, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar, cand, dir)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/graph"
 	"repro/internal/bfs"
-	"repro/internal/parallel"
 )
 
 // parFWBW is the data-parallel FW-BW step of §3.2 (the Par-FWBW kernel
@@ -65,28 +64,18 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		sccSize := bwRes.Claimed[1] + 1 // + pivot
 		// Publish the SCC: every cscc node is marked removed with the
 		// pivot as representative. The single-worker loop is spelled
-		// out (not a workers==1 ForRange) so no publication closure is
-		// ever built on the zero-allocation path.
+		// out (not a single-worker gang dispatch) so no publication
+		// closure is ever built on the zero-allocation path.
 		if e.opt.Workers == 1 {
-			for _, v := range alive {
-				if atomic.LoadInt32(&e.color[v]) == cscc {
-					e.comp[v] = int32(pivot)
-					atomic.StoreInt32(&e.color[v], Removed)
-				}
-			}
+			publishRange(e.color, e.comp, alive, cscc, pivot)
 		} else {
 			// pub shadows alive: capturing the reassigned loop variable
 			// directly would box it at function entry on every call,
-			// single-worker runs included.
+			// single-worker runs included. Every node costs one color
+			// load, hence the large chunk.
 			pub := alive
-			parallel.ForRange(e.opt.Workers, len(pub), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := pub[i]
-					if atomic.LoadInt32(&e.color[v]) == cscc {
-						e.comp[v] = int32(pivot)
-						atomic.StoreInt32(&e.color[v], Removed)
-					}
-				}
+			e.ar.ForDynamic(e.opt.Workers, len(pub), 4096, func(_, lo, hi int) {
+				publishRange(e.color, e.comp, pub[lo:hi], cscc, pivot)
 			})
 		}
 		e.res.Phases[PhaseParFWBW].Nodes += sccSize
@@ -100,6 +89,17 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		}
 	}
 	return alive
+}
+
+// publishRange marks every node of nodes colored cscc as removed, with
+// the pivot as its SCC representative.
+func publishRange(color, comp []int32, nodes []graph.NodeID, cscc int32, pivot graph.NodeID) {
+	for _, v := range nodes {
+		if atomic.LoadInt32(&color[v]) == cscc {
+			comp[v] = int32(pivot)
+			atomic.StoreInt32(&color[v], Removed)
+		}
+	}
 }
 
 // largestPartition returns the most populous color among alive nodes

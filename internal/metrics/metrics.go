@@ -6,8 +6,8 @@
 //
 // The counters exist to make the paper's fixed-cost story observable:
 // how many barrier rounds each kernel ran, how large the BFS frontiers
-// were (and how often the sweep flipped to the bitmap representation),
-// how much scratch memory was recycled instead of reallocated, and how
+// were (and how many levels swept the candidate list bottom-up), how
+// much scratch memory was recycled instead of reallocated, and how
 // much the phase-2 scheduler moved. A Snapshot of the final values is
 // attached to every Result and dumped by cmd/sccbench into
 // BENCH_scc.json, which is what CI trends.
@@ -27,8 +27,9 @@ type Counters struct {
 	Trim2Pairs   atomic.Int64
 
 	// BFS kernel: level barriers, sum of frontier sizes over all
-	// levels, peak single-level frontier, and how many levels ran in
-	// the dense bitmap (bottom-up) representation.
+	// levels, peak single-level frontier, and how many levels swept the
+	// candidate list bottom-up. BitmapLevels keeps the name of the
+	// bitmap representation that sweep replaced.
 	BFSLevels     atomic.Int64
 	FrontierNodes atomic.Int64
 	FrontierPeak  atomic.Int64

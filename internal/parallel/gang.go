@@ -6,9 +6,9 @@ import (
 )
 
 // Gang is a persistent pool of worker goroutines for repeated
-// barrier-synchronized parallel regions. The ForDynamic/ForRange
-// helpers spawn fresh goroutines per call, which is fine for a handful
-// of invocations but becomes the dominant fixed cost of a kernel that
+// barrier-synchronized parallel regions. ForDynamicWorker spawns
+// fresh goroutines per call, which is fine for a handful of
+// invocations but becomes the dominant fixed cost of a kernel that
 // runs dozens of barrier rounds on small inputs (§4.3's warning about
 // fixed costs on small partitions). A Gang spawns its goroutines once;
 // each dispatch is a condvar broadcast plus a condvar join, and

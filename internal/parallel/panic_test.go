@@ -154,29 +154,31 @@ func waitGone(t *testing.T, cond func() bool) {
 }
 
 func TestHelpersCapturePanics(t *testing.T) {
-	helpers := map[string]func(){
-		"ForRange":        func() { ForRange(4, 100, func(lo, hi int) { panic("h") }) },
-		"ForDynamicRange": func() { ForDynamicRange(4, 100, 8, func(lo, hi int) { panic("h") }) },
-		"ForRangeWorker":  func() { ForRangeWorker(4, 100, func(w, lo, hi int) { panic("h") }) },
-		"ForDynamicWorker": func() {
-			ForDynamicWorker(4, 100, 8, func(w, lo, hi int) { panic("h") })
-		},
+	v := recoverPanic(func() {
+		ForDynamicWorker(4, 100, 8, func(w, lo, hi int) {
+			if lo == 48 {
+				panic("h")
+			}
+		})
+	})
+	wp, ok := v.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("ForDynamicWorker panicked %v (%T), want *WorkerPanic", v, v)
 	}
-	for name, fn := range helpers {
-		v := recoverPanic(fn)
-		wp, ok := v.(*WorkerPanic)
-		if !ok {
-			t.Fatalf("%s panicked %v (%T), want *WorkerPanic", name, v, v)
-		}
-		if wp.Value != "h" {
-			t.Fatalf("%s captured %v, want h", name, wp.Value)
-		}
+	if wp.Value != "h" {
+		t.Fatalf("ForDynamicWorker captured %v, want h", wp.Value)
+	}
+	if wp.Worker < 0 || wp.Worker >= 4 {
+		t.Fatalf("captured worker index %d out of range", wp.Worker)
+	}
+	if !bytes.Contains(wp.Stack, []byte("TestHelpersCapturePanics")) {
+		t.Fatalf("stack does not reach the panic site:\n%s", wp.Stack)
 	}
 }
 
 func TestWorkerPanicUnwrapsErrorValues(t *testing.T) {
 	sentinel := errors.New("kernel bug")
-	v := recoverPanic(func() { ForRange(2, 100, func(lo, hi int) { panic(sentinel) }) })
+	v := recoverPanic(func() { ForDynamicWorker(2, 100, 8, func(w, lo, hi int) { panic(sentinel) }) })
 	err, ok := v.(error)
 	if !ok || !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is through WorkerPanic failed: %v", v)

@@ -28,6 +28,14 @@
 //     kernel must release/stop using them before the next kernel
 //     invocation on the same arena. Kernels run one at a time within a
 //     run, which makes this safe by construction.
+//   - The per-worker slots of GetLists, ClaimMatrix, Counts and Flags
+//     are written once per chunk, never per item. A list set's slice
+//     headers sit side by side and the counter rows are small and
+//     adjacent, so the workers' slots share cache lines, and a write
+//     per item moves that line between the cores on every claim. A
+//     range body takes the worker's buffer by value, keeps its appends
+//     and counts in locals, and returns them for the call site to
+//     store.
 //   - ResultRow alternates between two retained rows, so one kernel
 //     result's Claimed counts stay valid across the next kernel call
 //     (phase 1 reads the backward sweep's counts after both sweeps).

@@ -143,7 +143,7 @@ func peelWaves(sink *events.Sink, g *graph.Graph, workers int, color, comp []int
 			// drain on the coordinator: a gang dispatch per two-node wave
 			// would cost more in barriers than the drain itself.
 			ar.Chaos().Hit(chaos.SitePeel)
-			peelDrainRange(g, color, comp, ps, wave, fr, 0, workers == 1)
+			fr.SetPending(0, peelDrainRange(g, color, comp, ps, wave, fr.Pending(0), workers == 1))
 		} else {
 			peelDrainPar(g, workers, color, comp, ps, wave, fr, ar)
 		}
@@ -245,20 +245,21 @@ func peelDrainPar(g *graph.Graph, workers int, color, comp []int32, ps scratch.P
 	inj := ar.Chaos()
 	ar.ForDynamic(workers, len(wave), 64, func(w, lo, hi int) {
 		inj.Hit(chaos.SitePeel)
-		peelDrainRange(g, color, comp, ps, wave[lo:hi], fr, w, false)
+		fr.SetPending(w, peelDrainRange(g, color, comp, ps, wave[lo:hi], fr.Pending(w), false))
 	})
 }
 
 // peelDrainRange drains removed nodes: each revisits the marked
 // same-color neighbors it supports, and a neighbor it leaves
-// unsupported in either direction is claimed and pushed onto worker
-// w's frontier buffer for the next wave. The support test comes first:
-// it is one load per neighbor and rarely passes, while a stale pointer
-// of an unmarked or removed neighbor fails the tests after it. Plain
-// function (not a closure) so the single-worker path allocates
-// nothing.
-func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, wave []graph.NodeID,
-	fr *worklist.Frontier[graph.NodeID], w int, single bool) {
+// unsupported in either direction is claimed and appended to next, the
+// draining worker's pending buffer for the next wave. It returns next
+// for the caller to hand back to the frontier once per chunk. The
+// support test comes first: it is one load per neighbor and rarely
+// passes, while a stale pointer of an unmarked or removed neighbor
+// fails the tests after it. Plain function (not a closure) so the
+// single-worker path allocates nothing.
+func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, wave, next []graph.NodeID,
+	single bool) []graph.NodeID {
 	for _, v := range wave {
 		c := ps.Orig[v]
 		for _, k := range g.Out(v) {
@@ -266,7 +267,7 @@ func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 				atomic.LoadInt32(&color[k]) == c && release(g.In(k), &ps.SupIn[k], color, k, v, c, single) {
 				comp[k] = int32(k)
 				ps.Orig[k] = c
-				fr.Push(w, k)
+				next = append(next, k)
 			}
 		}
 		for _, k := range g.In(v) {
@@ -274,10 +275,11 @@ func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 				atomic.LoadInt32(&color[k]) == c && release(g.Out(k), &ps.SupOut[k], color, k, v, c, single) {
 				comp[k] = int32(k)
 				ps.Orig[k] = c
-				fr.Push(w, k)
+				next = append(next, k)
 			}
 		}
 	}
+	return next
 }
 
 // release moves k's support pointer *sup off v, its departing support

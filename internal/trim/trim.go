@@ -119,9 +119,9 @@ func Par(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ca
 			// Direct call (no closure, no goroutines): the steady-state
 			// zero-allocation path.
 			ar.Chaos().Hit(chaos.SiteTrim)
-			roundRemoved = trimRange(g, color, comp, active, 0, len(active), &dst)
+			dst, roundRemoved = trimRange(g, color, comp, active, 0, len(active), dst)
 		} else {
-			roundRemoved = trimRoundPar(g, workers, color, comp, active, &dst, bufs, counts, ar)
+			dst, roundRemoved = trimRoundPar(g, workers, color, comp, active, dst, bufs, counts, ar)
 		}
 		res.Removed += roundRemoved
 		res.SCCs += roundRemoved
@@ -159,12 +159,13 @@ func Par(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ca
 	return res, active
 }
 
-// trimRoundPar runs one multi-worker trim round over active, merging
-// the per-worker survivor lists into *dst. It lives outside Par so the
-// escaping parallel-for closure (and the heap cells it forces its
-// captures into) never exists on the single-worker path.
+// trimRoundPar runs one multi-worker trim round over active, appending
+// the per-worker survivor lists to dst and returning it with the
+// number of nodes removed. It lives outside Par so the escaping
+// parallel-for closure (and the heap cells it forces its captures
+// into) never exists on the single-worker path.
 func trimRoundPar(g *graph.Graph, workers int, color, comp []int32, active []graph.NodeID,
-	dst *[]graph.NodeID, bufs [][]graph.NodeID, counts []int64, ar *scratch.Arena) int64 {
+	dst []graph.NodeID, bufs [][]graph.NodeID, counts []int64, ar *scratch.Arena) ([]graph.NodeID, int64) {
 	for w := range bufs {
 		bufs[w] = bufs[w][:0]
 		counts[w] = 0
@@ -179,22 +180,25 @@ func trimRoundPar(g *graph.Graph, workers int, color, comp []int32, active []gra
 			// capture.
 			inj.Hit(chaos.SiteTrim)
 		}
-		counts[w] += trimRange(g, color, comp, active, lo, hi, &bufs[w])
+		buf, removed := trimRange(g, color, comp, active, lo, hi, bufs[w])
+		bufs[w] = buf
+		counts[w] += removed
 	})
 	var removed int64
 	for w := range bufs {
-		*dst = append(*dst, bufs[w]...)
+		dst = append(dst, bufs[w]...)
 		removed += counts[w]
 	}
-	return removed
+	return dst, removed
 }
 
 // trimRange applies one trim round to active[lo:hi], CAS-removing
-// nodes with zero alive in- or out-degree, appending survivors to
-// *buf, and returning the number of nodes removed. It is a plain
+// nodes with zero alive in- or out-degree, appending survivors to buf,
+// and returning buf with the number of nodes removed. The caller
+// writes both into the worker's slots once per chunk. It is a plain
 // function (not a closure) so the single-worker path can call it
 // without any per-round allocation.
-func trimRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, lo, hi int, buf *[]graph.NodeID) int64 {
+func trimRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, lo, hi int, buf []graph.NodeID) ([]graph.NodeID, int64) {
 	removed := int64(0)
 	for i := lo; i < hi; i++ {
 		v := active[i]
@@ -209,9 +213,9 @@ func trimRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, lo, h
 				continue
 			}
 		}
-		*buf = append(*buf, v)
+		buf = append(buf, v)
 	}
-	return removed
+	return buf, removed
 }
 
 // Par2 runs Par-Trim2 once over the candidate nodes, removing size-2
@@ -247,7 +251,7 @@ func Par2(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	res := Result{Rounds: 1}
 	if workers == 1 {
 		ar.Chaos().Hit(chaos.SiteTrim2)
-		res.SCCs = trim2Range(g, color, comp, candidates, 0, len(candidates), &survivors)
+		survivors, res.SCCs = trim2Range(g, color, comp, candidates, 0, len(candidates), survivors)
 	} else {
 		bufs := ar.GetLists(workers)
 		counts := ar.Counts(workers)
@@ -257,7 +261,9 @@ func Par2(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 			if lo == 0 {
 				inj.Hit(chaos.SiteTrim2)
 			}
-			counts[w] += trim2Range(g, color, comp, cand, lo, hi, &bufs[w])
+			buf, pairs := trim2Range(g, color, comp, cand, lo, hi, bufs[w])
+			bufs[w] = buf
+			counts[w] += pairs
 		})
 		for w := range bufs {
 			survivors = append(survivors, bufs[w]...)
@@ -292,8 +298,8 @@ func dropRemoved(color []int32, survivors []graph.NodeID) []graph.NodeID {
 }
 
 // trim2Range applies the Trim2 pass to candidates[lo:hi], appending
-// survivors to *buf and returning the number of pairs claimed.
-func trim2Range(g *graph.Graph, color, comp []int32, candidates []graph.NodeID, lo, hi int, buf *[]graph.NodeID) int64 {
+// survivors to buf and returning buf with the number of pairs claimed.
+func trim2Range(g *graph.Graph, color, comp []int32, candidates []graph.NodeID, lo, hi int, buf []graph.NodeID) ([]graph.NodeID, int64) {
 	var pairs int64
 	for i := lo; i < hi; i++ {
 		v := candidates[i]
@@ -311,9 +317,9 @@ func trim2Range(g *graph.Graph, color, comp []int32, candidates []graph.NodeID, 
 				continue
 			}
 		}
-		*buf = append(*buf, v)
+		buf = append(buf, v)
 	}
-	return pairs
+	return buf, pairs
 }
 
 // trim2Partner checks both Figure-4 patterns for node v and returns

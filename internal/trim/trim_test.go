@@ -2,10 +2,12 @@ package trim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/scratch"
 	"repro/internal/seq"
 )
 
@@ -338,12 +340,18 @@ func TestTrim2ClaimsAreRealSCCs(t *testing.T) {
 	}
 }
 
+// BenchmarkParTrimRMAT runs GOMAXPROCS workers on a retained arena of
+// that size, as the engine does, so -cpu sets the worker count.
 func BenchmarkParTrimRMAT(b *testing.B) {
 	g := gen.RMAT(gen.DefaultRMAT(14, 8, 1))
 	n := g.NumNodes()
+	workers := runtime.GOMAXPROCS(0)
+	ar := scratch.New(workers, nil)
+	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		color, comp := freshState(n)
-		Par(nil, g, 4, color, comp, nil, nil)
+		_, out := Par(nil, g, workers, color, comp, nil, ar)
+		ar.PutNodes(out)
 	}
 }

@@ -54,8 +54,8 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 	var res Result
 	single := workers == 1
 	inj := ar.Chaos()
-	// Per-worker counter rows: [unions, find hops, sampled skips],
-	// folded into the run counters once per pass.
+	// Per-worker counter rows in ufTally's layout, added to once per
+	// chunk and folded into the run counters once per pass.
 	m := ar.ClaimMatrix(workers, 3)
 
 	// Pass 1: sampling. Hooking just the first couple of out-neighbors
@@ -69,21 +69,22 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 	if single {
 		ar.Chaos().Hit(chaos.SiteWCC)
 		ar.Chaos().Hit(chaos.SiteUF)
-		ufSampleRange(g, color, nodes, label, 0, len(nodes), &m[0][0], &m[0][1])
+		ufSampleRange(g, color, nodes, label, 0, len(nodes)).addTo(m[0])
 	} else {
 		ar.ForDynamic(workers, len(nodes), 128, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteWCC)
 			}
 			inj.Hit(chaos.SiteUF)
-			ufSampleRange(g, color, nodes, label, lo, hi, &m[w][0], &m[w][1])
+			ufSampleRange(g, color, nodes, label, lo, hi).addTo(m[w])
 		})
 	}
 	ufFoldPass(ctr, m)
 
 	// Most-frequent-component detection: a strided root sample, sorted;
 	// the longest run's root is the component the full pass skips.
-	skip := ufSkipRoot(nodes, label, ar, &m[0][1])
+	skip, hops := ufSkipRoot(nodes, label, ar)
+	m[0][1] += hops
 
 	// Pass 2: full. Nodes already in the skip component contribute no
 	// new connectivity their neighbors won't also see — every edge with
@@ -98,14 +99,14 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 	if single {
 		ar.Chaos().Hit(chaos.SiteWCC)
 		ar.Chaos().Hit(chaos.SiteUF)
-		ufFullRange(g, color, nodes, label, skip, 0, len(nodes), &m[0][0], &m[0][1], &m[0][2])
+		ufFullRange(g, color, nodes, label, skip, 0, len(nodes)).addTo(m[0])
 	} else {
 		ar.ForDynamic(workers, len(nodes), 128, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteWCC)
 			}
 			inj.Hit(chaos.SiteUF)
-			ufFullRange(g, color, nodes, label, skip, lo, hi, &m[w][0], &m[w][1], &m[w][2])
+			ufFullRange(g, color, nodes, label, skip, lo, hi).addTo(m[w])
 		})
 	}
 	ufFoldPass(ctr, m)
@@ -120,13 +121,13 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 	sink.Emit(events.Event{Type: events.WCCRound, Round: res.Rounds})
 	if single {
 		ar.Chaos().Hit(chaos.SiteWCC)
-		ufFlattenRange(nodes, label, 0, len(nodes), &m[0][1])
+		ufFlattenRange(nodes, label, 0, len(nodes)).addTo(m[0])
 	} else {
 		ar.ForDynamic(workers, len(nodes), 512, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteWCC)
 			}
-			ufFlattenRange(nodes, label, lo, hi, &m[w][1])
+			ufFlattenRange(nodes, label, lo, hi).addTo(m[w])
 		})
 	}
 	ufFoldPass(ctr, m)
@@ -144,6 +145,22 @@ func ufFinish(res *Result, nodes []graph.NodeID, label []int32) Result {
 	return *res
 }
 
+// ufTally is one chunk's union-find work: successful hooks, find hops
+// and nodes the full pass skipped. Range bodies count in a local tally
+// and return it; the call site adds it to the worker's counter row
+// [unions, hops, skips] once per chunk, because the rows share cache
+// lines and a write per hop would bounce them between the cores.
+type ufTally struct {
+	unions, hops, skips int64
+}
+
+// addTo adds the tally into a worker's counter row.
+func (t ufTally) addTo(row []int64) {
+	row[0] += t.unions
+	row[1] += t.hops
+	row[2] += t.skips
+}
+
 // ufFoldPass adds the per-worker pass counters into the run counters
 // and re-zeroes the rows for the next pass.
 func ufFoldPass(ctr *metrics.Counters, m [][]int64) {
@@ -158,16 +175,18 @@ func ufFoldPass(ctr *metrics.Counters, m [][]int64) {
 }
 
 // ufSkipRoot returns the most frequent root among a strided sample of
-// the nodes, or -1 when the sample is empty. Serial: the sample is
-// tiny by construction.
-func ufSkipRoot(nodes []graph.NodeID, label []int32, ar *scratch.Arena, hops *int64) int32 {
+// the nodes, or -1 when the sample is empty, and the find hops it
+// walked. Serial: the sample is tiny by construction.
+func ufSkipRoot(nodes []graph.NodeID, label []int32, ar *scratch.Arena) (skip int32, hops int64) {
 	if len(nodes) == 0 {
-		return -1
+		return -1, 0
 	}
 	step := len(nodes)/rootSampleCap + 1
 	roots := ar.GetNodes(rootSampleCap)
 	for i := 0; i < len(nodes); i += step {
-		roots = append(roots, graph.NodeID(find(label, int32(nodes[i]), hops)))
+		r, h := find(label, int32(nodes[i]))
+		roots = append(roots, graph.NodeID(r))
+		hops += h
 	}
 	slices.Sort(roots)
 	best, bestLen := roots[0], 1
@@ -183,23 +202,24 @@ func ufSkipRoot(nodes []graph.NodeID, label []int32, ar *scratch.Arena, hops *in
 		}
 	}
 	ar.PutNodes(roots)
-	return int32(best)
+	return int32(best), hops
 }
 
-// find returns the root of x with path halving: each visited node's
-// parent pointer jumps to its grandparent. Parents only ever decrease
-// (union by minimum), so the lock-free CAS is monotone-safe and a lost
-// race just means someone lowered the pointer further.
-func find(label []int32, x int32, hops *int64) int32 {
+// find returns the root of x and the parent-pointer hops it walked,
+// with path halving: each visited node's parent pointer jumps to its
+// grandparent. Parents only ever decrease (union by minimum), so the
+// lock-free CAS is monotone-safe and a lost race just means someone
+// lowered the pointer further.
+func find(label []int32, x int32) (root int32, hops int64) {
 	for {
 		p := atomic.LoadInt32(&label[x])
 		if p == x {
-			return x
+			return x, hops
 		}
-		*hops++
+		hops++
 		gp := atomic.LoadInt32(&label[p])
 		if gp == p {
-			return p
+			return p, hops
 		}
 		atomic.CompareAndSwapInt32(&label[x], p, gp)
 		x = gp
@@ -209,20 +229,21 @@ func find(label []int32, x int32, hops *int64) int32 {
 // union hooks the larger of the two roots under the smaller (union by
 // minimum representative): the component minimum can never be hooked,
 // so at fixpoint every tree's root is its component's minimum node id
-// — the exact labels min-label propagation converges to.
-func union(label []int32, a, b int32, unions, hops *int64) {
+// — the exact labels min-label propagation converges to. It returns the
+// hooks it made (0 or 1) and the hops its finds walked.
+func union(label []int32, a, b int32) (unions, hops int64) {
 	for {
-		ra := find(label, a, hops)
-		rb := find(label, b, hops)
+		ra, ha := find(label, a)
+		rb, hb := find(label, b)
+		hops += ha + hb
 		if ra == rb {
-			return
+			return 0, hops
 		}
 		if ra > rb {
 			ra, rb = rb, ra
 		}
 		if atomic.CompareAndSwapInt32(&label[rb], rb, ra) {
-			*unions++
-			return
+			return 1, hops
 		}
 		// Lost the race: rb is no longer a root. Retry from the roots.
 		a, b = ra, rb
@@ -231,7 +252,7 @@ func union(label []int32, a, b int32, unions, hops *int64) {
 
 // ufSampleRange hooks each node of nodes[lo:hi] with its first
 // sampleNeighbors same-color out-neighbors.
-func ufSampleRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, lo, hi int, unions, hops *int64) {
+func ufSampleRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, lo, hi int) (t ufTally) {
 	for i := lo; i < hi; i++ {
 		v := nodes[i]
 		c := color[v]
@@ -240,44 +261,58 @@ func ufSampleRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []
 			if k == v || color[k] != c {
 				continue
 			}
-			union(label, int32(v), int32(k), unions, hops)
+			u, h := union(label, int32(v), int32(k))
+			t.unions += u
+			t.hops += h
 			cnt++
 			if cnt == sampleNeighbors {
 				break
 			}
 		}
 	}
+	return t
 }
 
 // ufFullRange hooks every same-color edge of the unskipped nodes of
 // nodes[lo:hi], both directions, so each edge is seen from either
 // endpoint unless both are already in the skip component.
-func ufFullRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, skip int32, lo, hi int, unions, hops, skips *int64) {
+func ufFullRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, skip int32, lo, hi int) (t ufTally) {
 	for i := lo; i < hi; i++ {
 		v := nodes[i]
-		if skip >= 0 && find(label, int32(v), hops) == skip {
-			*skips++
-			continue
+		if skip >= 0 {
+			r, h := find(label, int32(v))
+			t.hops += h
+			if r == skip {
+				t.skips++
+				continue
+			}
 		}
 		c := color[v]
 		for _, k := range g.Out(v) {
 			if k != v && color[k] == c {
-				union(label, int32(v), int32(k), unions, hops)
+				u, h := union(label, int32(v), int32(k))
+				t.unions += u
+				t.hops += h
 			}
 		}
 		for _, k := range g.In(v) {
 			if k != v && color[k] == c {
-				union(label, int32(v), int32(k), unions, hops)
+				u, h := union(label, int32(v), int32(k))
+				t.unions += u
+				t.hops += h
 			}
 		}
 	}
+	return t
 }
 
 // ufFlattenRange replaces each node's label with its final root.
-func ufFlattenRange(nodes []graph.NodeID, label []int32, lo, hi int, hops *int64) {
+func ufFlattenRange(nodes []graph.NodeID, label []int32, lo, hi int) (t ufTally) {
 	for i := lo; i < hi; i++ {
 		v := nodes[i]
-		r := find(label, int32(v), hops)
+		r, h := find(label, int32(v))
+		t.hops += h
 		atomic.StoreInt32(&label[v], r)
 	}
+	return t
 }

@@ -2,10 +2,12 @@ package wcc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/scratch"
 )
 
 func TestRunUFMatchesUnionFindRandom(t *testing.T) {
@@ -200,8 +202,11 @@ func BenchmarkWCCUFRMAT(b *testing.B) {
 	nodes := allNodes(n)
 	label := make([]int32, n)
 	color := make([]int32, n)
+	workers := runtime.GOMAXPROCS(0)
+	ar := scratch.New(workers, nil)
+	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunUF(nil, g, 4, color, nodes, label, nil)
+		RunUF(nil, g, workers, color, nodes, label, ar)
 	}
 }

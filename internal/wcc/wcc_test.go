@@ -2,10 +2,12 @@ package wcc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/scratch"
 )
 
 // unionFind is the reference model.
@@ -195,14 +197,19 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// The kernel benchmarks run GOMAXPROCS workers on a retained arena of
+// that size, as the engine does, so -cpu sets the worker count.
 func BenchmarkWCCRMAT(b *testing.B) {
 	g := gen.RMAT(gen.DefaultRMAT(14, 8, 1))
 	n := g.NumNodes()
 	nodes := allNodes(n)
 	label := make([]int32, n)
 	color := make([]int32, n)
+	workers := runtime.GOMAXPROCS(0)
+	ar := scratch.New(workers, nil)
+	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(nil, g, 4, color, nodes, label, nil)
+		Run(nil, g, workers, color, nodes, label, ar)
 	}
 }

@@ -1,7 +1,7 @@
 package worklist
 
 // Frontier is a wave-synchronous worklist for the support-pointer trim
-// kernel: workers Push newly activated items onto private per-worker
+// kernel: workers collect newly activated items in private per-worker
 // buffers while the current wave is processed, and Advance gathers the
 // buffers into the next wave at the barrier. Unlike Queue it runs no
 // workers of its own — the caller drives the waves — and it owns no
@@ -9,9 +9,16 @@ package worklist
 // memory), so steady-state operation allocates nothing beyond growth
 // of the borrowed slices.
 //
-// Concurrency contract: Push(w, ...) may be called only by worker w,
-// and only between Advance calls; Advance may be called only by the
-// coordinating goroutine with all workers quiescent.
+// A worker hands items over once per chunk, never per item: it takes
+// its buffer with Pending, appends to that local copy, and stores it
+// back with SetPending. The per-worker slice headers sit side by side,
+// so a write per item would move their shared cache line between the
+// cores on every append.
+//
+// Concurrency contract: Pending(w) and SetPending(w, ...) may be
+// called only by worker w, and only between Advance calls; Advance may
+// be called only by the coordinating goroutine with all workers
+// quiescent.
 type Frontier[T any] struct {
 	wave   []T
 	spare  []T
@@ -21,7 +28,7 @@ type Frontier[T any] struct {
 
 // Init points the frontier at caller-owned storage: two swap buffers
 // (length-reset internally) and one private push buffer per worker.
-// The frontier starts empty; seed it with Push + Advance.
+// The frontier starts empty; seed it with SetPending + Advance.
 func (f *Frontier[T]) Init(wave, spare []T, next [][]T) {
 	f.wave = wave[:0]
 	f.spare = spare[:0]
@@ -29,10 +36,12 @@ func (f *Frontier[T]) Init(wave, spare []T, next [][]T) {
 	f.pushes = 0
 }
 
-// Push appends an item to worker w's private buffer for the next wave.
-func (f *Frontier[T]) Push(w int, v T) {
-	f.next[w] = append(f.next[w], v)
-}
+// Pending returns worker w's private buffer of items for the next wave.
+func (f *Frontier[T]) Pending(w int) []T { return f.next[w] }
+
+// SetPending stores back worker w's buffer, grown from what Pending
+// returned.
+func (f *Frontier[T]) SetPending(w int, buf []T) { f.next[w] = buf }
 
 // Advance gathers every worker's pushed items into the next wave and
 // returns it; an empty return means the worklist is drained. The
