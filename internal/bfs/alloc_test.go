@@ -28,7 +28,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			color[i] = 0
 		}
 		color[0] = 1
-		Run(nil, g, 1, false, seeds, color, transitions, ar)
+		Run(nil, g, false, seeds, color, transitions, ar)
 	}
 	run() // warm both alternating result rows and the frontier pools
 	run()
@@ -61,7 +61,7 @@ func TestRunBottomUpSteadyStateAllocs(t *testing.T) {
 			color[i] = 0
 		}
 		color[0] = 1
-		run(nil, g, 1, false, seeds, color, transitions, ar, candidates, forceBottomUp)
+		run(nil, g, false, seeds, color, transitions, ar, candidates, forceBottomUp)
 	}
 	sweep()
 	sweep()

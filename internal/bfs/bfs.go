@@ -26,11 +26,11 @@
 // The claimed set does not depend on the schedule, only the number of
 // levels does.
 //
-// Run accepts a *scratch.Arena (nil is valid): with an arena,
-// frontiers, per-worker next buffers and claim counters are drawn from
-// the run's reusable pool, making steady-state BFS levels
-// allocation-free; the arena's metrics counters record level barriers
-// and frontier sizes.
+// Run draws its frontiers, per-worker next buffers and claim counters
+// from the run's *scratch.Arena, making steady-state BFS levels
+// allocation-free; it runs on the arena's gang, at the arena's worker
+// count, and the arena's metrics counters record level barriers and
+// frontier sizes.
 package bfs
 
 import (
@@ -39,7 +39,6 @@ import (
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/events"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 )
 
@@ -77,9 +76,9 @@ type tally [maxTransitions]int64
 
 // Result reports the nodes claimed by each transition.
 type Result struct {
-	// Claimed[i] counts nodes claimed via Transitions[i]. With an
-	// arena, the slice is arena-owned and stays valid for one further
-	// kernel call on the same arena.
+	// Claimed[i] counts nodes claimed via Transitions[i]. The slice is
+	// arena-owned and stays valid for one further kernel call on the
+	// same arena.
 	Claimed []int64
 	// Levels is the number of BFS levels processed (frontier swaps).
 	Levels int
@@ -109,9 +108,9 @@ type Result struct {
 //
 // The color slice is shared with concurrent readers/writers and is
 // accessed only with atomic operations.
-func Run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []graph.NodeID,
+func Run(sink *events.Sink, g *graph.Graph, reverse bool, seeds []graph.NodeID,
 	color []int32, transitions []Transition, ar *scratch.Arena, candidates ...graph.NodeID) Result {
-	return run(sink, g, workers, reverse, seeds, color, transitions, ar, candidates, adaptive)
+	return run(sink, g, reverse, seeds, color, transitions, ar, candidates, adaptive)
 }
 
 // direction selects how levels are scheduled. Run always uses
@@ -137,7 +136,7 @@ func (d direction) bottomUp(frontier, candidates, claimed int) bool {
 	return frontier > inlineFrontier && frontier*bottomUpAlpha > candidates-claimed
 }
 
-func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []graph.NodeID,
+func run(sink *events.Sink, g *graph.Graph, reverse bool, seeds []graph.NodeID,
 	color []int32, transitions []Transition, ar *scratch.Arena, candidates []graph.NodeID, dir direction) Result {
 
 	if len(transitions) > maxTransitions {
@@ -147,14 +146,12 @@ func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []g
 	if len(seeds) == 0 {
 		return res
 	}
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
-	}
+	workers := ar.Workers()
 	ctr := ar.Counters()
 
 	frontier := append(ar.GetNodes(len(seeds)), seeds...)
-	next := ar.GetLists(workers)
-	claims := ar.ClaimMatrix(workers, len(transitions))
+	next := ar.GetLists()
+	claims := ar.ClaimMatrix(len(transitions))
 	claimed := len(seeds)
 
 	for len(frontier) > 0 {
@@ -177,7 +174,7 @@ func run(sink *events.Sink, g *graph.Graph, workers int, reverse bool, seeds []g
 			next[0], cnt = level(g, reverse, nodes, 0, len(nodes), color, transitions, next[0])
 			cnt.addTo(claims[0])
 		} else {
-			levelPar(level, g, workers, reverse, nodes, chunk, color, transitions, next, claims, ar)
+			levelPar(level, g, reverse, nodes, chunk, color, transitions, next, claims, ar)
 		}
 		// Level barrier: merge per-worker buffers into the new frontier.
 		frontier = frontier[:0]
@@ -219,10 +216,10 @@ func (t tally) addTo(row []int64) {
 // caller's larger chunk. It lives outside run so the escaping closure
 // (and the heap cells its captures force) never exists on the
 // single-worker path.
-func levelPar(level levelFunc, g *graph.Graph, workers int, reverse bool, nodes []graph.NodeID, chunk int,
+func levelPar(level levelFunc, g *graph.Graph, reverse bool, nodes []graph.NodeID, chunk int,
 	color []int32, transitions []Transition, next [][]graph.NodeID, claims [][]int64, ar *scratch.Arena) {
 	inj := ar.Chaos()
-	ar.ForDynamic(workers, len(nodes), chunk, func(w, lo, hi int) {
+	ar.ForDynamic(len(nodes), chunk, func(w, lo, hi int) {
 		if lo == 0 {
 			// One chaos hit per level, from inside the dispatch.
 			inj.Hit(chaos.SiteBFS)

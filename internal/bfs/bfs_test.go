@@ -13,6 +13,14 @@ import (
 	"repro/internal/scratch"
 )
 
+// newArena returns an arena of the given worker count whose gang is
+// closed when the test ends.
+func newArena(t testing.TB, workers int) *scratch.Arena {
+	ar := scratch.New(workers, nil)
+	t.Cleanup(ar.Close)
+	return ar
+}
+
 // serialReach computes the forward (or backward) reachable set from
 // src restricted to nodes of color `from`, as a reference model.
 func serialReach(g *graph.Graph, src graph.NodeID, color []int32, from int32, reverse bool) map[graph.NodeID]bool {
@@ -53,8 +61,8 @@ func TestRunMatchesSerialForward(t *testing.T) {
 
 			color := make([]int32, n)
 			color[src] = 5
-			res := Run(nil, g, workers, false, []graph.NodeID{src}, color,
-				[]Transition{{From: 0, To: 5}}, nil)
+			res := Run(nil, g, false, []graph.NodeID{src}, color,
+				[]Transition{{From: 0, To: 5}}, newArena(t, workers))
 			claimed := res.Claimed[0]
 			if claimed != int64(len(want)-1) {
 				t.Fatalf("trial %d workers %d: claimed %d, want %d", trial, workers, claimed, len(want)-1)
@@ -73,7 +81,7 @@ func TestRunBackward(t *testing.T) {
 	// 0→1→2: backward from 2 reaches {2,1,0}.
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}})
 	color := []int32{0, 0, 9}
-	res := Run(nil, g, 2, true, []graph.NodeID{2}, color, []Transition{{From: 0, To: 9}}, nil)
+	res := Run(nil, g, true, []graph.NodeID{2}, color, []Transition{{From: 0, To: 9}}, newArena(t, 2))
 	if res.Claimed[0] != 2 {
 		t.Fatalf("claimed %d, want 2", res.Claimed[0])
 	}
@@ -89,7 +97,7 @@ func TestRunRespectsColorBoundary(t *testing.T) {
 	// stop at the boundary and not claim 2 or 3.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
 	color := []int32{7, 0, 1, 0}
-	res := Run(nil, g, 2, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 7}}, nil)
+	res := Run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 7}}, newArena(t, 2))
 	if res.Claimed[0] != 1 {
 		t.Fatalf("claimed %d, want 1", res.Claimed[0])
 	}
@@ -104,8 +112,8 @@ func TestRunTwoTransitions(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}, {From: 2, To: 0}})
 	color := []int32{1, 1, 0} // fwd pass already colored 0,1 as cfw=1
 	color[0] = 3              // pivot claimed as cscc before backward sweep
-	res := Run(nil, g, 2, true, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 2}, {From: 1, To: 3}}, nil)
+	res := Run(nil, g, true, []graph.NodeID{0}, color,
+		[]Transition{{From: 0, To: 2}, {From: 1, To: 3}}, newArena(t, 2))
 	if res.Claimed[0] != 1 { // node 2 → cbw
 		t.Fatalf("cbw claims = %d, want 1", res.Claimed[0])
 	}
@@ -125,13 +133,13 @@ func TestRunRejectsThreeTransitions(t *testing.T) {
 		}
 	}()
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	Run(nil, g, 1, false, []graph.NodeID{0}, []int32{1, 0},
-		[]Transition{{From: 0, To: 1}, {From: 2, To: 3}, {From: 4, To: 5}}, nil)
+	Run(nil, g, false, []graph.NodeID{0}, []int32{1, 0},
+		[]Transition{{From: 0, To: 1}, {From: 2, To: 3}, {From: 4, To: 5}}, newArena(t, 1))
 }
 
 func TestRunEmptySeeds(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	res := Run(nil, g, 2, false, nil, make([]int32, 2), []Transition{{From: 0, To: 1}}, nil)
+	res := Run(nil, g, false, nil, make([]int32, 2), []Transition{{From: 0, To: 1}}, newArena(t, 2))
 	if res.Levels != 0 {
 		t.Fatalf("levels = %d, want 0", res.Levels)
 	}
@@ -147,7 +155,7 @@ func TestRunLevelsOnPath(t *testing.T) {
 	g := graph.FromEdges(6, edges)
 	color := make([]int32, 6)
 	color[0] = 1
-	res := Run(nil, g, 1, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, nil)
+	res := Run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, newArena(t, 1))
 	if res.Claimed[0] != 5 {
 		t.Fatalf("claimed %d, want 5", res.Claimed[0])
 	}
@@ -194,7 +202,7 @@ func TestRunParallelDeterministicClaims(t *testing.T) {
 					color[0] = tb.seedColor
 					var ctr metrics.Counters
 					ar := scratch.New(workers, &ctr)
-					res := run(nil, g, workers, reverse, []graph.NodeID{0}, color, tb.transitions, ar, cand, dir)
+					res := run(nil, g, reverse, []graph.NodeID{0}, color, tb.transitions, ar, cand, dir)
 					claimed := append([]int64(nil), res.Claimed...)
 					ar.Close()
 					where := fmt.Sprintf("%d transitions, reverse=%v, direction %d, workers=%d",
@@ -235,6 +243,6 @@ func BenchmarkBFSRMAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clear(color)
 		color[0] = 1
-		Run(nil, g, workers, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar)
+		Run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar)
 	}
 }

@@ -24,7 +24,7 @@ func TestDirOptDefaultsReachBitmap(t *testing.T) {
 	defer ar.Close()
 	color := make([]int32, n)
 	color[7] = 1
-	res := Run(nil, g, 4, false, []graph.NodeID{7}, color,
+	res := Run(nil, g, false, []graph.NodeID{7}, color,
 		[]Transition{{From: 0, To: 1}}, ar, allNodes(g)...)
 
 	snap := ctr.Snapshot()
@@ -39,7 +39,7 @@ func TestDirOptDefaultsReachBitmap(t *testing.T) {
 	// Same claimed set as the top-down traversal.
 	c2 := make([]int32, n)
 	c2[7] = 1
-	r2 := Run(nil, g, 4, false, []graph.NodeID{7}, c2, []Transition{{From: 0, To: 1}}, nil)
+	r2 := Run(nil, g, false, []graph.NodeID{7}, c2, []Transition{{From: 0, To: 1}}, newArena(t, 4))
 	if res.Claimed[0] != r2.Claimed[0] {
 		t.Fatalf("adaptive claimed %d, top-down claimed %d", res.Claimed[0], r2.Claimed[0])
 	}
@@ -60,7 +60,7 @@ func TestBitmapCounterGatedToDirOpt(t *testing.T) {
 	ar := scratch.New(2, &ctr)
 	color := make([]int32, g.NumNodes())
 	color[3] = 1
-	res := Run(nil, g, 2, false, []graph.NodeID{3}, color,
+	res := Run(nil, g, false, []graph.NodeID{3}, color,
 		[]Transition{{From: 0, To: 1}}, ar)
 	snap := ctr.Snapshot()
 	if snap.BitmapLevels != 0 {

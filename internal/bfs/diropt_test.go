@@ -29,14 +29,14 @@ func runBoth(t *testing.T, g *graph.Graph, reverse bool, seed graph.NodeID,
 	t.Helper()
 	c1 := append([]int32(nil), baseColor...)
 	c1[seed] = seedColor
-	r1 := Run(nil, g, 4, reverse, []graph.NodeID{seed}, c1, transitions, nil)
+	r1 := Run(nil, g, reverse, []graph.NodeID{seed}, c1, transitions, newArena(t, 4))
 
 	c2 := append([]int32(nil), baseColor...)
 	c2[seed] = seedColor
 	var ctr metrics.Counters
 	ar := scratch.New(4, &ctr)
 	defer ar.Close()
-	r2 := run(nil, g, 4, reverse, []graph.NodeID{seed}, c2, transitions, ar, allNodes(g), dir)
+	r2 := run(nil, g, reverse, []graph.NodeID{seed}, c2, transitions, ar, allNodes(g), dir)
 
 	for ti := range transitions {
 		if r1.Claimed[ti] != r2.Claimed[ti] {
@@ -114,14 +114,14 @@ func TestDirOptRespectsCandidates(t *testing.T) {
 	// list is never claimed by a bottom-up sweep.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
 	color := []int32{9, 0, 0, 0}
-	res := run(nil, g, 2, false, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 9}}, nil, []graph.NodeID{1, 2, 3}, forceBottomUp)
+	res := run(nil, g, false, []graph.NodeID{0}, color,
+		[]Transition{{From: 0, To: 9}}, newArena(t, 2), []graph.NodeID{1, 2, 3}, forceBottomUp)
 	if res.Claimed[0] != 3 {
 		t.Fatalf("claimed %d, want 3", res.Claimed[0])
 	}
 	color = []int32{9, 0, 0, 0}
-	res = run(nil, g, 2, false, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 9}}, nil, []graph.NodeID{1, 2}, forceBottomUp)
+	res = run(nil, g, false, []graph.NodeID{0}, color,
+		[]Transition{{From: 0, To: 9}}, newArena(t, 2), []graph.NodeID{1, 2}, forceBottomUp)
 	if res.Claimed[0] != 2 || color[3] != 0 {
 		t.Fatalf("claimed %d with colors %v, want 2 and node 3 untouched", res.Claimed[0], color)
 	}
@@ -129,8 +129,8 @@ func TestDirOptRespectsCandidates(t *testing.T) {
 
 func TestDirOptEmptySeeds(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	res := run(nil, g, 2, false, nil, make([]int32, 2),
-		[]Transition{{From: 0, To: 1}}, nil, allNodes(g), forceBottomUp)
+	res := run(nil, g, false, nil, make([]int32, 2),
+		[]Transition{{From: 0, To: 1}}, newArena(t, 2), allNodes(g), forceBottomUp)
 	if res.Levels != 0 {
 		t.Fatalf("levels = %d", res.Levels)
 	}
@@ -198,6 +198,6 @@ func benchGiant(b *testing.B, dir direction) {
 	for i := 0; i < b.N; i++ {
 		clear(color)
 		color[0] = 1
-		run(nil, g, workers, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar, cand, dir)
+		run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar, cand, dir)
 	}
 }

@@ -32,6 +32,7 @@ func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 	defer e.ar.Close()
 	ws := e.ar.Worker(0)
 	q := worklist.New[task](1, 8)
+	gang := e.ar.Gang()
 	// Running the pushed children recycles their lists straight back
 	// into the worker pool, emulating the steady state where every
 	// child task is eventually consumed.
@@ -47,7 +48,7 @@ func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 			nodes = append(nodes, graph.NodeID(v))
 		}
 		e.recurFWBW(ws, task{c: c, nodes: nodes, parent: -1}, q, 0)
-		q.RunSerial(recycle)
+		q.Run(gang, recycle)
 	}
 	run() // warm the worker pool beyond AllocsPerRun's own warmup run
 	run()

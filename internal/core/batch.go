@@ -53,6 +53,8 @@ func (en *Engine) RunBatch(ctx context.Context, graphs []*graph.Graph) (res []Ba
 	if len(graphs) == 0 {
 		return out, ctx.Err()
 	}
+	// A budget-degraded Run may have left the arena at fewer workers.
+	en.pin(en.opt)
 	defer func() {
 		if v := recover(); v != nil {
 			wp, ok := v.(*parallel.WorkerPanic)
@@ -64,7 +66,7 @@ func (en *Engine) RunBatch(ctx context.Context, graphs []*graph.Graph) (res []Ba
 	}()
 	var canceled atomic.Bool
 	done := ctx.Done()
-	en.ar.ForDynamic(en.opt.Workers, len(graphs), en.opt.K, func(_, lo, hi int) {
+	en.ar.ForDynamic(len(graphs), en.opt.K, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if canceled.Load() {
 				out[i].Err = ctx.Err()

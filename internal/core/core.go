@@ -339,16 +339,16 @@ type engine struct {
 	// when neither is in use (the common, zero-overhead case).
 	sink *events.Sink
 	// ar is the run's scratch arena; every kernel draws its working
-	// buffers from it. ctr is the run's performance-counter set (also
-	// reachable through ar).
+	// buffers from it, and every parallel section runs on its gang.
+	// ctr is the run's performance-counter set (also reachable through
+	// ar).
 	ar  *scratch.Arena
 	ctr *metrics.Counters
 	// colorScratch backs perColor.
 	colorScratch []int32
 
-	// pq, when non-nil, is the persistent two-level queue phase 2
-	// reuses instead of allocating one; set by Engine runs whose
-	// effective workers and K match the queue's construction shape.
+	// pq is the two-level queue phase 2 runs, at the run's workers and
+	// K; the watchdog cancels it on a force-abort.
 	pq *worklist.Queue[task]
 
 	// Per-trial phase-1 scratch and the phase-2 task build buffer,
@@ -362,20 +362,16 @@ type engine struct {
 
 	// taskFn is the phase-2 task body, bound once (first phase2 call)
 	// and retained across runs so the steady state never rebuilds the
-	// closure; its per-run inputs live in the fields below. runQ is
-	// the dispatch queue taskFn executes against, published before the
-	// queue starts (the queue's own start is the synchronization
-	// point); p2Nodes/p2SCCs accumulate the phase's totals; logMu
-	// serializes TaskLog/TaskTrace appends.
+	// closure; its per-run inputs live in engine fields. p2Nodes and
+	// p2SCCs accumulate the phase's totals; logMu serializes
+	// TaskLog/TaskTrace appends.
 	taskFn  func(worker int, t task)
-	runQ    *worklist.Queue[task]
 	p2Nodes atomic.Int64
 	p2SCCs  atomic.Int64
 	logMu   sync.Mutex
 
-	// barriersAborted records that the watchdog force-abandoned the
-	// gang/queue barriers; the gang (and any Engine pinning it) is dead
-	// afterwards.
+	// barriersAborted records that the watchdog force-aborted the
+	// gang; the gang (and any Engine pinning it) is dead afterwards.
 	barriersAborted atomic.Bool
 
 	taskCount atomic.Int64 // phase-2 tasks executed (for TraceTasks)
@@ -386,34 +382,18 @@ type engine struct {
 	// tracked atomically so the watchdog goroutine can stamp it onto a
 	// Stalled event without racing phaseStart.
 	curPhase atomic.Int32
-	// qmu guards curQ, the in-flight phase-2 queue the watchdog must
-	// abandon on a force-abort (nil outside phase 2).
-	qmu  sync.Mutex
-	curQ *worklist.Queue[task]
 }
 
-// setQueue publishes (or clears) the in-flight phase-2 queue for the
-// watchdog's force-abort path.
-func (e *engine) setQueue(q *worklist.Queue[task]) {
-	e.qmu.Lock()
-	e.curQ = q
-	e.qmu.Unlock()
-}
-
-// abortBarriers force-releases every barrier the coordinating
-// goroutine could be wedged on: the arena's gang and the phase-2 work
-// queue. Called from the watchdog goroutine; the released dispatcher
-// panics parallel.ErrBarrierAbandoned, which Engine.Run's recover
-// turns into the run's error.
+// abortBarriers force-releases the barrier the coordinating goroutine
+// could be wedged on: it aborts the arena's gang, which every parallel
+// section runs on, and cancels the phase-2 queue so the workers that
+// are not wedged stop dispatching. Called from the watchdog goroutine;
+// the released dispatcher panics parallel.ErrBarrierAbandoned, which
+// Engine.Run's recover turns into the run's error.
 func (e *engine) abortBarriers() {
 	e.barriersAborted.Store(true)
 	e.ar.Abort()
-	e.qmu.Lock()
-	q := e.curQ
-	e.qmu.Unlock()
-	if q != nil {
-		q.Abandon()
-	}
+	e.pq.Cancel()
 }
 
 // newColor allocates a fresh partition color.

@@ -8,6 +8,7 @@ import (
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/scratch"
 	"repro/internal/seq"
 	"repro/internal/verify"
 )
@@ -374,7 +375,8 @@ func TestSingleTrialBudget(t *testing.T) {
 // choice when two colors hold equally many alive nodes: the lowest
 // color wins on every call, so a fixed Seed fixes the trial sequence.
 func TestLargestPartitionTieIsDeterministic(t *testing.T) {
-	e := &engine{color: []int32{4, 1, 4, 0, 1, 4, 1, 2}}
+	e := &engine{color: []int32{4, 1, 4, 0, 1, 4, 1, 2}, ar: scratch.New(1, nil)}
+	defer e.ar.Close()
 	e.nextColor.Store(4)
 	alive := []graph.NodeID{0, 1, 2, 4, 5, 6, 7}
 	for call := 0; call < 50; call++ {
@@ -391,7 +393,8 @@ func TestLargestPartitionTieIsDeterministic(t *testing.T) {
 func TestGroupTasks(t *testing.T) {
 	alive := []graph.NodeID{5, 0, 3, 2, 7, 6}
 	for _, fresh := range []bool{false, true} {
-		e := &engine{color: []int32{3, 0, 3, 3, 0, 3, 3, 3}}
+		e := &engine{color: []int32{3, 0, 3, 3, 0, 3, 3, 3}, ar: scratch.New(1, nil)}
+		defer e.ar.Close()
 		e.nextColor.Store(3)
 		// Groups {0, 3, 5} (root 0) and {2, 6, 7} (root 2), as Par-WCC
 		// leaves them.

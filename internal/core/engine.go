@@ -64,14 +64,11 @@ type Engine struct {
 	alg Algorithm
 	opt Options // defaulted at construction
 
+	// ar (with its worker gang) and pq (the phase-2 queue) are always
+	// at the shape of the run in flight; see pin.
 	ar  *scratch.Arena
+	pq  *worklist.Queue[task]
 	ctr *metrics.Counters
-	// pq is the persistent phase-2 queue. pqWorkers/pqK record its
-	// construction shape so runs degraded to a different configuration
-	// fall back to a fresh queue.
-	pq        *worklist.Queue[task]
-	pqWorkers int
-	pqK       int
 
 	// run is the per-run mutable state, reset (not reallocated) each
 	// Run; res is the reused result it fills in.
@@ -89,16 +86,30 @@ type Engine struct {
 }
 
 // NewEngine creates a persistent engine for alg with construction-time
-// defaults applied to opt. The worker gang (for opt.Workers > 1) and
-// the phase-2 queue are pinned immediately; scratch buffers grow on
-// first use and are retained across runs. Close releases the gang.
+// defaults applied to opt. The arena with its worker gang and the
+// phase-2 queue are pinned immediately; scratch buffers grow on first
+// use and are retained across runs. Close releases the gang.
 func NewEngine(alg Algorithm, opt Options) *Engine {
 	opt = opt.withDefaults(alg)
 	en := &Engine{alg: alg, opt: opt, ctr: &metrics.Counters{}}
 	en.ar = scratch.New(opt.Workers, en.ctr)
 	en.pq = worklist.New[task](opt.Workers, opt.K)
-	en.pqWorkers, en.pqK = opt.Workers, opt.K
 	return en
+}
+
+// pin makes the arena and the phase-2 queue match the shape opt runs
+// at. A run a memory budget degraded to fewer workers or K=1, and the
+// first run or batch at the engine's own shape after it, closes the
+// mismatched arena or queue and pins a fresh one; the new arena's
+// scratch regrows on first use.
+func (en *Engine) pin(opt Options) {
+	if en.ar.Workers() != opt.Workers {
+		en.ar.Close()
+		en.ar = scratch.New(opt.Workers, en.ctr)
+	}
+	if en.pq.Workers() != opt.Workers || en.pq.K() != opt.K {
+		en.pq = worklist.New[task](opt.Workers, opt.K)
+	}
 }
 
 // Close releases the engine's worker gang. The engine (and the last
@@ -134,7 +145,7 @@ func (en *Engine) shrink() {
 	en.color, en.comp = nil, nil
 	en.run.taskBuf = nil
 	en.run.colorScratch = nil
-	en.pq = worklist.New[task](en.pqWorkers, en.pqK)
+	en.pq = worklist.New[task](en.pq.Workers(), en.pq.K())
 	en.highN = 0
 }
 
@@ -167,6 +178,7 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, pr PerRun) (res *Resu
 	if err != nil {
 		return nil, err
 	}
+	en.pin(opt)
 	// Shrink-on-budget: the high-water state retained from earlier
 	// (larger) runs counts against this run's budget too — a budgeted
 	// small-graph run after an unbudgeted large one must not keep the
@@ -206,12 +218,8 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, pr PerRun) (res *Resu
 
 	en.ctr.Reset()
 	en.res = Result{Comp: comp, Degraded: degraded}
-	pq := en.pq
-	if opt.Workers != en.pqWorkers || opt.K != en.pqK {
-		pq = nil // degraded shape; phase 2 builds its own queue
-	}
 	e := &en.run
-	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, pr.Observer), en.ar, en.ctr, pq)
+	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, pr.Observer), en.ar, en.ctr, en.pq)
 	e.ar.SetChaos(pr.Chaos)
 	// The previous run's phase 2 freed its task lists into the pools of
 	// whichever workers finished them; this run draws its root-task
@@ -300,5 +308,4 @@ func (e *engine) reset(g *graph.Graph, alg Algorithm, opt Options, color, comp [
 	e.obsTasks.Store(0)
 	e.rngState.Store(uint64(opt.Seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d)
 	e.curPhase.Store(0)
-	e.setQueue(nil)
 }

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/gen"
+	"repro/graph"
 )
 
 // TestTaskBytes pins the in-memory size of a phase-2 task to the
@@ -110,5 +111,52 @@ func TestEnginePoolsSteadyStateAllocs(t *testing.T) {
 	// 40 runs here).
 	if after := en.retainedBytes(); after > warm+warm/20 {
 		t.Fatalf("retained scratch grew from %d to %d bytes over 40 warm runs", warm, after)
+	}
+}
+
+// TestEngineBudgetRepinsGangAndQueue checks that the engine's arena,
+// gang and phase-2 queue always have the shape of the run in flight:
+// a run a memory budget degrades to fewer workers, or to K=1, pins a
+// matching arena and queue, and the next undegraded run or batch pins
+// the engine's own shape again. Every run must still match Tarjan.
+func TestEngineBudgetRepinsGangAndQueue(t *testing.T) {
+	g := gen.RMAT(gen.DefaultRMAT(10, 8, 5))
+	n := g.NumNodes()
+	en := NewEngine(Method2, Options{Workers: 4, Seed: 3})
+	defer en.Close()
+	half, floor := en.opt, en.opt
+	half.Workers = 2
+	floor.Workers, floor.K = 1, 1
+	ctx := context.Background()
+	for _, tc := range []struct {
+		limit   int64
+		workers int
+		k       int
+	}{
+		{0, 4, 8},
+		{EstimateMemory(n, Method2, half), 2, 8},
+		{0, 4, 8},
+		{EstimateMemory(n, Method2, floor), 1, 1},
+		{EstimateMemory(n, Method2, half), 2, 8},
+	} {
+		res, err := en.Run(ctx, g, PerRun{MemoryLimit: tc.limit})
+		if err != nil {
+			t.Fatalf("limit %d: %v", tc.limit, err)
+		}
+		if got := en.ar.Workers(); got != tc.workers || en.ar.Gang().Workers() != tc.workers {
+			t.Fatalf("limit %d: arena at %d workers (gang %d), want %d", tc.limit, got, en.ar.Gang().Workers(), tc.workers)
+		}
+		if en.pq.Workers() != tc.workers || en.pq.K() != tc.k {
+			t.Fatalf("limit %d: queue at workers=%d K=%d, want %d/%d", tc.limit, en.pq.Workers(), en.pq.K(), tc.workers, tc.k)
+		}
+		checkAgainstTarjan(t, g, Method2, res)
+	}
+	// The last run left the engine degraded; a batch runs at the
+	// engine's own worker count.
+	if _, err := en.RunBatch(ctx, []*graph.Graph{g}); err != nil {
+		t.Fatal(err)
+	}
+	if got := en.ar.Workers(); got != 4 {
+		t.Fatalf("batch after a degraded run: arena at %d workers, want 4", got)
 	}
 }

@@ -43,13 +43,13 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		e.seedBuf[0] = pivot
 		seeds := e.seedBuf[:]
 		e.fwTrans[0] = bfs.Transition{From: c, To: cfw}
-		fwRes := bfs.Run(e.sink, e.g, e.opt.Workers, false, seeds, e.color, e.fwTrans[:], e.ar, members...)
+		fwRes := bfs.Run(e.sink, e.g, false, seeds, e.color, e.fwTrans[:], e.ar, members...)
 		// Backward sweep: unvisited partition nodes become BW; nodes
 		// already in FW are the SCC (Lemma 1: FW ∩ BW).
 		atomic.StoreInt32(&e.color[pivot], cscc)
 		e.bwTrans[0] = bfs.Transition{From: c, To: cbw}
 		e.bwTrans[1] = bfs.Transition{From: cfw, To: cscc}
-		bwRes := bfs.Run(e.sink, e.g, e.opt.Workers, true, seeds, e.color, e.bwTrans[:], e.ar, members...)
+		bwRes := bfs.Run(e.sink, e.g, true, seeds, e.color, e.bwTrans[:], e.ar, members...)
 		e.ar.PutNodes(members)
 		if e.stopped() {
 			// The backward sweep may have been cut short; the partial
@@ -66,7 +66,7 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		// pivot as representative. The single-worker loop is spelled
 		// out (not a single-worker gang dispatch) so no publication
 		// closure is ever built on the zero-allocation path.
-		if e.opt.Workers == 1 {
+		if e.ar.Workers() == 1 {
 			publishRange(e.color, e.comp, alive, cscc, pivot)
 		} else {
 			// pub shadows alive: capturing the reassigned loop variable
@@ -74,7 +74,7 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 			// single-worker runs included. Every node costs one color
 			// load, hence the large chunk.
 			pub := alive
-			e.ar.ForDynamic(e.opt.Workers, len(pub), 4096, func(_, lo, hi int) {
+			e.ar.ForDynamic(len(pub), 4096, func(_, lo, hi int) {
 				publishRange(e.color, e.comp, pub[lo:hi], cscc, pivot)
 			})
 		}

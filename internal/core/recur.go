@@ -30,15 +30,8 @@ type task struct {
 // Algorithms 3, 6 and 9).
 func (e *engine) phase2(tasks []task) {
 	e.res.InitialTasks = len(tasks)
-	// The persistent queue (e.pq, set by Engine runs whose shape
-	// matches) is reset and reused; otherwise a fresh queue is built
-	// for this run.
 	q := e.pq
-	if q != nil {
-		q.Reset()
-	} else {
-		q = worklist.New[task](e.opt.Workers, e.opt.K)
-	}
+	q.Reset()
 	q.Seed(tasks)
 	// Cooperative cancellation: the queue's dequeue loop is phase 2's
 	// round boundary, so a context fire stops dispatch after the
@@ -47,51 +40,29 @@ func (e *engine) phase2(tasks []task) {
 		stop := context.AfterFunc(ctx, q.Cancel)
 		defer stop()
 	}
-	// Publish the queue so the watchdog can abandon a Run wedged on a
-	// task that never finishes.
-	e.setQueue(q)
-	defer e.setQueue(nil)
-	// The task body is a closure bound once per engine and retained
-	// across runs (a per-run closure — and every local it captures —
-	// would heap-allocate on each run, since the goroutine-dispatch
-	// vehicles make it escape). Its per-run inputs travel through
-	// engine fields instead: runQ is read by workers only after the
-	// queue's start synchronizes with this write.
-	e.runQ = q
-	defer func() { e.runQ = nil }()
 	e.p2Nodes.Store(0)
 	e.p2SCCs.Store(0)
+	// The task body is a closure bound once per engine and retained
+	// across runs (a per-run closure — and every local it captures —
+	// would heap-allocate on each run, since the gang dispatch makes
+	// it escape). Its per-run inputs travel through engine fields.
 	if e.taskFn == nil {
 		e.taskFn = e.runTask
 	}
-	fn := e.taskFn
-	// Dispatch. The queue has three execution vehicles: inline on this
-	// goroutine (single worker, no watchdog to force an abort — the
-	// zero-allocation steady-state path), on the arena's pinned gang
-	// (matching multi-worker runs; the watchdog's force-abort reaches
-	// it through Arena.Abort), or on freshly spawned goroutines
-	// (shape-mismatched fallback, and the only vehicle Abandon alone
-	// can release, which the single-worker watchdog path needs).
-	gang := e.ar.Gang()
-	switch {
-	case e.opt.Workers == 1 && e.opt.StallTimeout == 0:
-		q.RunSerial(fn)
-	case gang != nil && gang.Workers() == e.opt.Workers:
-		q.RunOn(gang, fn)
-	default:
-		q.Run(fn)
-	}
+	// The queue runs on the arena's gang at every worker count: one
+	// worker included, a task that wedges stays abortable, since the
+	// watchdog's gang abort releases this goroutine.
+	q.Run(e.ar.Gang(), e.taskFn)
 	e.res.Phases[PhaseRecurFWBW].Nodes += e.p2Nodes.Load()
 	e.res.Phases[PhaseRecurFWBW].SCCs += e.p2SCCs.Load()
 	e.res.Queue = q.Stats()
 }
 
-// runTask is the phase-2 task body dispatched by every execution
-// vehicle (inline, gang, spawned goroutines). It reads its
-// per-run inputs — the dispatch queue, chaos injector, trace flags —
+// runTask is the phase-2 task body the queue runs on the gang. It
+// reads its per-run inputs — the queue, chaos injector, trace flags —
 // from the engine so the bound e.taskFn closure survives across runs.
 func (e *engine) runTask(w int, t task) {
-	q := e.runQ
+	q := e.pq
 	e.ar.Chaos().Hit(chaos.SiteTask)
 	e.ctr.AddTask()
 	trace := e.opt.TraceSchedule

@@ -116,7 +116,7 @@ func (e *engine) parTrim(p Phase, candidates []graph.NodeID) []graph.NodeID {
 		kernel = trim.Par
 	}
 	e.timePhase(p, func() {
-		res, alive := kernel(e.sink, e.g, e.opt.Workers, e.color, e.comp, candidates, e.ar)
+		res, alive := kernel(e.sink, e.g, e.color, e.comp, candidates, e.ar)
 		e.res.Phases[p].Nodes += res.Removed
 		e.res.Phases[p].SCCs += res.SCCs
 		e.res.Phases[p].Rounds += res.Rounds
@@ -219,7 +219,7 @@ func (e *engine) runMethod2() {
 	alive = e.parTrim(PhaseParTrimPost, alive)
 	if !e.opt.DisableTrim2 && !e.stopped() {
 		e.timePhase(PhaseParTrimPost, func() {
-			res, survivors := trim.Par2(e.sink, e.g, e.opt.Workers, e.color, e.comp, alive, e.ar)
+			res, survivors := trim.Par2(e.sink, e.g, e.color, e.comp, alive, e.ar)
 			e.res.Phases[PhaseParTrimPost].Nodes += res.Removed
 			e.res.Phases[PhaseParTrimPost].SCCs += res.SCCs
 			e.res.Phases[PhaseParTrimPost].Rounds += res.Rounds
@@ -277,7 +277,7 @@ func (e *engine) wccTasks(alive []graph.NodeID) []task {
 	if e.opt.Kernels == KernelsLegacy {
 		wccKernel = wcc.Run
 	}
-	res := wccKernel(e.sink, e.g, e.opt.Workers, e.color, alive, label, e.ar)
+	res := wccKernel(e.sink, e.g, e.color, alive, label, e.ar)
 	e.res.WCCComponents = res.Components
 	e.res.WCCRounds = res.Rounds
 	e.res.Phases[PhaseParWCC].Rounds += res.Rounds

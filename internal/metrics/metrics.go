@@ -12,8 +12,8 @@
 // attached to every Result and dumped by cmd/sccbench into
 // BENCH_scc.json, which is what CI trends.
 //
-// All methods are nil-safe: kernels running without an arena (tests,
-// external callers) pass a nil *Counters and pay two instructions.
+// Every kernel reaches its Counters through the run's scratch arena,
+// which always carries one.
 package metrics
 
 import "sync/atomic"
@@ -68,18 +68,12 @@ type Counters struct {
 // AddTrimRound records one trim fixpoint iteration that removed n
 // nodes.
 func (c *Counters) AddTrimRound(n int64) {
-	if c == nil {
-		return
-	}
 	c.TrimRounds.Add(1)
 	c.TrimmedNodes.Add(n)
 }
 
 // AddTrim2Pairs records pairs size-2 SCCs detected by a Trim2 pass.
 func (c *Counters) AddTrim2Pairs(pairs int64) {
-	if c == nil {
-		return
-	}
 	c.Trim2Pairs.Add(pairs)
 }
 
@@ -87,9 +81,6 @@ func (c *Counters) AddTrim2Pairs(pairs int64) {
 // size; bottomUp marks a level that swept the candidates bottom-up,
 // counted in BitmapLevels.
 func (c *Counters) AddBFSLevel(frontier int64, bottomUp bool) {
-	if c == nil {
-		return
-	}
 	c.BFSLevels.Add(1)
 	c.FrontierNodes.Add(frontier)
 	if bottomUp {
@@ -105,9 +96,6 @@ func (c *Counters) AddBFSLevel(frontier int64, bottomUp bool) {
 
 // AddWCCRound records one WCC label-propagation round.
 func (c *Counters) AddWCCRound() {
-	if c == nil {
-		return
-	}
 	c.WCCRounds.Add(1)
 }
 
@@ -115,16 +103,13 @@ func (c *Counters) AddWCCRound() {
 // trim kernel that removed n nodes. Waves are the kernel's progress
 // heartbeat, replacing the legacy kernel's TrimRounds.
 func (c *Counters) AddPeelWave(n int64) {
-	if c == nil {
-		return
-	}
 	c.PeelDepth.Add(1)
 	c.TrimmedNodes.Add(n)
 }
 
 // AddTrimPushes records n nodes drained through the peel frontier.
 func (c *Counters) AddTrimPushes(n int64) {
-	if c == nil || n == 0 {
+	if n == 0 {
 		return
 	}
 	c.TrimPushes.Add(n)
@@ -133,9 +118,6 @@ func (c *Counters) AddTrimPushes(n int64) {
 // AddUFPass folds one union-find pass's per-worker totals into the
 // run counters: successful hooks, find hops and sampled skips.
 func (c *Counters) AddUFPass(unions, hops, skips int64) {
-	if c == nil {
-		return
-	}
 	c.UFUnions.Add(unions)
 	c.UFFindHops.Add(hops)
 	c.SampledSkips.Add(skips)
@@ -143,18 +125,12 @@ func (c *Counters) AddUFPass(unions, hops, skips int64) {
 
 // AddTask records one executed phase-2 task.
 func (c *Counters) AddTask() {
-	if c == nil {
-		return
-	}
 	c.Tasks.Add(1)
 }
 
 // AddReuse records one scratch-buffer reuse recycling capBytes of
 // previously allocated capacity.
 func (c *Counters) AddReuse(capBytes int64) {
-	if c == nil {
-		return
-	}
 	c.BuffersReused.Add(1)
 	c.BytesReused.Add(capBytes)
 }
@@ -164,11 +140,7 @@ func (c *Counters) AddReuse(capBytes int64) {
 // It must only be called between runs, with no kernel workers live;
 // the stores are atomic only so Reset is race-detector-clean against
 // stray readers such as a watchdog that has not observed shutdown yet.
-// A nil receiver is a no-op.
 func (c *Counters) Reset() {
-	if c == nil {
-		return
-	}
 	c.TrimRounds.Store(0)
 	c.TrimmedNodes.Store(0)
 	c.Trim2Pairs.Store(0)
@@ -191,11 +163,8 @@ func (c *Counters) Reset() {
 // single heartbeat value for the stall watchdog: it changes whenever
 // any kernel completes a round, level, or task. Counters that can hold
 // still across an entire healthy phase (peaks, reuse totals) are
-// excluded. A nil receiver reports 0.
+// excluded.
 func (c *Counters) Progress() uint64 {
-	if c == nil {
-		return 0
-	}
 	return uint64(c.TrimRounds.Load()) +
 		uint64(c.TrimmedNodes.Load()) +
 		uint64(c.Trim2Pairs.Load()) +
@@ -256,12 +225,8 @@ type Snapshot struct {
 	DegradedMode string
 }
 
-// Snapshot returns a plain copy of the current counter values. A nil
-// receiver yields a zero Snapshot.
+// Snapshot returns a plain copy of the current counter values.
 func (c *Counters) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
-	}
 	return Snapshot{
 		TrimRounds:    c.TrimRounds.Load(),
 		TrimmedNodes:  c.TrimmedNodes.Load(),

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"repro/graph"
+	"repro/internal/parallel"
 	"repro/internal/worklist"
 )
 
@@ -33,7 +34,8 @@ const Removed int32 = -1
 
 // Options configures a Run.
 type Options struct {
-	// Workers is the number of parallel workers; <= 0 selects 1.
+	// Workers is the number of parallel workers; <= 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// K is the work-queue batch size; 0 selects 1.
 	K int
@@ -91,14 +93,20 @@ func (e *engine) rand64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Run decomposes g with recursive OBF.
+func (o Options) withDefaults() Options {
+	if o.Workers <= 0 {
+		o.Workers = parallel.DefaultWorkers()
+	}
+	if o.K <= 0 {
+		o.K = 1
+	}
+	return o
+}
+
+// Run decomposes g with recursive OBF. The work queue runs on a gang
+// of opt.Workers goroutines that Run starts and closes.
 func Run(g *graph.Graph, opt Options) *Result {
-	if opt.Workers <= 0 {
-		opt.Workers = 1
-	}
-	if opt.K <= 0 {
-		opt.K = 1
-	}
+	opt = opt.withDefaults()
 	n := g.NumNodes()
 	e := &engine{g: g, color: make([]int32, n), comp: make([]int32, n)}
 	for i := range e.comp {
@@ -118,7 +126,9 @@ func Run(g *graph.Graph, opt Options) *Result {
 		members := e.forwardClosure(graph.NodeID(v), covered, c)
 		q.Seed([]task{{kind: taskOBF, c: c, nodes: members, roots: []graph.NodeID{graph.NodeID(v)}}})
 	}
-	q.Run(func(w int, t task) {
+	gang := parallel.NewGang(opt.Workers)
+	defer gang.Close()
+	q.Run(gang, func(w int, t task) {
 		e.tasks.Add(1)
 		switch t.kind {
 		case taskOBF:

@@ -7,6 +7,7 @@ import (
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/parallel"
 	"repro/internal/seq"
 	"repro/internal/verify"
 )
@@ -119,5 +120,21 @@ func BenchmarkOBFRMAT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(g, Options{Workers: 4, Seed: 1})
+	}
+}
+
+// TestOptionsWithDefaults pins OBF's defaulting to the engine's: a
+// worker count <= 0 selects GOMAXPROCS, as scc.Options.Workers
+// documents, and K <= 0 selects 1; set fields pass through.
+func TestOptionsWithDefaults(t *testing.T) {
+	for _, opt := range []Options{{}, {Workers: -1, K: -2}} {
+		got := opt.withDefaults()
+		if got.Workers != parallel.DefaultWorkers() || got.K != 1 {
+			t.Fatalf("%+v.withDefaults() = %+v, want Workers=%d K=1", opt, got, parallel.DefaultWorkers())
+		}
+	}
+	set := Options{Workers: 3, K: 4, Seed: 9}
+	if got := set.withDefaults(); got != set {
+		t.Fatalf("%+v.withDefaults() = %+v, want it unchanged", set, got)
 	}
 }

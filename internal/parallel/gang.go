@@ -6,13 +6,12 @@ import (
 )
 
 // Gang is a persistent pool of worker goroutines for repeated
-// barrier-synchronized parallel regions. ForDynamicWorker spawns
-// fresh goroutines per call, which is fine for a handful of
-// invocations but becomes the dominant fixed cost of a kernel that
-// runs dozens of barrier rounds on small inputs (§4.3's warning about
-// fixed costs on small partitions). A Gang spawns its goroutines once;
-// each dispatch is a condvar broadcast plus a condvar join, and
-// allocates only the dispatched closure.
+// barrier-synchronized parallel regions. Spawning goroutines per
+// region would be the dominant fixed cost of a kernel that runs dozens
+// of barrier rounds on small inputs (§4.3's warning about fixed costs
+// on small partitions). A Gang spawns its goroutines once; each
+// dispatch is a condvar broadcast plus a condvar join, and allocates
+// only the dispatched closure, if the caller builds one per dispatch.
 //
 // Dispatches must come from a single goroutine at a time (the engines'
 // coordinating goroutine).
@@ -35,8 +34,8 @@ import (
 type Gang struct {
 	n    int
 	mu   sync.Mutex
-	work *sync.Cond // workers wait here for the next dispatch or close
-	done *sync.Cond // Run waits here for the barrier (or an abort)
+	work sync.Cond // workers wait here for the next dispatch or close
+	done sync.Cond // Run waits here for the barrier (or an abort)
 
 	seq     uint64
 	body    func(worker int)
@@ -44,20 +43,23 @@ type Gang struct {
 	aborted bool
 	closed  bool
 
-	box panicBox
+	trap Trap
 }
 
 // NewGang starts workers goroutines and returns the gang. workers
-// must be >= 1; a 1-worker gang still runs bodies on its single
-// worker goroutine, so callers that want inline execution should
-// special-case workers == 1 themselves (Gang.ForDynamic does).
+// must be >= 1. A 1-worker gang still runs Run's bodies on its single
+// worker goroutine, which is what lets Abort release a coordinator
+// whose one worker is wedged; ForDynamic runs inline instead.
 func NewGang(workers int) *Gang {
 	if workers < 1 {
 		panic("parallel: gang workers must be >= 1")
 	}
 	g := &Gang{n: workers}
-	g.work = sync.NewCond(&g.mu)
-	g.done = sync.NewCond(&g.mu)
+	// The conditions live in the gang itself, not behind pointers:
+	// one-shot runs start a gang per run, one worker included, and each
+	// separate object would be an allocation of its own.
+	g.work.L = &g.mu
+	g.done.L = &g.mu
 	for w := 0; w < workers; w++ {
 		go g.loop(w)
 	}
@@ -99,7 +101,7 @@ func (g *Gang) loop(w int) {
 func (g *Gang) call(w int, body func(worker int)) {
 	defer func() {
 		if v := recover(); v != nil {
-			g.box.capture(w, v)
+			g.trap.Capture(w, v)
 		}
 	}()
 	body(w)
@@ -134,20 +136,17 @@ func (g *Gang) Run(body func(worker int)) {
 	if abandoned {
 		panic(ErrBarrierAbandoned)
 	}
-	g.box.rethrow()
+	g.trap.Rethrow()
 }
 
 // Abort releases a dispatcher blocked in Run on a barrier that will
-// never complete (a wedged worker). Nil-safe, idempotent, and callable
-// from any goroutine. After Abort the gang is dead: Run panics
+// never complete (a wedged worker). Idempotent and callable from any
+// goroutine. After Abort the gang is dead: Run panics
 // ErrBarrierAbandoned (immediately if no dispatch was in flight), and
 // Close remains safe. Abort does not (cannot) stop the wedged worker
 // goroutine itself; callers are responsible for unblocking it (e.g.
 // context cancellation) or accepting the leak of a truly wedged one.
 func (g *Gang) Abort() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	g.aborted = true
 	g.closed = true
@@ -156,10 +155,13 @@ func (g *Gang) Abort() {
 	g.work.Broadcast()
 }
 
-// ForDynamic is ForDynamicWorker scheduled onto the gang's persistent
-// workers: chunks of `chunk` iterations are claimed from a shared
-// counter until [0, n) is exhausted. Small inputs (n <= chunk) run
-// inline on the caller as worker 0, costing nothing.
+// ForDynamic runs body(worker, lo, hi) over [0, n) with dynamic
+// chunk-self-scheduling on the gang's persistent workers: each worker
+// repeatedly claims the next chunk of `chunk` iterations from a shared
+// counter until [0, n) is exhausted, and the body receives the worker
+// index for per-worker scratch state. chunk <= 0 selects 256. A
+// one-worker gang and small inputs (n <= chunk) run inline on the
+// caller as worker 0, costing nothing. The panic contract is Run's.
 func (g *Gang) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -167,7 +169,7 @@ func (g *Gang) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 	if chunk <= 0 {
 		chunk = 256
 	}
-	if g == nil || g.n == 1 || n <= chunk {
+	if g.n == 1 || n <= chunk {
 		body(0, 0, n)
 		return
 	}
@@ -187,14 +189,11 @@ func (g *Gang) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 	})
 }
 
-// Close releases the gang's goroutines. Idempotent, nil-safe, and
-// safe to call while a dispatch is in flight: the in-flight round runs
-// to completion (its Run returns normally) and the workers exit
+// Close releases the gang's goroutines. Idempotent, and safe to call
+// while a dispatch is in flight: the in-flight round runs to
+// completion (its Run returns normally) and the workers exit
 // afterwards.
 func (g *Gang) Close() {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	g.closed = true
 	g.mu.Unlock()

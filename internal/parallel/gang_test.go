@@ -75,12 +75,3 @@ func TestGangCloseIdempotent(t *testing.T) {
 	g.Close()
 	g.Close()
 }
-
-func TestNilGangForDynamicInline(t *testing.T) {
-	var g *Gang
-	total := 0
-	g.ForDynamic(1000, 64, func(w, lo, hi int) { total += hi - lo })
-	if total != 1000 {
-		t.Fatalf("covered %d, want 1000", total)
-	}
-}

@@ -9,12 +9,12 @@ import (
 
 // WorkerPanic records a panic captured on a parallel worker: the
 // recovered value, the worker's stack at the point of the panic, and
-// the worker index it occurred on. The spawning helpers in this
-// package and Gang.Run re-raise the first captured panic as a
-// *WorkerPanic on the coordinating goroutine once the barrier
-// completes, so a panic inside a parallel region unwinds the caller
-// exactly like a panic in sequential code — but with the worker's
-// stack preserved and without tearing down sibling workers mid-write.
+// the worker index it occurred on. Gang.Run re-raises the first
+// captured panic as a *WorkerPanic on the coordinating goroutine once
+// the barrier completes, so a panic inside a parallel region unwinds
+// the caller exactly like a panic in sequential code — but with the
+// worker's stack preserved and without tearing down sibling workers
+// mid-write.
 type WorkerPanic struct {
 	// Value is the value the worker panicked with.
 	Value any
@@ -47,35 +47,11 @@ func (p *WorkerPanic) Unwrap() error {
 // discard the gang.
 var ErrBarrierAbandoned = errors.New("parallel: barrier abandoned by abort")
 
-// panicBox is a one-shot first-panic-wins slot shared by the workers
-// of one parallel region.
-type panicBox struct {
-	p atomic.Pointer[WorkerPanic]
-}
-
-// capture records a recovered panic value for worker w if the box is
-// still empty. It must be called from the panicking goroutine (it
-// snapshots that goroutine's stack).
-func (b *panicBox) capture(w int, v any) {
-	wp := &WorkerPanic{Value: v, Stack: stack(), Worker: w}
-	b.p.CompareAndSwap(nil, wp)
-}
-
-// rethrow re-raises the captured panic, if any, on the calling
-// goroutine, clearing the box so the owning gang or queue stays
-// reusable for subsequent dispatches. It is a no-op on an empty box.
-func (b *panicBox) rethrow() {
-	if wp := b.p.Swap(nil); wp != nil {
-		panic(wp)
-	}
-}
-
-// Trap is a first-panic-wins capture slot for packages that spawn
-// their own worker goroutines but want this package's capture
-// semantics (the worklist schedulers do). The zero value is ready to
-// use.
+// Trap is a one-shot first-panic-wins slot shared by the workers of
+// one parallel region: the Gang's barrier rounds and the work queue's
+// runs both capture into one. The zero value is ready to use.
 type Trap struct {
-	box panicBox
+	p atomic.Pointer[WorkerPanic]
 }
 
 // Capture records a recovered panic value v for worker w if the trap
@@ -83,18 +59,22 @@ type Trap struct {
 // (typically inside a deferred recover) so the recorded stack is the
 // panicking worker's.
 func (t *Trap) Capture(w int, v any) {
-	t.box.capture(w, v)
+	wp := &WorkerPanic{Value: v, Stack: stack(), Worker: w}
+	t.p.CompareAndSwap(nil, wp)
 }
 
 // Panic returns the captured panic, or nil if none was captured.
 func (t *Trap) Panic() *WorkerPanic {
-	return t.box.p.Load()
+	return t.p.Load()
 }
 
-// Rethrow re-raises the captured panic on the calling goroutine, if
-// any, clearing the trap. No-op on an empty trap.
+// Rethrow re-raises the captured panic, if any, on the calling
+// goroutine, clearing the trap so the owning gang or queue stays
+// reusable for subsequent dispatches. No-op on an empty trap.
 func (t *Trap) Rethrow() {
-	t.box.rethrow()
+	if wp := t.p.Swap(nil); wp != nil {
+		panic(wp)
+	}
 }
 
 // stack returns the current goroutine's stack, growing the buffer

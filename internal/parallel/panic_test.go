@@ -129,12 +129,6 @@ func TestGangCloseDuringInflightDispatch(t *testing.T) {
 	waitGone(t, func() bool { return true })
 }
 
-func TestGangAbortNilSafe(t *testing.T) {
-	var g *Gang
-	g.Abort() // must not panic
-	g.Close()
-}
-
 // waitGone polls until cond holds and the goroutine count settles —
 // shared teardown check for the panic-path tests.
 func waitGone(t *testing.T, cond func() bool) {
@@ -154,8 +148,10 @@ func waitGone(t *testing.T, cond func() bool) {
 }
 
 func TestHelpersCapturePanics(t *testing.T) {
+	g := NewGang(4)
+	defer g.Close()
 	v := recoverPanic(func() {
-		ForDynamicWorker(4, 100, 8, func(w, lo, hi int) {
+		g.ForDynamic(100, 8, func(w, lo, hi int) {
 			if lo == 48 {
 				panic("h")
 			}
@@ -163,10 +159,10 @@ func TestHelpersCapturePanics(t *testing.T) {
 	})
 	wp, ok := v.(*WorkerPanic)
 	if !ok {
-		t.Fatalf("ForDynamicWorker panicked %v (%T), want *WorkerPanic", v, v)
+		t.Fatalf("ForDynamic panicked %v (%T), want *WorkerPanic", v, v)
 	}
 	if wp.Value != "h" {
-		t.Fatalf("ForDynamicWorker captured %v, want h", wp.Value)
+		t.Fatalf("ForDynamic captured %v, want h", wp.Value)
 	}
 	if wp.Worker < 0 || wp.Worker >= 4 {
 		t.Fatalf("captured worker index %d out of range", wp.Worker)
@@ -178,7 +174,9 @@ func TestHelpersCapturePanics(t *testing.T) {
 
 func TestWorkerPanicUnwrapsErrorValues(t *testing.T) {
 	sentinel := errors.New("kernel bug")
-	v := recoverPanic(func() { ForDynamicWorker(2, 100, 8, func(w, lo, hi int) { panic(sentinel) }) })
+	g := NewGang(2)
+	defer g.Close()
+	v := recoverPanic(func() { g.ForDynamic(100, 8, func(w, lo, hi int) { panic(sentinel) }) })
 	err, ok := v.(error)
 	if !ok || !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is through WorkerPanic failed: %v", v)

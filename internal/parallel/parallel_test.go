@@ -7,11 +7,13 @@ import (
 	"testing/quick"
 )
 
-// coverage counts how many times ForDynamicWorker visits each index of
-// [0, n).
+// coverage counts how many times a gang of the given size's
+// ForDynamic visits each index of [0, n).
 func coverage(workers, n, chunk int) []int32 {
+	g := NewGang(workers)
+	defer g.Close()
 	counts := make([]int32, n)
-	ForDynamicWorker(workers, n, chunk, func(w, lo, hi int) {
+	g.ForDynamic(n, chunk, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&counts[i], 1)
 		}
@@ -38,31 +40,17 @@ func TestForDynamicVisitsExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForDynamicWorkerCoverage(t *testing.T) {
-	n := 777
-	counts := make([]int32, n)
-	ForDynamicWorker(3, n, 10, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&counts[i], 1)
-		}
-	})
-	checkExactlyOnce(t, counts)
-}
-
-func TestZeroWorkersDefaults(t *testing.T) {
-	checkExactlyOnce(t, coverage(0, 100, 7))
-	checkExactlyOnce(t, coverage(-1, 100, 7))
-}
-
-// Property: ForDynamicWorker computes the same sum as a serial loop
-// for arbitrary n, workers and chunk.
+// Property: Gang.ForDynamic computes the same sum as a serial loop
+// for arbitrary n, gang size and chunk.
 func TestQuickSchedulesEquivalent(t *testing.T) {
 	f := func(nRaw, workersRaw, chunkRaw uint16) bool {
 		n := int(nRaw % 2000)
 		workers := int(workersRaw%8) + 1
 		chunk := int(chunkRaw%100) + 1
+		g := NewGang(workers)
+		defer g.Close()
 		var got atomic.Int64
-		ForDynamicWorker(workers, n, chunk, func(w, lo, hi int) {
+		g.ForDynamic(n, chunk, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				got.Add(int64(i) * 3)
 			}

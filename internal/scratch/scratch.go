@@ -51,9 +51,14 @@
 //     zeroed; Label comes back dirty and the caller
 //     reinitializes exactly the entries it reads.
 //
-// Every accessor is nil-safe: a nil *Arena allocates fresh memory, so
-// kernels keep working (and tests stay simple) without an arena — they
-// just lose the reuse.
+// # The run's worker gang
+//
+// The arena is also the run's parallel runtime. It always pins a
+// parallel.Gang of its worker count, one worker included, and that
+// count (Workers) is the only one the kernels read: every parallel
+// section of a run — the kernels' loops, phase 1's SCC publication,
+// the phase-2 work queue — dispatches on the arena's gang. Every
+// kernel therefore takes an arena; there is no arena-less mode.
 package scratch
 
 import (
@@ -92,55 +97,41 @@ type Arena struct {
 	inj *chaos.Injector
 }
 
-// New creates an arena for a run with the given worker count,
-// recording reuse into ctr (which may be nil). workers must be >= 1.
-// A persistent worker gang is spawned for workers > 1; Close releases
-// it.
+// New creates an arena for a run with the given worker count (values
+// below 1 select 1) and starts its worker gang, recording reuse into
+// ctr, or into counters of the arena's own when ctr is nil. Close
+// releases the gang.
 func New(workers int, ctr *metrics.Counters) *Arena {
-	if workers < 1 {
-		workers = 1
+	workers = max(workers, 1)
+	if ctr == nil {
+		ctr = new(metrics.Counters)
 	}
 	a := &Arena{workers: workers, ctr: ctr, perW: make([]Worker, workers)}
 	for w := range a.perW {
 		a.perW[w].ctr = ctr
 	}
-	if workers > 1 {
-		a.gang = parallel.NewGang(workers)
-	}
+	a.gang = parallel.NewGang(workers)
 	return a
 }
 
 // Close releases the arena's worker gang. The arena must not be used
-// afterwards. Safe on a nil arena and idempotent.
-func (a *Arena) Close() {
-	if a == nil || a.gang == nil {
-		return
-	}
-	a.gang.Close()
-	a.gang = nil
-}
+// afterwards. Idempotent.
+func (a *Arena) Close() { a.gang.Close() }
 
-// Gang returns the arena's persistent worker gang, or nil for a
-// single-worker (or nil) arena. The engine uses it to drive the
-// phase-2 work queue on the pinned workers instead of spawning fresh
-// goroutines per run.
-func (a *Arena) Gang() *parallel.Gang {
-	if a == nil {
-		return nil
-	}
-	return a.gang
-}
+// Workers returns the arena's worker count: the size of its gang and
+// of every per-worker set it hands out.
+func (a *Arena) Workers() int { return a.workers }
+
+// Gang returns the arena's persistent worker gang, which the engine's
+// phase-2 work queue runs on.
+func (a *Arena) Gang() *parallel.Gang { return a.gang }
 
 // Shrink drops every retained buffer — pools, singletons, peel state,
 // per-worker stacks and free lists — while keeping the worker gang, so
 // a persistent engine can shed a high-water footprint that no longer
 // fits a memory budget. The next run re-grows buffers to its own
 // graph's size. Must not be called while a kernel holds arena memory.
-// Nil-safe.
 func (a *Arena) Shrink() {
-	if a == nil {
-		return
-	}
 	a.free = nil
 	a.lists = nil
 	a.claims = nil
@@ -162,11 +153,8 @@ func (a *Arena) Shrink() {
 // arena currently retains — the high-water scratch footprint a
 // persistent engine holds between runs. The frontier's swap buffers
 // are excluded: between runs they have been recycled into the node
-// pool and would double-count. Nil-safe (0).
+// pool and would double-count.
 func (a *Arena) RetainedBytes() int64 {
-	if a == nil {
-		return 0
-	}
 	const nodeB = 4
 	var b int64
 	for _, buf := range a.free {
@@ -194,59 +182,34 @@ func (a *Arena) RetainedBytes() int64 {
 	return b
 }
 
-// Counters returns the arena's metrics counters (nil for a nil arena
-// or a counterless one).
-func (a *Arena) Counters() *metrics.Counters {
-	if a == nil {
-		return nil
-	}
-	return a.ctr
-}
+// Counters returns the arena's metrics counters.
+func (a *Arena) Counters() *metrics.Counters { return a.ctr }
 
 // SetChaos attaches a chaos injector whose Hit calls the kernels will
-// fire at their named sites. Nil-safe; a nil injector (the default)
-// keeps the kernels on their zero-cost fast path.
-func (a *Arena) SetChaos(inj *chaos.Injector) {
-	if a != nil {
-		a.inj = inj
-	}
-}
+// fire at their named sites; a nil injector (the default) keeps the
+// kernels on their zero-cost fast path.
+func (a *Arena) SetChaos(inj *chaos.Injector) { a.inj = inj }
 
-// Chaos returns the attached chaos injector, nil when none (including
-// on a nil arena) — and a nil *chaos.Injector's methods are themselves
-// nil-safe, so kernels call a.Chaos().Hit(site) unconditionally.
-func (a *Arena) Chaos() *chaos.Injector {
-	if a == nil {
-		return nil
-	}
-	return a.inj
-}
+// Chaos returns the attached chaos injector, nil when none — and a nil
+// *chaos.Injector's methods are themselves nil-safe, so kernels call
+// a.Chaos().Hit(site) unconditionally.
+func (a *Arena) Chaos() *chaos.Injector { return a.inj }
 
 // Abort force-releases a dispatcher wedged on the arena's gang
 // barrier; see parallel.Gang.Abort. The arena must not be used for
-// further parallel sections afterwards. Nil-safe.
-func (a *Arena) Abort() {
-	if a == nil {
-		return
-	}
-	a.gang.Abort()
-}
+// further parallel sections afterwards.
+func (a *Arena) Abort() { a.gang.Abort() }
 
 // ForDynamic runs body over [0, n) in chunks with dynamic
-// self-scheduling, using the arena's persistent gang when available
-// and falling back to parallel.ForDynamicWorker otherwise.
-func (a *Arena) ForDynamic(workers, n, chunk int, body func(worker, lo, hi int)) {
-	if a != nil && a.gang != nil && a.workers == workers {
-		a.gang.ForDynamic(n, chunk, body)
-		return
-	}
-	parallel.ForDynamicWorker(workers, n, chunk, body)
+// self-scheduling on the arena's gang; see parallel.Gang.ForDynamic.
+func (a *Arena) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
+	a.gang.ForDynamic(n, chunk, body)
 }
 
 // GetNodes returns an empty node buffer with at least capHint
 // capacity when the pool can supply one, recording the reuse.
 func (a *Arena) GetNodes(capHint int) []graph.NodeID {
-	if a == nil || len(a.free) == 0 {
+	if len(a.free) == 0 {
 		if capHint < 8 {
 			capHint = 8
 		}
@@ -258,32 +221,24 @@ func (a *Arena) GetNodes(capHint int) []graph.NodeID {
 	return buf[:0]
 }
 
-// PutNodes returns a buffer to the pool. No-op on a nil arena or nil
-// buffer.
+// PutNodes returns a buffer to the pool. No-op on a nil buffer.
 func (a *Arena) PutNodes(buf []graph.NodeID) {
-	if a == nil || buf == nil {
+	if buf == nil {
 		return
 	}
 	a.free = append(a.free, buf)
 }
 
-// GetLists returns a per-worker set of empty node buffers (length
-// workers). Sets come from a pool; their inner buffers retain their
+// GetLists returns a per-worker set of empty node buffers, one per
+// worker. Sets come from a pool; their inner buffers retain their
 // grown capacity.
-func (a *Arena) GetLists(workers int) [][]graph.NodeID {
-	if a == nil || len(a.lists) == 0 {
-		return make([][]graph.NodeID, workers)
+func (a *Arena) GetLists() [][]graph.NodeID {
+	if len(a.lists) == 0 {
+		return make([][]graph.NodeID, a.workers)
 	}
 	set := a.lists[len(a.lists)-1]
 	a.lists = a.lists[:len(a.lists)-1]
 	var reused int64
-	if cap(set) >= workers {
-		set = set[:workers] // recovers inner buffers within capacity
-	}
-	for len(set) < workers {
-		set = append(set, nil)
-	}
-	set = set[:workers]
 	for i := range set {
 		reused += int64(cap(set[i])) * 4
 		set[i] = set[i][:0]
@@ -296,7 +251,7 @@ func (a *Arena) GetLists(workers int) [][]graph.NodeID {
 
 // PutLists returns a per-worker list set to the pool.
 func (a *Arena) PutLists(set [][]graph.NodeID) {
-	if a == nil || set == nil {
+	if set == nil {
 		return
 	}
 	a.lists = append(a.lists, set)
@@ -304,18 +259,10 @@ func (a *Arena) PutLists(set [][]graph.NodeID) {
 
 // ClaimMatrix returns the retained per-worker counter matrix shaped
 // [workers][k], zeroed. Only one kernel may hold it at a time.
-func (a *Arena) ClaimMatrix(workers, k int) [][]int64 {
-	if a == nil {
-		m := make([][]int64, workers)
-		for w := range m {
-			m[w] = make([]int64, k)
-		}
-		return m
+func (a *Arena) ClaimMatrix(k int) [][]int64 {
+	if a.claims == nil {
+		a.claims = make([][]int64, a.workers)
 	}
-	if cap(a.claims) < workers {
-		a.claims = append(a.claims[:cap(a.claims)], make([][]int64, workers-cap(a.claims))...)
-	}
-	a.claims = a.claims[:workers]
 	for w := range a.claims {
 		if cap(a.claims[w]) < k {
 			a.claims[w] = make([]int64, k)
@@ -332,9 +279,6 @@ func (a *Arena) ClaimMatrix(workers, k int) [][]int64 {
 // alternating between two retained rows so the previous kernel's
 // result row stays readable across one further kernel call.
 func (a *Arena) ResultRow(k int) []int64 {
-	if a == nil {
-		return make([]int64, k)
-	}
 	a.rowFlip ^= 1
 	row := a.rows[a.rowFlip]
 	if cap(row) < k {
@@ -348,35 +292,23 @@ func (a *Arena) ResultRow(k int) []int64 {
 	return row
 }
 
-// Counts returns the retained per-worker int64 counter slice (length
-// workers), zeroed.
-func (a *Arena) Counts(workers int) []int64 {
-	if a == nil {
-		return make([]int64, workers)
+// Counts returns the retained per-worker int64 counter slice, one
+// per worker, zeroed.
+func (a *Arena) Counts() []int64 {
+	if a.counts == nil {
+		a.counts = make([]int64, a.workers)
 	}
-	if cap(a.counts) < workers {
-		a.counts = make([]int64, workers)
-	}
-	a.counts = a.counts[:workers]
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
+	clear(a.counts)
 	return a.counts
 }
 
-// Flags returns the retained per-worker bool slice (length workers),
+// Flags returns the retained per-worker bool slice, one per worker,
 // cleared.
-func (a *Arena) Flags(workers int) []bool {
-	if a == nil {
-		return make([]bool, workers)
+func (a *Arena) Flags() []bool {
+	if a.flags == nil {
+		a.flags = make([]bool, a.workers)
 	}
-	if cap(a.flags) < workers {
-		a.flags = make([]bool, workers)
-	}
-	a.flags = a.flags[:workers]
-	for i := range a.flags {
-		a.flags[i] = false
-	}
+	clear(a.flags)
 	return a.flags
 }
 
@@ -384,9 +316,6 @@ func (a *Arena) Flags(workers int) []bool {
 // by the phase-2 task grouping.
 // Contents are NOT zeroed; the caller initializes the entries it uses.
 func (a *Arena) Label(n int) []int32 {
-	if a == nil {
-		return make([]int32, n)
-	}
 	if cap(a.label) < n {
 		a.label = make([]int32, n)
 	}
@@ -416,15 +345,6 @@ type PeelScratch struct {
 // malloc instead of three keeps the arena-construction overhead of
 // the worklist kernels off the per-Detect allocation budget.
 func (a *Arena) Peel(n int) PeelScratch {
-	if a == nil {
-		backing := make([]int32, 3*n)
-		return PeelScratch{
-			SupIn:  backing[:n:n],
-			SupOut: backing[n : 2*n : 2*n],
-			Orig:   backing[2*n : 3*n : 3*n],
-			Marks:  make([]uint8, n),
-		}
-	}
 	if cap(a.peelI32) < 3*n {
 		a.peelI32 = make([]int32, 3*n)
 		a.marks = make([]uint8, n)
@@ -446,21 +366,12 @@ func (a *Arena) Peel(n int) PeelScratch {
 // escape every invocation. State is fully overwritten by
 // Frontier.Init; only one kernel may hold it at a time.
 func (a *Arena) Frontier() *worklist.Frontier[graph.NodeID] {
-	if a == nil {
-		return new(worklist.Frontier[graph.NodeID])
-	}
 	return &a.frontier
 }
 
 // Worker returns worker w's scratch state. Only worker w may use it
-// while a parallel section runs. A nil arena yields a fresh,
-// unpooled Worker.
-func (a *Arena) Worker(w int) *Worker {
-	if a == nil {
-		return &Worker{}
-	}
-	return &a.perW[w]
-}
+// while a parallel section runs.
+func (a *Arena) Worker(w int) *Worker { return &a.perW[w] }
 
 // GatherWorkerPools hands node buffers back to worker 0's pool. The
 // engine draws every root-task node list from worker 0's pool, while
@@ -470,11 +381,7 @@ func (a *Arena) Worker(w int) *Worker {
 // many buffers as it has allocated itself: the reserve its tasks draw
 // on before they free anything, which would otherwise be allocated
 // afresh on every run. Coordinator only, between parallel sections.
-// Nil-safe.
 func (a *Arena) GatherWorkerPools() {
-	if a == nil {
-		return
-	}
 	w0 := &a.perW[0]
 	for w := 1; w < len(a.perW); w++ {
 		ws := &a.perW[w]

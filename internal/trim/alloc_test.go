@@ -36,7 +36,7 @@ func TestParSteadyStateAllocs(t *testing.T) {
 			color[i] = 0
 			comp[i] = -1
 		}
-		_, alive := Par(nil, g, 1, color, comp, candidates, ar)
+		_, alive := Par(nil, g, color, comp, candidates, ar)
 		ar.PutNodes(alive)
 	}
 	run() // warm the arena pools beyond AllocsPerRun's own warmup run
@@ -68,7 +68,7 @@ func TestPeelSteadyStateAllocs(t *testing.T) {
 			comp[i] = -1
 		}
 		var alive []graph.NodeID
-		res, alive = Peel(nil, g, 1, color, comp, candidates, ar)
+		res, alive = Peel(nil, g, color, comp, candidates, ar)
 		ar.PutNodes(alive)
 	}
 	run() // warm the arena pools beyond AllocsPerRun's own warmup run
@@ -106,7 +106,7 @@ func TestPar2SteadyStateAllocs(t *testing.T) {
 			color[i] = 0
 			comp[i] = -1
 		}
-		_, alive := Par2(nil, g, 1, color, comp, candidates, ar)
+		_, alive := Par2(nil, g, color, comp, candidates, ar)
 		ar.PutNodes(alive)
 	}
 	run()

@@ -7,7 +7,6 @@ import (
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/events"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 	"repro/internal/worklist"
 )
@@ -60,14 +59,11 @@ const peelChunk = 128
 // Single-worker invocations skip the atomics' read-modify-writes: with
 // no concurrent claimer, the claim CAS degrades to a plain store and
 // the pointer update to a plain write.
-func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
+func Peel(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
 	ownCandidates := false
 	if candidates == nil {
 		candidates = allCandidates(g, ar)
 		ownCandidates = true
-	}
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
 	}
 	ctr := ar.Counters()
 	ps := ar.Peel(g.NumNodes())
@@ -83,11 +79,11 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	all := casc[:len(candidates)]
 	var kept, dropped int
 	if sink.Err() == nil {
-		if workers == 1 {
+		if ar.Workers() == 1 {
 			ar.Chaos().Hit(chaos.SiteTrim)
 			kept, dropped = peelCascadeRange(g, color, comp, ps, candidates, all, true)
 		} else {
-			kept, dropped = peelCascadePar(g, workers, color, comp, ps, candidates, all, ar)
+			kept, dropped = peelCascadePar(g, color, comp, ps, candidates, all, ar)
 		}
 		res.Removed += int64(dropped)
 		res.SCCs += int64(dropped)
@@ -101,7 +97,7 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	// (every recursion step on a dense giant SCC). A cascade that
 	// removed everything leaves no pointer to move.
 	if dropped > 0 && kept > 0 && sink.Err() == nil {
-		peelWaves(sink, g, workers, color, comp, ps, all[len(all)-dropped:], kept, &res, ar)
+		peelWaves(sink, g, color, comp, ps, all[len(all)-dropped:], kept, &res, ar)
 	}
 
 	// Survivors, and the mark-clearing that upholds the arena's
@@ -131,21 +127,22 @@ func Peel(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 // survivors they leave unsupported, until no pointer runs out. Waves
 // after the first are claimed from the cascade's live survivors, so
 // the frontier's swap buffers are sized by them.
-func peelWaves(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ps scratch.PeelScratch,
+func peelWaves(sink *events.Sink, g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 	wave []graph.NodeID, live int, res *Result, ar *scratch.Arena) {
 	ctr := ar.Counters()
 	fr := ar.Frontier()
-	fr.Init(ar.GetNodes(live), ar.GetNodes(live), ar.GetLists(workers))
+	fr.Init(ar.GetNodes(live), ar.GetNodes(live), ar.GetLists())
 	pushed := int64(len(wave))
+	single := ar.Workers() == 1
 	for first := true; ; first = false {
-		if workers == 1 || len(wave) <= 64 {
+		if single || len(wave) <= 64 {
 			// Tiny waves (deep-chain peeling produces thousands of them)
 			// drain on the coordinator: a gang dispatch per two-node wave
 			// would cost more in barriers than the drain itself.
 			ar.Chaos().Hit(chaos.SitePeel)
-			fr.SetPending(0, peelDrainRange(g, color, comp, ps, wave, fr.Pending(0), workers == 1))
+			fr.SetPending(0, peelDrainRange(g, color, comp, ps, wave, fr.Pending(0), single))
 		} else {
-			peelDrainPar(g, workers, color, comp, ps, wave, fr, ar)
+			peelDrainPar(g, color, comp, ps, wave, fr, ar)
 		}
 		if !first {
 			rm := int64(len(wave))
@@ -178,13 +175,14 @@ func peelWaves(sink *events.Sink, g *graph.Graph, workers int, color, comp []int
 // per-worker list is grown and merged. It lives outside Peel so the
 // escaping parallel-for closure never exists on the single-worker
 // path.
-func peelCascadePar(g *graph.Graph, workers int, color, comp []int32, ps scratch.PeelScratch,
+func peelCascadePar(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 	active, out []graph.NodeID, ar *scratch.Arena) (kept, dropped int) {
-	// Retained arena counters as the head and tail cursors: a local
-	// the closure adds to would be moved to the heap on every call.
-	cur := ar.Counts(2)
+	// A retained arena counter row as the head and tail cursors: a
+	// local the closure adds to would be moved to the heap on every
+	// call.
+	cur := ar.ClaimMatrix(2)[0]
 	inj := ar.Chaos()
-	ar.ForDynamic(workers, len(active), peelChunk, func(w, lo, hi int) {
+	ar.ForDynamic(len(active), peelChunk, func(w, lo, hi int) {
 		if lo == 0 {
 			// One chaos hit per round, fired from inside the gang
 			// dispatch so injected failures exercise worker-side
@@ -240,10 +238,10 @@ func peelCascadeRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratc
 
 // peelDrainPar drains a wave in dynamic chunks: a wave node's cost is
 // its degree, which is heavily skewed on scale-free graphs.
-func peelDrainPar(g *graph.Graph, workers int, color, comp []int32, ps scratch.PeelScratch,
+func peelDrainPar(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 	wave []graph.NodeID, fr *worklist.Frontier[graph.NodeID], ar *scratch.Arena) {
 	inj := ar.Chaos()
-	ar.ForDynamic(workers, len(wave), 64, func(w, lo, hi int) {
+	ar.ForDynamic(len(wave), 64, func(w, lo, hi int) {
 		inj.Hit(chaos.SitePeel)
 		fr.SetPending(w, peelDrainRange(g, color, comp, ps, wave[lo:hi], fr.Pending(w), false))
 	})

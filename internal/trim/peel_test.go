@@ -20,7 +20,7 @@ func TestPeelFigure1b(t *testing.T) {
 	g := graph.FromEdges(5, []graph.Edge{
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 3, To: 2}, {From: 2, To: 4}})
 	color, comp := freshState(5)
-	res, alive := Peel(nil, g, 2, color, comp, nil, nil)
+	res, alive := Peel(nil, g, color, comp, nil, newArena(t, 2))
 	if res.Removed != 5 {
 		t.Fatalf("removed %d, want 5", res.Removed)
 	}
@@ -57,7 +57,7 @@ func TestPeelZigZagMultiWave(t *testing.T) {
 	g := zigzagPath(n)
 	for _, workers := range []int{1, 2} {
 		color, comp := freshState(n)
-		res, alive := Peel(nil, g, workers, color, comp, nil, nil)
+		res, alive := Peel(nil, g, color, comp, nil, newArena(t, workers))
 		if res.Removed != n || len(alive) != 0 {
 			t.Fatalf("w=%d: removed=%d alive=%d, want full trim", workers, res.Removed, len(alive))
 		}
@@ -72,7 +72,7 @@ func TestPeelPreservesCycle(t *testing.T) {
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, // triangle
 		{From: 2, To: 3}, {From: 3, To: 4}}) // tail
 	color, comp := freshState(5)
-	res, alive := Peel(nil, g, 4, color, comp, nil, nil)
+	res, alive := Peel(nil, g, color, comp, nil, newArena(t, 4))
 	if res.Removed != 2 {
 		t.Fatalf("removed %d, want 2", res.Removed)
 	}
@@ -92,7 +92,7 @@ func TestPeelPreservesCycle(t *testing.T) {
 func TestPeelSelfLoopIsTrimmed(t *testing.T) {
 	g := graph.FromEdges(1, []graph.Edge{{From: 0, To: 0}})
 	color, comp := freshState(1)
-	res, alive := Peel(nil, g, 1, color, comp, nil, nil)
+	res, alive := Peel(nil, g, color, comp, nil, newArena(t, 1))
 	if res.Removed != 1 || len(alive) != 0 {
 		t.Fatalf("removed=%d alive=%v", res.Removed, alive)
 	}
@@ -104,7 +104,7 @@ func TestPeelRespectsColors(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}})
 	color, comp := freshState(2)
 	color[1] = 7
-	res, _ := Peel(nil, g, 1, color, comp, nil, nil)
+	res, _ := Peel(nil, g, color, comp, nil, newArena(t, 1))
 	if res.Removed != 2 {
 		t.Fatalf("removed %d, want 2", res.Removed)
 	}
@@ -113,7 +113,7 @@ func TestPeelRespectsColors(t *testing.T) {
 func TestPeelDAGFullyTrims(t *testing.T) {
 	g := gen.CitationDAG(3000, 4, 9)
 	color, comp := freshState(3000)
-	res, alive := Peel(nil, g, 4, color, comp, nil, nil)
+	res, alive := Peel(nil, g, color, comp, nil, newArena(t, 4))
 	if res.Removed != 3000 || len(alive) != 0 {
 		t.Fatalf("removed=%d alive=%d, want full trim", res.Removed, len(alive))
 	}
@@ -144,10 +144,10 @@ func TestPeelMatchesPar(t *testing.T) {
 			}
 		}
 		pcolor, pcomp := freshState(n)
-		pres, palive := Par(nil, g, 4, pcolor, pcomp, candidates, nil)
+		pres, palive := Par(nil, g, pcolor, pcomp, candidates, newArena(t, 4))
 		for _, workers := range []int{1, 4} {
 			color, comp := freshState(n)
-			res, alive := Peel(nil, g, workers, color, comp, candidates, nil)
+			res, alive := Peel(nil, g, color, comp, candidates, newArena(t, workers))
 			if res.Removed != pres.Removed || res.SCCs != pres.SCCs {
 				t.Fatalf("trial %d w=%d: res=%+v, Par got %+v", trial, workers, res, pres)
 			}
@@ -195,9 +195,9 @@ func TestPeelArenaReuse(t *testing.T) {
 			}
 		}
 		pcolor, pcomp := freshState(n)
-		Par(nil, g, 2, pcolor, pcomp, candidates, nil)
+		Par(nil, g, pcolor, pcomp, candidates, newArena(t, 2))
 		color, comp := freshState(n)
-		_, alive := Peel(nil, g, 2, color, comp, candidates, ar)
+		_, alive := Peel(nil, g, color, comp, candidates, ar)
 		for v := 0; v < n; v++ {
 			if color[v] != pcolor[v] || comp[v] != pcomp[v] {
 				t.Fatalf("trial %d: node %d diverges from Par after arena reuse", trial, v)
@@ -261,13 +261,13 @@ func TestPeelDrainDifferential(t *testing.T) {
 			}
 			pcolor, pcomp := freshState(n)
 			copy(pcolor, base)
-			pres, _ := Par(nil, g, 4, pcolor, pcomp, candidates, nil)
+			pres, _ := Par(nil, g, pcolor, pcomp, candidates, newArena(t, 4))
 			for _, workers := range []int{1, 2, 4, 8} {
 				ar := scratch.New(workers, nil)
 				color, comp := freshState(n)
 				copy(color, base)
 				var log waveLog
-				res, _ := Peel(events.NewSink(context.Background(), &log), g, workers, color, comp, candidates, ar)
+				res, _ := Peel(events.NewSink(context.Background(), &log), g, color, comp, candidates, ar)
 				ar.Close()
 				if res.Removed != pres.Removed {
 					t.Fatalf("%s/%d w=%d: removed %d, Par removed %d", name, trial, workers, res.Removed, pres.Removed)
@@ -321,7 +321,7 @@ func TestPeelDrainHighFanIn(t *testing.T) {
 		ar := scratch.New(workers, nil)
 		color, comp := freshState(n)
 		var log waveLog
-		res, alive := Peel(events.NewSink(context.Background(), &log), g, workers, color, comp, nil, ar)
+		res, alive := Peel(events.NewSink(context.Background(), &log), g, color, comp, nil, ar)
 		ar.Close()
 		want := []int64{1, 2 * f, f, 1}
 		got := make([]int64, len(log))
@@ -361,7 +361,7 @@ func TestPeelDrainSkippedOnBestCase(t *testing.T) {
 			ctr := new(metrics.Counters)
 			ar := scratch.New(workers, ctr)
 			color, comp := freshState(n)
-			res, _ := Peel(nil, tc.g, workers, color, comp, nil, ar)
+			res, _ := Peel(nil, tc.g, color, comp, nil, ar)
 			ar.Close()
 			if res.Rounds != 1 || res.Removed != tc.removed || ctr.TrimPushes.Load() != 0 {
 				t.Fatalf("%s w=%d: rounds=%d removed=%d pushes=%d, want 1 round, %d removed, no pushes",

@@ -11,11 +11,11 @@
 // node is only ever trimmed based on neighbors that are genuinely
 // removed, and removing more nodes can only enable more trims.
 //
-// All kernels take a *scratch.Arena (nil is valid). The caller's
-// candidates slice is never pooled: the returned survivor list is
-// always distinct arena-owned storage, so the caller can release its
-// own candidates buffer and, later, the returned one, without
-// double-free hazards.
+// All kernels take the run's *scratch.Arena and run on its gang, at
+// its worker count. The caller's candidates slice is never pooled: the
+// returned survivor list is always distinct arena-owned storage, so
+// the caller can release its own candidates buffer and, later, the
+// returned one, without double-free hazards.
 package trim
 
 import (
@@ -24,7 +24,6 @@ import (
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/events"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 )
 
@@ -84,14 +83,11 @@ func allCandidates(g *graph.Graph, ar *scratch.Arena) []graph.NodeID {
 // sink (nil is valid and free) receives one TrimRound event per
 // fixpoint iteration and is polled for cancellation at each round
 // boundary; a canceled run returns the partial result early.
-func Par(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
+func Par(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
 	ownCandidates := false
 	if candidates == nil {
 		candidates = allCandidates(g, ar)
 		ownCandidates = true
-	}
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
 	}
 	ctr := ar.Counters()
 	var res Result
@@ -101,12 +97,12 @@ func Par(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ca
 	bufA := ar.GetNodes(len(candidates))
 	bufB := ar.GetNodes(len(candidates))
 	dst := bufA
-	single := workers == 1
+	single := ar.Workers() == 1
 	var bufs [][]graph.NodeID
 	var counts []int64
 	if !single {
-		bufs = ar.GetLists(workers)
-		counts = ar.Counts(workers)
+		bufs = ar.GetLists()
+		counts = ar.Counts()
 	}
 	for {
 		if sink.Err() != nil {
@@ -121,7 +117,7 @@ func Par(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ca
 			ar.Chaos().Hit(chaos.SiteTrim)
 			dst, roundRemoved = trimRange(g, color, comp, active, 0, len(active), dst)
 		} else {
-			dst, roundRemoved = trimRoundPar(g, workers, color, comp, active, dst, bufs, counts, ar)
+			dst, roundRemoved = trimRoundPar(g, color, comp, active, dst, bufs, counts, ar)
 		}
 		res.Removed += roundRemoved
 		res.SCCs += roundRemoved
@@ -164,7 +160,7 @@ func Par(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, ca
 // number of nodes removed. It lives outside Par so the escaping
 // parallel-for closure (and the heap cells it forces its captures
 // into) never exists on the single-worker path.
-func trimRoundPar(g *graph.Graph, workers int, color, comp []int32, active []graph.NodeID,
+func trimRoundPar(g *graph.Graph, color, comp []int32, active []graph.NodeID,
 	dst []graph.NodeID, bufs [][]graph.NodeID, counts []int64, ar *scratch.Arena) ([]graph.NodeID, int64) {
 	for w := range bufs {
 		bufs[w] = bufs[w][:0]
@@ -173,7 +169,7 @@ func trimRoundPar(g *graph.Graph, workers int, color, comp []int32, active []gra
 	// Dynamic scheduling: trimming cost is the node's degree, which is
 	// heavily skewed on scale-free graphs (§4.3).
 	inj := ar.Chaos()
-	ar.ForDynamic(workers, len(active), 128, func(w, lo, hi int) {
+	ar.ForDynamic(len(active), 128, func(w, lo, hi int) {
 		if lo == 0 {
 			// One chaos hit per round, fired from inside the gang
 			// dispatch so injected failures exercise worker-side
@@ -230,14 +226,11 @@ func trimRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, lo, h
 // SCC is emitted exactly once. Par2 is a single parallel round; it
 // emits one TrimRound event on sink and checks cancellation once on
 // entry.
-func Par2(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
+func Par2(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
 	ownCandidates := false
 	if candidates == nil {
 		candidates = allCandidates(g, ar)
 		ownCandidates = true
-	}
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
 	}
 	survivors := ar.GetNodes(len(candidates))
 	if sink.Err() != nil {
@@ -249,15 +242,15 @@ func Par2(sink *events.Sink, g *graph.Graph, workers int, color, comp []int32, c
 	}
 	ctr := ar.Counters()
 	res := Result{Rounds: 1}
-	if workers == 1 {
+	if ar.Workers() == 1 {
 		ar.Chaos().Hit(chaos.SiteTrim2)
 		survivors, res.SCCs = trim2Range(g, color, comp, candidates, 0, len(candidates), survivors)
 	} else {
-		bufs := ar.GetLists(workers)
-		counts := ar.Counts(workers)
+		bufs := ar.GetLists()
+		counts := ar.Counts()
 		cand := candidates
 		inj := ar.Chaos()
-		ar.ForDynamic(workers, len(cand), 128, func(w, lo, hi int) {
+		ar.ForDynamic(len(cand), 128, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteTrim2)
 			}

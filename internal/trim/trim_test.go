@@ -11,6 +11,14 @@ import (
 	"repro/internal/seq"
 )
 
+// newArena returns an arena of the given worker count whose gang is
+// closed when the test ends.
+func newArena(t testing.TB, workers int) *scratch.Arena {
+	ar := scratch.New(workers, nil)
+	t.Cleanup(ar.Close)
+	return ar
+}
+
 func freshState(n int) (color, comp []int32) {
 	color = make([]int32, n)
 	comp = make([]int32, n)
@@ -28,7 +36,7 @@ func TestParTrimFigure1b(t *testing.T) {
 	g := graph.FromEdges(5, []graph.Edge{
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 3, To: 2}, {From: 2, To: 4}})
 	color, comp := freshState(5)
-	res, alive := Par(nil, g, 2, color, comp, nil, nil)
+	res, alive := Par(nil, g, color, comp, nil, newArena(t, 2))
 	if res.Removed != 5 {
 		t.Fatalf("removed %d, want 5", res.Removed)
 	}
@@ -51,7 +59,7 @@ func TestParTrimPreservesCycle(t *testing.T) {
 		{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}, // triangle
 		{From: 2, To: 3}, {From: 3, To: 4}}) // tail
 	color, comp := freshState(5)
-	res, alive := Par(nil, g, 4, color, comp, nil, nil)
+	res, alive := Par(nil, g, color, comp, nil, newArena(t, 4))
 	if res.Removed != 2 {
 		t.Fatalf("removed %d, want 2", res.Removed)
 	}
@@ -73,7 +81,7 @@ func TestParTrimSelfLoopIsTrimmed(t *testing.T) {
 	// self-edges from degree counts lets Trim claim it immediately.
 	g := graph.FromEdges(1, []graph.Edge{{From: 0, To: 0}})
 	color, comp := freshState(1)
-	res, alive := Par(nil, g, 1, color, comp, nil, nil)
+	res, alive := Par(nil, g, color, comp, nil, newArena(t, 1))
 	if res.Removed != 1 || len(alive) != 0 {
 		t.Fatalf("removed=%d alive=%v", res.Removed, alive)
 	}
@@ -86,7 +94,7 @@ func TestParTrimRespectsColors(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}})
 	color, comp := freshState(2)
 	color[1] = 7
-	res, _ := Par(nil, g, 1, color, comp, nil, nil)
+	res, _ := Par(nil, g, color, comp, nil, newArena(t, 1))
 	if res.Removed != 2 {
 		t.Fatalf("removed %d, want 2", res.Removed)
 	}
@@ -97,7 +105,7 @@ func TestParTrimDAGFullyTrims(t *testing.T) {
 	// Trim alone (§5's observation for the Patent graph).
 	g := gen.CitationDAG(3000, 4, 9)
 	color, comp := freshState(3000)
-	res, alive := Par(nil, g, 4, color, comp, nil, nil)
+	res, alive := Par(nil, g, color, comp, nil, newArena(t, 4))
 	if res.Removed != 3000 || len(alive) != 0 {
 		t.Fatalf("removed=%d alive=%d, want full trim", res.Removed, len(alive))
 	}
@@ -117,7 +125,7 @@ func TestParTrimMatchesSequentialOnRandom(t *testing.T) {
 		g := b.Build()
 		want := sequentialTrimFixpoint(g)
 		color, comp := freshState(n)
-		_, alive := Par(nil, g, 4, color, comp, nil, nil)
+		_, alive := Par(nil, g, color, comp, nil, newArena(t, 4))
 		got := map[graph.NodeID]bool{}
 		for _, v := range alive {
 			got[v] = true
@@ -167,7 +175,7 @@ func sequentialTrimFixpoint(g *graph.Graph) map[graph.NodeID]bool {
 func TestParTrim2IsolatedTwoCycle(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}})
 	color, comp := freshState(2)
-	res, alive := Par2(nil, g, 2, color, comp, nil, nil)
+	res, alive := Par2(nil, g, color, comp, nil, newArena(t, 2))
 	if res.SCCs != 1 || res.Removed != 2 {
 		t.Fatalf("res = %+v, want one pair", res)
 	}
@@ -187,7 +195,7 @@ func TestParTrim2PatternA(t *testing.T) {
 		{From: 0, To: 1}, {From: 1, To: 0},
 		{From: 0, To: 2}, {From: 1, To: 3}})
 	color, comp := freshState(4)
-	res, _ := Par2(nil, g, 1, color, comp, []graph.NodeID{0, 1}, nil)
+	res, _ := Par2(nil, g, color, comp, []graph.NodeID{0, 1}, newArena(t, 1))
 	if res.SCCs != 1 {
 		t.Fatalf("SCCs = %d, want 1", res.SCCs)
 	}
@@ -203,7 +211,7 @@ func TestParTrim2PatternB(t *testing.T) {
 		{From: 0, To: 1}, {From: 1, To: 0},
 		{From: 2, To: 0}, {From: 3, To: 1}})
 	color, comp := freshState(4)
-	res, _ := Par2(nil, g, 1, color, comp, []graph.NodeID{0, 1}, nil)
+	res, _ := Par2(nil, g, color, comp, []graph.NodeID{0, 1}, newArena(t, 1))
 	if res.SCCs != 1 {
 		t.Fatalf("SCCs = %d, want 1", res.SCCs)
 	}
@@ -215,7 +223,7 @@ func TestParTrim2SkipsLargerCycle(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{
 		{From: 0, To: 1}, {From: 1, To: 0}, {From: 1, To: 2}, {From: 2, To: 0}})
 	color, comp := freshState(3)
-	res, alive := Par2(nil, g, 2, color, comp, nil, nil)
+	res, alive := Par2(nil, g, color, comp, nil, newArena(t, 2))
 	if res.SCCs != 0 {
 		t.Fatalf("SCCs = %d, want 0 (pair is inside a 3-cycle)", res.SCCs)
 	}
@@ -237,7 +245,7 @@ func TestParTrim2ChainOfPairs(t *testing.T) {
 		{From: 4, To: 5}, {From: 5, To: 4},
 		{From: 1, To: 2}, {From: 3, To: 4}})
 	color, comp := freshState(6)
-	res, _ := Par2(nil, g, 2, color, comp, nil, nil)
+	res, _ := Par2(nil, g, color, comp, nil, newArena(t, 2))
 	if res.SCCs < 1 {
 		t.Fatalf("SCCs = %d, want >= 1", res.SCCs)
 	}
@@ -262,7 +270,7 @@ func TestParTrim2NoDoubleClaim(t *testing.T) {
 	}
 	g := b.Build()
 	color, comp := freshState(pairs * 2)
-	res, alive := Par2(nil, g, 8, color, comp, nil, nil)
+	res, alive := Par2(nil, g, color, comp, nil, newArena(t, 8))
 	if res.SCCs != pairs {
 		t.Fatalf("SCCs = %d, want %d", res.SCCs, pairs)
 	}
@@ -288,7 +296,7 @@ func TestParTrim2SurvivorsExcludeLateClaims(t *testing.T) {
 		{From: 0, To: 5}, {From: 5, To: 0},
 	})
 	color, comp := freshState(6)
-	res, alive := Par2(nil, g, 1, color, comp, nil, nil)
+	res, alive := Par2(nil, g, color, comp, nil, newArena(t, 1))
 	if res.SCCs != 3 {
 		t.Fatalf("SCCs = %d, want 3", res.SCCs)
 	}
@@ -322,7 +330,7 @@ func TestTrim2ClaimsAreRealSCCs(t *testing.T) {
 			tarjanSize[c]++
 		}
 		color, comp := freshState(n)
-		Par2(nil, g, 4, color, comp, nil, nil)
+		Par2(nil, g, color, comp, nil, newArena(t, 4))
 		for v := 0; v < n; v++ {
 			if comp[v] < 0 {
 				continue
@@ -351,7 +359,7 @@ func BenchmarkParTrimRMAT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		color, comp := freshState(n)
-		_, out := Par(nil, g, workers, color, comp, nil, ar)
+		_, out := Par(nil, g, color, comp, nil, ar)
 		ar.PutNodes(out)
 	}
 }

@@ -26,7 +26,7 @@ func TestRunUFSteadyStateAllocs(t *testing.T) {
 	label := make([]int32, n)
 	nodes := allNodes(n)
 	run := func() {
-		if res := RunUF(nil, g, 1, color, nodes, label, ar); res.Components != 1 {
+		if res := RunUF(nil, g, color, nodes, label, ar); res.Components != 1 {
 			t.Fatalf("components = %d, want 1", res.Components)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/events"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 )
 
@@ -38,25 +37,22 @@ const rootSampleCap = 1024
 // WCCRound event per pass, cancellation polled at pass boundaries.
 // Result.Rounds is the constant pass count. Like Run, every alive
 // same-color neighbor of a processed node must itself be in nodes.
-func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes []graph.NodeID, label []int32, ar *scratch.Arena) Result {
+func RunUF(sink *events.Sink, g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, ar *scratch.Arena) Result {
 	if len(nodes) == 0 {
 		// Nothing to union (a fully trimmed graph): skip the passes and
 		// their scratch draws entirely.
 		return Result{}
-	}
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
 	}
 	ctr := ar.Counters()
 	for _, v := range nodes {
 		label[v] = int32(v)
 	}
 	var res Result
-	single := workers == 1
+	single := ar.Workers() == 1
 	inj := ar.Chaos()
 	// Per-worker counter rows in ufTally's layout, added to once per
 	// chunk and folded into the run counters once per pass.
-	m := ar.ClaimMatrix(workers, 3)
+	m := ar.ClaimMatrix(3)
 
 	// Pass 1: sampling. Hooking just the first couple of out-neighbors
 	// connects the giant components almost entirely.
@@ -71,7 +67,7 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 		ar.Chaos().Hit(chaos.SiteUF)
 		ufSampleRange(g, color, nodes, label, 0, len(nodes)).addTo(m[0])
 	} else {
-		ar.ForDynamic(workers, len(nodes), 128, func(w, lo, hi int) {
+		ar.ForDynamic(len(nodes), 128, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteWCC)
 			}
@@ -101,7 +97,7 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 		ar.Chaos().Hit(chaos.SiteUF)
 		ufFullRange(g, color, nodes, label, skip, 0, len(nodes)).addTo(m[0])
 	} else {
-		ar.ForDynamic(workers, len(nodes), 128, func(w, lo, hi int) {
+		ar.ForDynamic(len(nodes), 128, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteWCC)
 			}
@@ -123,7 +119,7 @@ func RunUF(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes 
 		ar.Chaos().Hit(chaos.SiteWCC)
 		ufFlattenRange(nodes, label, 0, len(nodes)).addTo(m[0])
 	} else {
-		ar.ForDynamic(workers, len(nodes), 512, func(w, lo, hi int) {
+		ar.ForDynamic(len(nodes), 512, func(w, lo, hi int) {
 			if lo == 0 {
 				inj.Hit(chaos.SiteWCC)
 			}

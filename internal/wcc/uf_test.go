@@ -21,7 +21,7 @@ func TestRunUFMatchesUnionFindRandom(t *testing.T) {
 		g := b.Build()
 		color := make([]int32, n)
 		label := make([]int32, n)
-		res := RunUF(nil, g, 4, color, allNodes(n), label, nil)
+		res := RunUF(nil, g, color, allNodes(n), label, newArena(t, 4))
 
 		uf := newUF(n)
 		for v := 0; v < n; v++ {
@@ -75,10 +75,10 @@ func TestRunUFMatchesRun(t *testing.T) {
 			nodes = append(nodes, graph.NodeID(v))
 		}
 		want := make([]int32, n)
-		wres := Run(nil, g, 4, color, nodes, want, nil)
+		wres := Run(nil, g, color, nodes, want, newArena(t, 4))
 		for _, workers := range []int{1, 4} {
 			got := make([]int32, n)
-			gres := RunUF(nil, g, workers, color, nodes, got, nil)
+			gres := RunUF(nil, g, color, nodes, got, newArena(t, workers))
 			if gres.Components != wres.Components {
 				t.Fatalf("trial %d w=%d: %d components, Run got %d", trial, workers, gres.Components, wres.Components)
 			}
@@ -98,7 +98,7 @@ func TestRunUFLabelIsMinimumID(t *testing.T) {
 	}
 	g := graph.FromEdges(6, edges)
 	label := make([]int32, 6)
-	RunUF(nil, g, 2, make([]int32, 6), allNodes(6), label, nil)
+	RunUF(nil, g, make([]int32, 6), allNodes(6), label, newArena(t, 2))
 	for v, l := range label {
 		if l != 0 {
 			t.Fatalf("node %d labeled %d, want 0", v, l)
@@ -110,7 +110,7 @@ func TestRunUFRespectsColors(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
 	color := []int32{0, 3}
 	label := make([]int32, 2)
-	res := RunUF(nil, g, 1, color, allNodes(2), label, nil)
+	res := RunUF(nil, g, color, allNodes(2), label, newArena(t, 1))
 	if res.Components != 2 {
 		t.Fatalf("components = %d, want 2", res.Components)
 	}
@@ -123,7 +123,7 @@ func TestRunUFIgnoresRemovedNodes(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}})
 	color := []int32{0, -1, 0}
 	label := make([]int32, 3)
-	res := RunUF(nil, g, 2, color, []graph.NodeID{0, 2}, label, nil)
+	res := RunUF(nil, g, color, []graph.NodeID{0, 2}, label, newArena(t, 2))
 	if res.Components != 2 {
 		t.Fatalf("components = %d, want 2", res.Components)
 	}
@@ -131,7 +131,7 @@ func TestRunUFIgnoresRemovedNodes(t *testing.T) {
 
 func TestRunUFEmptyNodes(t *testing.T) {
 	g := graph.FromEdges(3, nil)
-	res := RunUF(nil, g, 2, make([]int32, 3), nil, make([]int32, 3), nil)
+	res := RunUF(nil, g, make([]int32, 3), nil, make([]int32, 3), newArena(t, 2))
 	if res.Components != 0 {
 		t.Fatalf("components = %d", res.Components)
 	}
@@ -149,7 +149,7 @@ func TestRunUFManySmallComponents(t *testing.T) {
 	}
 	g := b.Build()
 	label := make([]int32, 3*k)
-	res := RunUF(nil, g, 8, make([]int32, 3*k), allNodes(3*k), label, nil)
+	res := RunUF(nil, g, make([]int32, 3*k), allNodes(3*k), label, newArena(t, 8))
 	if res.Components != k {
 		t.Fatalf("components = %d, want %d", res.Components, k)
 	}
@@ -165,7 +165,7 @@ func TestRunUFHighDiameterConstantPasses(t *testing.T) {
 	}
 	g := graph.FromEdges(n, edges)
 	label := make([]int32, n)
-	res := RunUF(nil, g, 4, make([]int32, n), allNodes(n), label, nil)
+	res := RunUF(nil, g, make([]int32, n), allNodes(n), label, newArena(t, 4))
 	if res.Components != 1 {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
@@ -183,7 +183,7 @@ func TestRunUFDeterministicAcrossWorkers(t *testing.T) {
 	var want []int32
 	for _, workers := range []int{1, 2, 8} {
 		label := make([]int32, n)
-		RunUF(nil, g, workers, make([]int32, n), allNodes(n), label, nil)
+		RunUF(nil, g, make([]int32, n), allNodes(n), label, newArena(t, workers))
 		if want == nil {
 			want = append([]int32(nil), label...)
 			continue
@@ -207,6 +207,6 @@ func BenchmarkWCCUFRMAT(b *testing.B) {
 	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunUF(nil, g, workers, color, nodes, label, ar)
+		RunUF(nil, g, color, nodes, label, ar)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/events"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 )
 
@@ -49,19 +48,17 @@ type Result struct {
 // propagation round and is polled for cancellation at each round
 // boundary; a canceled run returns early with partial labels.
 //
-// ar (nil is valid) supplies the per-worker changed flags and records
-// propagation rounds into the run's counters.
-func Run(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes []graph.NodeID, label []int32, ar *scratch.Arena) Result {
-	if workers < 1 {
-		workers = parallel.DefaultWorkers()
-	}
+// ar supplies the gang and worker count the rounds run on and the
+// per-worker changed flags, and records propagation rounds into the
+// run's counters.
+func Run(sink *events.Sink, g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, ar *scratch.Arena) Result {
 	ctr := ar.Counters()
 	for _, v := range nodes {
 		label[v] = int32(v)
 	}
 	var res Result
-	single := workers == 1
-	changedPerWorker := ar.Flags(workers)
+	single := ar.Workers() == 1
+	changedPerWorker := ar.Flags()
 	for {
 		if sink.Err() != nil {
 			break
@@ -84,7 +81,7 @@ func Run(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes []
 			}
 			inj := ar.Chaos()
 			// Hook: adopt the minimum neighbor label (both directions).
-			ar.ForDynamic(workers, len(nodes), 128, func(w, lo, hi int) {
+			ar.ForDynamic(len(nodes), 128, func(w, lo, hi int) {
 				if lo == 0 {
 					// One chaos hit per round, from inside the dispatch.
 					inj.Hit(chaos.SiteWCC)
@@ -95,7 +92,7 @@ func Run(sink *events.Sink, g *graph.Graph, workers int, color []int32, nodes []
 			})
 			// Shortcut: one step of pointer jumping compresses label chains
 			// (the second inner loop of Algorithm 7).
-			ar.ForDynamic(workers, len(nodes), 512, func(w, lo, hi int) {
+			ar.ForDynamic(len(nodes), 512, func(w, lo, hi int) {
 				if shortcutRange(nodes, label, lo, hi) {
 					changedPerWorker[w] = true
 				}

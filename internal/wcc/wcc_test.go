@@ -10,6 +10,14 @@ import (
 	"repro/internal/scratch"
 )
 
+// newArena returns an arena of the given worker count whose gang is
+// closed when the test ends.
+func newArena(t testing.TB, workers int) *scratch.Arena {
+	ar := scratch.New(workers, nil)
+	t.Cleanup(ar.Close)
+	return ar
+}
+
 // unionFind is the reference model.
 type unionFind struct{ parent []int }
 
@@ -55,7 +63,7 @@ func TestRunMatchesUnionFindRandom(t *testing.T) {
 		g := b.Build()
 		color := make([]int32, n)
 		label := make([]int32, n)
-		res := Run(nil, g, 4, color, allNodes(n), label, nil)
+		res := Run(nil, g, color, allNodes(n), label, newArena(t, 4))
 
 		uf := newUF(n)
 		for v := 0; v < n; v++ {
@@ -97,7 +105,7 @@ func TestRunLabelIsMinimumID(t *testing.T) {
 	}
 	g := graph.FromEdges(6, edges)
 	label := make([]int32, 6)
-	Run(nil, g, 2, make([]int32, 6), allNodes(6), label, nil)
+	Run(nil, g, make([]int32, 6), allNodes(6), label, newArena(t, 2))
 	for v, l := range label {
 		if l != 0 {
 			t.Fatalf("node %d labeled %d, want 0", v, l)
@@ -110,7 +118,7 @@ func TestRunRespectsColors(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
 	color := []int32{0, 3}
 	label := make([]int32, 2)
-	res := Run(nil, g, 1, color, allNodes(2), label, nil)
+	res := Run(nil, g, color, allNodes(2), label, newArena(t, 1))
 	if res.Components != 2 {
 		t.Fatalf("components = %d, want 2", res.Components)
 	}
@@ -125,7 +133,7 @@ func TestRunIgnoresRemovedNodes(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}})
 	color := []int32{0, -1, 0}
 	label := make([]int32, 3)
-	res := Run(nil, g, 2, color, []graph.NodeID{0, 2}, label, nil)
+	res := Run(nil, g, color, []graph.NodeID{0, 2}, label, newArena(t, 2))
 	if res.Components != 2 {
 		t.Fatalf("components = %d, want 2", res.Components)
 	}
@@ -133,7 +141,7 @@ func TestRunIgnoresRemovedNodes(t *testing.T) {
 
 func TestRunEmptyNodes(t *testing.T) {
 	g := graph.FromEdges(3, nil)
-	res := Run(nil, g, 2, make([]int32, 3), nil, make([]int32, 3), nil)
+	res := Run(nil, g, make([]int32, 3), nil, make([]int32, 3), newArena(t, 2))
 	if res.Components != 0 {
 		t.Fatalf("components = %d", res.Components)
 	}
@@ -150,7 +158,7 @@ func TestRunManySmallComponents(t *testing.T) {
 	}
 	g := b.Build()
 	label := make([]int32, 3*k)
-	res := Run(nil, g, 8, make([]int32, 3*k), allNodes(3*k), label, nil)
+	res := Run(nil, g, make([]int32, 3*k), allNodes(3*k), label, newArena(t, 8))
 	if res.Components != k {
 		t.Fatalf("components = %d, want %d", res.Components, k)
 	}
@@ -166,7 +174,7 @@ func TestRunHighDiameterConvergence(t *testing.T) {
 	}
 	g := graph.FromEdges(n, edges)
 	label := make([]int32, n)
-	res := Run(nil, g, 4, make([]int32, n), allNodes(n), label, nil)
+	res := Run(nil, g, make([]int32, n), allNodes(n), label, newArena(t, 4))
 	if res.Components != 1 {
 		t.Fatalf("components = %d, want 1", res.Components)
 	}
@@ -184,7 +192,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	var want []int32
 	for _, workers := range []int{1, 2, 8} {
 		label := make([]int32, n)
-		Run(nil, g, workers, make([]int32, n), allNodes(n), label, nil)
+		Run(nil, g, make([]int32, n), allNodes(n), label, newArena(t, workers))
 		if want == nil {
 			want = append([]int32(nil), label...)
 			continue
@@ -210,6 +218,6 @@ func BenchmarkWCCRMAT(b *testing.B) {
 	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(nil, g, workers, color, nodes, label, ar)
+		Run(nil, g, color, nodes, label, ar)
 	}
 }

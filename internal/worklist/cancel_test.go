@@ -12,7 +12,7 @@ func TestQueueCancelBeforeRun(t *testing.T) {
 	q.Seed([]int{1, 2, 3, 4, 5, 6, 7, 8})
 	q.Cancel()
 	var executed atomic.Int64
-	q.Run(func(w, item int) { executed.Add(1) })
+	runOnGang(q, func(w, item int) { executed.Add(1) })
 	if n := executed.Load(); n != 0 {
 		t.Fatalf("pre-canceled queue executed %d items", n)
 	}
@@ -26,7 +26,7 @@ func TestQueueCancelMidRun(t *testing.T) {
 	seed := make([]int, items)
 	q.Seed(seed)
 	var executed atomic.Int64
-	q.Run(func(w, item int) {
+	runOnGang(q, func(w, item int) {
 		if executed.Add(1) == 1 {
 			q.Cancel()
 		}
@@ -44,6 +44,6 @@ func TestQueueCancelIdempotent(t *testing.T) {
 	q.Cancel()
 	q.Cancel()
 	q.Seed([]int{1})
-	q.Run(func(w, item int) { t.Error("executed after cancel") })
+	runOnGang(q, func(w, item int) { t.Error("executed after cancel") })
 	q.Cancel()
 }

@@ -2,6 +2,7 @@ package worklist
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func TestQueueTaskPanicBecomesWorkerPanic(t *testing.T) {
 	q := New[int](4, 2)
 	q.Seed([]int{1, 2, 3, 4, 5, 6, 7, 8})
 	v := recoverPanic(func() {
-		q.Run(func(w, item int) {
+		runOnGang(q, func(w, item int) {
 			if item == 5 {
 				panic("task boom")
 			}
@@ -48,7 +49,7 @@ func TestQueuePanicCancelsPeers(t *testing.T) {
 	// panicking worker is descheduled between its recover and Cancel.
 	deadline := time.Now().Add(10 * time.Second)
 	recoverPanic(func() {
-		q.Run(func(w, item int) {
+		runOnGang(q, func(w, item int) {
 			n := executed.Add(1)
 			if n == 3 {
 				panic("early")
@@ -68,7 +69,7 @@ func TestQueuePanicCancelsPeers(t *testing.T) {
 func TestQueueReusableAfterPanic(t *testing.T) {
 	q := New[int](2, 1)
 	q.Seed([]int{1})
-	recoverPanic(func() { q.Run(func(w, item int) { panic("x") }) })
+	recoverPanic(func() { runOnGang(q, func(w, item int) { panic("x") }) })
 	// A panic implies Cancel, which is sticky — but the trap must be
 	// clear, so a fresh queue-style reuse reports no stale panic.
 	if q.Panic() != nil {
@@ -76,29 +77,49 @@ func TestQueueReusableAfterPanic(t *testing.T) {
 	}
 }
 
-func TestQueueAbandonReleasesWedgedRun(t *testing.T) {
-	q := New[int](2, 1)
-	q.Seed([]int{1, 2})
-	wedge := make(chan struct{})
-	runDone := make(chan any, 1)
-	go func() {
-		runDone <- recoverPanic(func() {
-			q.Run(func(w, item int) {
-				if item == 1 {
-					<-wedge
-				}
+// TestQueueGangAbortReleasesWedgedRun wedges one task and aborts the
+// gang under the queue, as the engine's watchdog does: Run must panic
+// ErrBarrierAbandoned, the cancel must stop the worker that is not
+// wedged, and once the wedged task returns every gang goroutine exits.
+// A one-worker queue is released the same way: its one task runs on
+// the gang's goroutine, not on the caller's.
+func TestQueueGangAbortReleasesWedgedRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		base := runtime.NumGoroutine()
+		g := parallel.NewGang(workers)
+		q := New[int](workers, 1)
+		q.Seed([]int{1, 2})
+		wedge := make(chan struct{})
+		entered := make(chan struct{})
+		runDone := make(chan any, 1)
+		go func() {
+			runDone <- recoverPanic(func() {
+				q.Run(g, func(w, item int) {
+					if item == 1 {
+						close(entered)
+						<-wedge
+					}
+				})
 			})
-		})
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q.Abandon()
-	select {
-	case v := <-runDone:
-		if err, ok := v.(error); !ok || !errors.Is(err, parallel.ErrBarrierAbandoned) {
-			t.Fatalf("abandoned Run panicked %v, want ErrBarrierAbandoned", v)
+		}()
+		<-entered
+		g.Abort()
+		q.Cancel()
+		select {
+		case v := <-runDone:
+			if err, ok := v.(error); !ok || !errors.Is(err, parallel.ErrBarrierAbandoned) {
+				t.Fatalf("workers=%d: aborted Run panicked %v, want ErrBarrierAbandoned", workers, v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("workers=%d: gang abort did not release the wedged Run", workers)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Abandon did not release the wedged Run")
+		close(wedge)
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: goroutines did not settle: %d running, started with %d", workers, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
-	close(wedge)
 }

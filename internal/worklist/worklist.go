@@ -6,6 +6,10 @@
 // K once the local queue reaches 2K. The paper sets K=1 for Baseline
 // and Method 1 (parallelism-starved) and K=8 for Method 2.
 //
+// The queue runs on a caller's parallel.Gang, the thread team the
+// paper's process_work_queue runs inside: gang worker w drives queue
+// worker w.
+//
 // The queue also records the statistics the paper reports: the peak
 // number of simultaneously ready tasks (its "maximum queue depth" —
 // six for Method 1 on Flickr, ~10,000 for Method 2) and the total task
@@ -20,15 +24,17 @@ import (
 )
 
 // Queue is a two-level work queue of items of type T, executed by a
-// fixed pool of workers. Create with New, seed with Seed (or push from
-// inside tasks), then call Run.
+// gang of a fixed worker count. Create with New, seed with Seed (or
+// push from inside tasks), then call Run.
 //
 // A panic inside a task does not crash the process: the first panic is
 // captured (value + stack), the queue cancels itself so peers stop
 // dispatching, and Run re-raises it as a *parallel.WorkerPanic on the
-// calling goroutine once all workers have parked. Abandon releases a
-// Run blocked on a wedged task; Run then panics
-// parallel.ErrBarrierAbandoned and the queue must not be reused.
+// calling goroutine once all workers have parked. Aborting the gang
+// (parallel.Gang.Abort) releases a Run blocked on a wedged task: Run
+// panics parallel.ErrBarrierAbandoned, and the gang and the queue must
+// not be reused. Cancel the queue alongside the abort so the workers
+// that are not wedged stop dispatching.
 type Queue[T any] struct {
 	k       int
 	workers int
@@ -47,9 +53,12 @@ type Queue[T any] struct {
 	executed  atomic.Int64
 	canceled  atomic.Bool
 
-	trap      parallel.Trap
-	abandoned atomic.Bool
-	abandonCh chan struct{}
+	trap parallel.Trap
+
+	// fn is the task body of the Run in flight; body is the gang body
+	// that drives it, bound once in New so a Run allocates nothing.
+	fn   func(worker int, item T)
+	body func(worker int)
 }
 
 // New returns a Queue executed by `workers` workers with batch size k.
@@ -61,7 +70,8 @@ func New[T any](workers, k int) *Queue[T] {
 	if k < 1 {
 		panic("worklist: k must be >= 1")
 	}
-	q := &Queue[T]{k: k, workers: workers, local: make([][]T, workers), abandonCh: make(chan struct{})}
+	q := &Queue[T]{k: k, workers: workers, local: make([][]T, workers)}
+	q.body = q.runWorker
 	// Local queues are bounded at 2K by the spill rule; preallocating
 	// that capacity keeps Push allocation-free in steady state.
 	for w := range q.local {
@@ -121,92 +131,45 @@ func (q *Queue[T]) Cancel() {
 	q.cond.Broadcast()
 }
 
-// Run executes fn on queued items until the queue drains and every
-// worker is idle, or until Cancel is called. fn receives the executing
-// worker's index (valid for Push) and the item. Run blocks until
-// completion; the Queue can be reused afterwards (stats accumulate).
-// If a task panicked, Run re-raises the first captured panic as a
-// *parallel.WorkerPanic; if Abandon released the barrier early, Run
-// panics parallel.ErrBarrierAbandoned.
-func (q *Queue[T]) Run(fn func(worker int, item T)) {
+// Workers returns the queue's worker count.
+func (q *Queue[T]) Workers() int { return q.workers }
+
+// K returns the queue's batch size.
+func (q *Queue[T]) K() int { return q.k }
+
+// Run executes fn on queued items on gang g, whose size must be the
+// queue's worker count, until the queue drains and every worker is
+// idle, or until Cancel is called. fn receives the executing worker's
+// index (valid for Push) and the item. Run blocks until completion;
+// the Queue can be reused afterwards (stats accumulate). If a task
+// panicked, Run re-raises the first captured panic as a
+// *parallel.WorkerPanic; if the gang was aborted before its workers
+// finished, Run panics parallel.ErrBarrierAbandoned.
+func (q *Queue[T]) Run(g *parallel.Gang, fn func(worker int, item T)) {
+	if g.Workers() != q.workers {
+		panic("worklist: gang size differs from the queue's workers")
+	}
 	q.mu.Lock()
 	q.done = q.canceled.Load() // a pre-Run Cancel sticks
 	q.idle = 0
 	q.mu.Unlock()
-	var live atomic.Int64
-	live.Store(int64(q.workers))
-	allDone := make(chan struct{})
-	for w := 0; w < q.workers; w++ {
-		go func(w int) {
-			defer func() {
-				if live.Add(-1) == 0 {
-					close(allDone)
-				}
-			}()
-			q.worker(w, fn)
-		}(w)
-	}
-	select {
-	case <-allDone:
-	case <-q.abandonCh:
-		panic(parallel.ErrBarrierAbandoned)
-	}
+	// The gang's dispatch publishes fn to its workers.
+	q.fn = fn
+	g.Run(q.body)
 	q.trap.Rethrow()
 }
 
-// RunSerial is Run for a single-worker queue, executed inline on the
-// calling goroutine: no goroutine is spawned and no completion channel
-// is allocated, which is what keeps a persistent engine's steady state
-// at zero allocations per run. The panic contract matches Run — the
-// first task panic re-raises as a *parallel.WorkerPanic — but Abandon
-// cannot release a RunSerial blocked in a wedged task (there is no
-// coordinating goroutine to release), so callers must only use it when
-// no force-abort facility (watchdog) is armed. Panics if the queue was
-// built with more than one worker.
-func (q *Queue[T]) RunSerial(fn func(worker int, item T)) {
-	if q.workers != 1 {
-		panic("worklist: RunSerial requires a single-worker queue")
-	}
-	q.mu.Lock()
-	q.done = q.canceled.Load()
-	q.idle = 0
-	q.mu.Unlock()
-	q.worker(0, fn)
-	q.trap.Rethrow()
-}
-
-// RunOn is Run executed on a caller-provided worker gang instead of
-// freshly spawned goroutines: gang worker w drives queue worker w. The
-// gang must have exactly the queue's worker count. The panic and
-// abandon contracts match Run — a task panic re-raises as a
-// *parallel.WorkerPanic once the gang barrier completes, and aborting
-// the gang (parallel.Gang.Abort) makes RunOn panic
-// parallel.ErrBarrierAbandoned just like Abandon does for Run. Callers
-// pairing RunOn with Abandon should abort the gang too, else wedged
-// gang workers keep the barrier from completing.
-func (q *Queue[T]) RunOn(g *parallel.Gang, fn func(worker int, item T)) {
-	if g.Workers() != q.workers {
-		panic("worklist: RunOn gang size mismatch")
-	}
-	q.mu.Lock()
-	q.done = q.canceled.Load()
-	q.idle = 0
-	q.mu.Unlock()
-	g.Run(func(w int) { q.worker(w, fn) })
-	q.trap.Rethrow()
-}
+// runWorker is the gang body: gang worker w drives queue worker w.
+func (q *Queue[T]) runWorker(w int) { q.worker(w, q.fn) }
 
 // Reset returns the queue to its pre-Run state while keeping the
 // global and local queues' grown capacity, so a persistent engine can
 // reuse one queue across runs without reallocating: pending items are
 // dropped, cancellation is cleared, and the statistics start over
 // (unlike back-to-back Run calls, which accumulate). It must not be
-// called concurrently with Run, and an abandoned queue stays
-// unusable — wedged workers may still hold its locals.
+// called concurrently with Run, nor after an abort released a Run:
+// wedged workers may still hold the queue's locals.
 func (q *Queue[T]) Reset() {
-	if q.abandoned.Load() {
-		panic("worklist: Reset on abandoned queue")
-	}
 	q.mu.Lock()
 	q.global = q.global[:0]
 	q.idle = 0
@@ -221,7 +184,7 @@ func (q *Queue[T]) Reset() {
 	q.executed.Store(0)
 	q.canceled.Store(false)
 	// The trap needs no reset: Rethrow already cleared it on the Run
-	// that captured the panic, and an abandoned queue never gets here.
+	// that captured the panic, and an aborted queue never gets here.
 }
 
 // runItem executes one task, capturing a panic instead of crashing:
@@ -237,19 +200,8 @@ func (q *Queue[T]) runItem(w int, fn func(worker int, item T), item T) {
 	fn(w, item)
 }
 
-// Abandon releases a Run blocked on workers that will never finish (a
-// wedged task). It implies Cancel; the pending Run panics
-// parallel.ErrBarrierAbandoned and the queue must not be reused —
-// wedged workers may still be executing. Idempotent, any goroutine.
-func (q *Queue[T]) Abandon() {
-	q.Cancel()
-	if q.abandoned.CompareAndSwap(false, true) {
-		close(q.abandonCh)
-	}
-}
-
 // Panic returns the first captured task panic, or nil. It is only
-// meaningful after Run has returned or been abandoned.
+// meaningful after Run has returned or been released by an abort.
 func (q *Queue[T]) Panic() *parallel.WorkerPanic {
 	return q.trap.Panic()
 }

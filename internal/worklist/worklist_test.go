@@ -4,7 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel"
 )
+
+// runOnGang runs q on a fresh gang of the queue's size, closing the
+// gang afterwards (also when Run panics).
+func runOnGang[T any](q *Queue[T], fn func(worker int, item T)) {
+	g := parallel.NewGang(q.Workers())
+	defer g.Close()
+	q.Run(g, fn)
+}
 
 func TestDrainsSeededItems(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
@@ -16,7 +26,7 @@ func TestDrainsSeededItems(t *testing.T) {
 			}
 			q.Seed(items)
 			var sum atomic.Int64
-			q.Run(func(_ int, item int) { sum.Add(int64(item)) })
+			runOnGang(q, func(_ int, item int) { sum.Add(int64(item)) })
 			if sum.Load() != 99*100/2 {
 				t.Fatalf("workers=%d k=%d: sum = %d", workers, k, sum.Load())
 			}
@@ -31,7 +41,7 @@ func TestDrainsSeededItems(t *testing.T) {
 func TestEmptyRunTerminates(t *testing.T) {
 	q := New[int](4, 2)
 	ran := false
-	q.Run(func(int, int) { ran = true })
+	runOnGang(q, func(int, int) { ran = true })
 	if ran {
 		t.Fatal("fn ran with empty queue")
 	}
@@ -44,7 +54,7 @@ func TestRecursiveSpawning(t *testing.T) {
 		q := New[int](workers, 2)
 		q.Seed([]int{10})
 		var count atomic.Int64
-		q.Run(func(w int, v int) {
+		runOnGang(q, func(w int, v int) {
 			count.Add(1)
 			if v > 0 {
 				q.Push(w, v-1)
@@ -67,7 +77,7 @@ func TestEveryItemExecutedExactlyOnce(t *testing.T) {
 	}
 	q.Seed(items)
 	counts := make([]int32, n)
-	q.Run(func(_ int, item int) {
+	runOnGang(q, func(_ int, item int) {
 		atomic.AddInt32(&counts[item], 1)
 	})
 	for i, c := range counts {
@@ -81,7 +91,7 @@ func TestPeakReadyTracksDepth(t *testing.T) {
 	// Seeding 50 items at once must record a peak of at least 50.
 	q := New[int](2, 1)
 	q.Seed(make([]int, 50))
-	q.Run(func(int, int) {})
+	runOnGang(q, func(int, int) {})
 	if st := q.Stats(); st.PeakReady < 50 {
 		t.Fatalf("PeakReady = %d, want >= 50", st.PeakReady)
 	}
@@ -92,7 +102,7 @@ func TestSerializedChainHasLowPeak(t *testing.T) {
 	// more than a couple of ready tasks — the §3.3 starvation signature.
 	q := New[int](4, 1)
 	q.Seed([]int{1000})
-	q.Run(func(w int, v int) {
+	runOnGang(q, func(w int, v int) {
 		if v > 0 {
 			q.Push(w, v-1)
 		}
@@ -110,7 +120,7 @@ func TestLocalOverflowSpills(t *testing.T) {
 	q.Seed([]int{-1})
 	var count atomic.Int64
 	var workersSeen sync.Map
-	q.Run(func(w int, v int) {
+	runOnGang(q, func(w int, v int) {
 		workersSeen.Store(w, true)
 		count.Add(1)
 		if v == -1 {
@@ -128,9 +138,9 @@ func TestReuseAfterRun(t *testing.T) {
 	q := New[int](2, 2)
 	q.Seed([]int{1, 2, 3})
 	var a atomic.Int64
-	q.Run(func(_ int, v int) { a.Add(int64(v)) })
+	runOnGang(q, func(_ int, v int) { a.Add(int64(v)) })
 	q.Seed([]int{4, 5})
-	q.Run(func(_ int, v int) { a.Add(int64(v)) })
+	runOnGang(q, func(_ int, v int) { a.Add(int64(v)) })
 	if a.Load() != 15 {
 		t.Fatalf("sum = %d, want 15", a.Load())
 	}
@@ -161,7 +171,7 @@ func TestHighContentionStress(t *testing.T) {
 	q := New[uint32](8, 1)
 	q.Seed([]uint32{16})
 	var count atomic.Int64
-	q.Run(func(w int, v uint32) {
+	runOnGang(q, func(w int, v uint32) {
 		count.Add(1)
 		if v > 0 {
 			q.Push(w, v-1)
@@ -178,12 +188,42 @@ func TestHighContentionStress(t *testing.T) {
 	}
 }
 
+// TestQueueRunSteadyStateAllocs pins the zero-allocation contract of
+// a warm queue run on a gang: the gang body is bound once per queue,
+// the local queues are preallocated, and the global queue keeps its
+// grown capacity across Reset, so neither seeding, spilling nor the
+// dispatch itself allocates.
+func TestQueueRunSteadyStateAllocs(t *testing.T) {
+	g := parallel.NewGang(2)
+	defer g.Close()
+	q := New[int](2, 2)
+	seeds := []int{6, 6, 6, 6}
+	fn := func(w int, v int) {
+		if v > 0 {
+			q.Push(w, v-1)
+			q.Push(w, v-1)
+		}
+	}
+	run := func() {
+		q.Reset()
+		q.Seed(seeds)
+		q.Run(g, fn)
+	}
+	run() // grow the global queue to its high-water mark
+	run()
+	if avg := testing.AllocsPerRun(100, run); avg != 0 {
+		t.Fatalf("Queue.Run allocates %.2f objects/run in steady state, want 0", avg)
+	}
+}
+
 func BenchmarkQueueThroughput(b *testing.B) {
+	g := parallel.NewGang(4)
+	defer g.Close()
 	q := New[int](4, 8)
 	items := make([]int, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Seed(items)
-		q.Run(func(int, int) {})
+		q.Run(g, func(int, int) {})
 	}
 }

@@ -133,19 +133,45 @@ func TestEngineClosed(t *testing.T) {
 
 // TestEngineCloseLeaksNothing creates engines, runs them, closes
 // them, and checks the goroutine count settles back to the baseline —
-// the gang and every queue goroutine must join on Close.
+// the gang and every queue goroutine must join on Close. Between the
+// runs, a memory limit at the two-worker estimate degrades every other
+// Detect of the four-worker engine to two workers, so the engine
+// closes its gang and pins a new one for that run, and again for the
+// undegraded run or batch after it; each run must still match Tarjan.
 func TestEngineCloseLeaksNothing(t *testing.T) {
 	g := engineGraph()
+	want, err := scc.Detect(g, scc.Options{Algorithm: scc.Tarjan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := scc.Options{Algorithm: scc.Method2, Workers: 4}
+	half := opts
+	half.Workers = 2
+	limit := scc.EstimateMemory(g.NumNodes(), half)
+	ctx := context.Background()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		e, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 4})
+		e, err := scc.New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Detect(context.Background(), g); err != nil {
-			t.Fatal(err)
+		for _, lim := range []int64{0, limit, 0, limit} {
+			res, err := e.Detect(ctx, g, scc.WithMemoryLimit(lim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantMode := ""
+			if lim > 0 {
+				wantMode = "workers=2"
+			}
+			if res.Metrics.DegradedMode != wantMode {
+				t.Fatalf("limit %d: DegradedMode = %q, want %q", lim, res.Metrics.DegradedMode, wantMode)
+			}
+			if !scc.SamePartition(res.Comp, want.Comp) {
+				t.Fatalf("limit %d: warm run diverges from Tarjan", lim)
+			}
 		}
-		if _, err := e.DetectBatch(context.Background(), []*graph.Graph{g, g}); err != nil {
+		if _, err := e.DetectBatch(ctx, []*graph.Graph{g, g}); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Close(); err != nil {

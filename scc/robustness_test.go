@@ -148,57 +148,63 @@ func TestChaosPeelOrdinalsOnEngine(t *testing.T) {
 	}
 }
 
-// TestChaosStallTriggersWatchdog wedges the first BFS level forever
-// (StallFor = 0) and checks that the watchdog fires: the observer sees
-// EventStalled, the run aborts with ErrStalled within a few windows,
-// and nothing leaks.
+// TestChaosStallTriggersWatchdog wedges a run forever (StallFor = 0)
+// and checks that the watchdog fires: the observer sees EventStalled,
+// the run aborts with ErrStalled within a few windows, and nothing
+// leaks. It wedges the first BFS level at four workers, and the first
+// phase-2 task at one worker, where the wedged task holds the
+// one-worker gang and only the watchdog can release the coordinator.
 func TestChaosStallTriggersWatchdog(t *testing.T) {
 	g := chaosGraph()
-	base := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		site    string
+		workers int
+	}{{"bfs", 4}, {"task", 1}} {
+		base := runtime.NumGoroutine()
+		var mu sync.Mutex
+		var stalledEvents int
+		obs := scc.ObserverFunc(func(ev scc.Event) {
+			if ev.Type == scc.EventStalled {
+				mu.Lock()
+				stalledEvents++
+				mu.Unlock()
+			}
+		})
 
-	var mu sync.Mutex
-	var stalledEvents int
-	obs := scc.ObserverFunc(func(ev scc.Event) {
-		if ev.Type == scc.EventStalled {
-			mu.Lock()
-			stalledEvents++
-			mu.Unlock()
+		start := time.Now()
+		res, err := scc.Detect(g, scc.Options{
+			Algorithm:    scc.Method2,
+			Workers:      tc.workers,
+			Seed:         5,
+			StallTimeout: 200 * time.Millisecond,
+			Observer:     obs,
+			Chaos:        &scc.ChaosConfig{StallAt: map[string]int64{tc.site: 1}},
+		})
+		elapsed := time.Since(start)
+
+		if res != nil {
+			t.Fatalf("%s/w%d: stalled run returned a result: %+v", tc.site, tc.workers, res)
 		}
-	})
-
-	start := time.Now()
-	res, err := scc.Detect(g, scc.Options{
-		Algorithm:    scc.Method2,
-		Workers:      4,
-		Seed:         5,
-		StallTimeout: 200 * time.Millisecond,
-		Observer:     obs,
-		Chaos:        &scc.ChaosConfig{StallAt: map[string]int64{"bfs": 1}},
-	})
-	elapsed := time.Since(start)
-
-	if res != nil {
-		t.Fatalf("stalled run returned a result: %+v", res)
+		if !errors.Is(err, scc.ErrStalled) {
+			t.Fatalf("%s/w%d: errors.Is(err, ErrStalled) = false; err = %v", tc.site, tc.workers, err)
+		}
+		// Window 200ms, poll 50ms, grace 200ms: detection plus forced
+		// abort stays well under ten windows even on a loaded machine.
+		if elapsed > 5*time.Second {
+			t.Fatalf("%s/w%d: stall abort took %v", tc.site, tc.workers, elapsed)
+		}
+		mu.Lock()
+		ne := stalledEvents
+		mu.Unlock()
+		if ne != 1 {
+			t.Fatalf("%s/w%d: observed %d EventStalled, want 1", tc.site, tc.workers, ne)
+		}
+		waitGoroutines(t, base)
 	}
-	if !errors.Is(err, scc.ErrStalled) {
-		t.Fatalf("errors.Is(err, ErrStalled) = false; err = %v", err)
-	}
-	// Window 200ms, poll 50ms, grace 200ms: detection plus forced abort
-	// stays well under ten windows even on a loaded machine.
-	if elapsed > 5*time.Second {
-		t.Fatalf("stall abort took %v", elapsed)
-	}
-	mu.Lock()
-	ne := stalledEvents
-	mu.Unlock()
-	if ne != 1 {
-		t.Fatalf("observed %d EventStalled, want 1", ne)
-	}
-	waitGoroutines(t, base)
 
 	// A slow round (bounded stall) must NOT trip the watchdog: the
 	// worker resumes before the window closes and the run completes.
-	res, err = scc.Detect(g, scc.Options{
+	res, err := scc.Detect(g, scc.Options{
 		Algorithm:    scc.Method2,
 		Workers:      4,
 		Seed:         5,
