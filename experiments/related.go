@@ -27,23 +27,37 @@ type RelatedComparison struct {
 	Rows    []RelatedRow
 }
 
-// Related runs the full algorithm roster on the dataset.
+// relatedRuns is how many times Related times each algorithm.
+const relatedRuns = 9
+
+// Related runs the full algorithm roster on the dataset. It times every
+// algorithm relatedRuns times, round-robin over the roster so that drift
+// on the host hits every row alike, with each round starting one
+// algorithm further along so that none always runs on the same
+// predecessor's heap, and reports each row's median.
 func Related(d Dataset, scale float64, seed int64) RelatedComparison {
 	g := d.Build(scale)
-	tarjanTime := measure(3, func() { detect(g, scc.Options{Algorithm: scc.Tarjan}) })
+	algs := []scc.Algorithm{scc.Tarjan, scc.Kosaraju, scc.FWBW, scc.OBF, scc.Baseline, scc.Method1, scc.Method2}
+	times := make([][]time.Duration, len(algs))
+	peaks := make([]int64, len(algs))
+	for run := 0; run < relatedRuns; run++ {
+		for k := range algs {
+			i := (run + k) % len(algs)
+			t0 := time.Now()
+			res := detect(g, scc.Options{Algorithm: algs[i], Seed: seed})
+			times[i] = append(times[i], time.Since(t0))
+			peaks[i] = res.Queue.PeakReady
+		}
+	}
 	out := RelatedComparison{Dataset: d.Name}
-	out.Rows = append(out.Rows, RelatedRow{Algorithm: "Tarjan", Time: tarjanTime, VsTarjan: 1})
-	for _, alg := range []scc.Algorithm{scc.Kosaraju, scc.FWBW, scc.OBF, scc.Baseline, scc.Method1, scc.Method2} {
-		var peak int64
-		t := measure(2, func() {
-			res := detect(g, scc.Options{Algorithm: alg, Seed: seed})
-			peak = res.Queue.PeakReady
-		})
+	tarjan := median(times[0])
+	for i, alg := range algs {
+		t := median(times[i])
 		out.Rows = append(out.Rows, RelatedRow{
 			Algorithm: alg.String(),
 			Time:      t,
-			VsTarjan:  float64(tarjanTime) / float64(t),
-			PeakQueue: peak,
+			VsTarjan:  float64(tarjan) / float64(t),
+			PeakQueue: peaks[i],
 		})
 	}
 	return out

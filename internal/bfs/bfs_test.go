@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/gen"
@@ -194,7 +193,7 @@ func TestRunParallelDeterministicClaims(t *testing.T) {
 	for _, tb := range tables {
 		for _, reverse := range []bool{false, true} {
 			for _, dir := range []direction{adaptive, forceTopDown, forceBottomUp} {
-				var wantClaimed []int64
+				var wantClaimed [maxTransitions]int64
 				var wantColor []int32
 				var wantLevels int
 				for _, workers := range []int{1, 2, 8} {
@@ -203,7 +202,7 @@ func TestRunParallelDeterministicClaims(t *testing.T) {
 					var ctr metrics.Counters
 					ar := scratch.New(workers, &ctr)
 					res := run(nil, g, reverse, []graph.NodeID{0}, color, tb.transitions, ar, cand, dir)
-					claimed := append([]int64(nil), res.Claimed...)
+					claimed := res.Claimed
 					ar.Close()
 					where := fmt.Sprintf("%d transitions, reverse=%v, direction %d, workers=%d",
 						len(tb.transitions), reverse, dir, workers)
@@ -214,7 +213,7 @@ func TestRunParallelDeterministicClaims(t *testing.T) {
 						wantClaimed, wantColor, wantLevels = claimed, color, res.Levels
 						continue
 					}
-					if !slices.Equal(claimed, wantClaimed) {
+					if claimed != wantClaimed {
 						t.Fatalf("%s: claimed %v, want %v", where, claimed, wantClaimed)
 					}
 					for v := range color {

@@ -25,6 +25,9 @@ const (
 	// SiteTrim is hit once per Par-Trim round (Alg. 2).
 	SiteTrim Site = iota
 	// SiteBFS is hit once per FW/BW BFS level, top-down or bottom-up.
+	// Phase 1's forward and backward searches run their small levels
+	// at the same time, so the site is hit once per level of either
+	// search and its ordinals count across both.
 	SiteBFS
 	// SiteTrim2 is hit once per Trim2 sweep (Alg. 3).
 	SiteTrim2

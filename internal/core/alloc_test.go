@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/gen"
 	"repro/graph"
 	"repro/internal/scratch"
+	"repro/internal/seq"
 	"repro/internal/worklist"
 )
 
@@ -54,5 +56,48 @@ func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("recurFWBW allocates %.2f objects/run in steady state, want 0", avg)
+	}
+}
+
+// TestPhase1OpeningSteadyStateAllocs pins the zero-allocation contract
+// of a two-worker phase-1 trial's opening: with a warm arena, the gang
+// dispatch of the bound opening body and both searches' small levels,
+// run side by side, allocate nothing. Every level of a road lattice is
+// small, so both searches run to their end inside the opening.
+func TestPhase1OpeningSteadyStateAllocs(t *testing.T) {
+	g := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 64, Cols: 64, TwoWayProb: 0.05, Seed: 3})
+	n := g.NumNodes()
+	e := &engine{
+		g:     g,
+		opt:   Options{Workers: 2},
+		color: make([]int32, n),
+		comp:  make([]int32, n),
+		res:   &Result{},
+	}
+	e.ar = scratch.New(2, nil)
+	defer e.ar.Close()
+	comp, _ := seq.Tarjan(g)
+	sizes := map[int32]int64{}
+	var pivot graph.NodeID
+	members := make([]graph.NodeID, n)
+	for v, c := range comp {
+		members[v] = graph.NodeID(v)
+		sizes[c]++
+		if sizes[c] > sizes[comp[pivot]] {
+			pivot = graph.NodeID(v)
+		}
+	}
+	const c, cfw, cbw, cscc = 0, 1, 2, 3
+	trial := func() {
+		clear(e.color)
+		e.color[pivot] = cscc
+		if _, size := e.searchFWBW(pivot, members, c, cfw, cbw, cscc); size != sizes[comp[pivot]] {
+			t.Fatalf("SCC size %d, want %d", size, sizes[comp[pivot]])
+		}
+	}
+	trial() // warm the arena's node pool and bind the opening body
+	trial()
+	if avg := testing.AllocsPerRun(100, trial); avg != 0 {
+		t.Fatalf("the phase-1 opening allocates %.2f objects/trial in steady state, want 0", avg)
 	}
 }

@@ -52,10 +52,17 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 	est := nn * 8
 	// Trim: candidates plus the two ping-pong survivor buffers.
 	est += nn * 3 * nodeB
-	// Phase-1 BFS: the frontier queue plus per-worker next lists. Each
-	// worker's list can, in the worst skew, hold nearly the whole next
-	// frontier, and list capacity is retained once grown.
-	est += nn * nodeB * (1 + int64(opt.Workers))
+	// Phase-1 BFS: a search's frontier and next buffer. At two or more
+	// workers add the per-worker next lists of its parallel levels —
+	// each can, in the worst skew, hold nearly the whole next frontier,
+	// and list capacity is retained once grown — and the other search's
+	// frontier and next buffer: both searches open at once, and one
+	// stays paused while the other finishes.
+	bfsBufs := int64(2)
+	if opt.Workers > 1 {
+		bfsBufs += int64(opt.Workers) + 2
+	}
+	est += nn * nodeB * bfsBufs
 	// Phase-2 per-worker DFS stacks + recycled task buffers: bounded by
 	// the alive nodes each worker can be holding.
 	est += nn * nodeB
@@ -69,8 +76,8 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 		est += nn * (3*4 + 1)
 	}
 	// Two-level queue: per-worker local queues are bounded at 2K tasks
-	// (task = 32 B: color + slice header + parent).
-	est += int64(opt.Workers) * int64(opt.K) * 2 * 32
+	// of taskBytes each.
+	est += int64(opt.Workers) * int64(opt.K) * 2 * taskBytes
 	return est
 }
 

@@ -355,10 +355,16 @@ type engine struct {
 	// hoisted onto the engine so repeated trials — and repeated runs on
 	// a persistent Engine — construct their transition, seed and task
 	// slices without allocating.
-	fwTrans [1]bfs.Transition
+	fwTrans [2]bfs.Transition
 	bwTrans [2]bfs.Transition
 	seedBuf [1]graph.NodeID
 	taskBuf []task
+
+	// fw and bw are phase 1's forward and backward searches. openFn is
+	// the gang body that opens both at once, bound once (first opening)
+	// and retained across runs like taskFn.
+	fw, bw bfs.Search
+	openFn func(worker int)
 
 	// taskFn is the phase-2 task body, bound once (first phase2 call)
 	// and retained across runs so the steady state never rebuilds the

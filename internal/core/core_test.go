@@ -133,6 +133,14 @@ func TestAllAlgorithmsDAG(t *testing.T) {
 	}
 }
 
+// TestMethod1FindsGiantInPhase1 checks that phase 1 peels the giant
+// SCC, on a planted small-world graph and on a road lattice. Every
+// lattice edge is two-way, so the lattice is one SCC: any pivot lies in
+// it, phase 1 takes one trial at any worker count, and both searches
+// reach every node over a thousand small levels each, which run side
+// by side in the opening. The SCC size phase 1 reports — both
+// searches' SCC claims plus the pivot — must equal Tarjan's largest
+// SCC exactly.
 func TestMethod1FindsGiantInPhase1(t *testing.T) {
 	p := gen.SmallWorldSCC(3000, 300, 2.5, 20, 2.0, 21)
 	res := Run(p.Graph, Method1, Options{Workers: 2, Seed: 5})
@@ -144,6 +152,28 @@ func TestMethod1FindsGiantInPhase1(t *testing.T) {
 	}
 	if res.Phase1Trials < 1 || res.Phase1Trials > 3 {
 		t.Fatalf("trials = %d", res.Phase1Trials)
+	}
+
+	road := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 64, Cols: 2048, TwoWayProb: 1, Seed: 109})
+	tc, _ := seq.Tarjan(road)
+	sizes := map[int32]int64{}
+	var largest int64
+	for _, c := range tc {
+		sizes[c]++
+		largest = max(largest, sizes[c])
+	}
+	for _, workers := range []int{2, 4} {
+		res := Run(road, Method1, Options{Workers: workers, Seed: 5})
+		if res.GiantSCC != largest {
+			t.Fatalf("road, workers=%d: GiantSCC = %d, want Tarjan's largest %d", workers, res.GiantSCC, largest)
+		}
+		if got := res.Phases[PhaseParFWBW].Nodes; got != largest {
+			t.Fatalf("road, workers=%d: phase-1 nodes = %d, want %d", workers, got, largest)
+		}
+		if res.Phase1Levels < 2000 {
+			t.Fatalf("road, workers=%d: %d phase-1 levels, want a high-diameter run", workers, res.Phase1Levels)
+		}
+		checkAgainstTarjan(t, road, Method1, res)
 	}
 }
 

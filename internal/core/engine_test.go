@@ -18,6 +18,19 @@ func TestTaskBytes(t *testing.T) {
 	}
 }
 
+// TestEstimateMemoryQueueTerm pins the phase-2 queue's share of the
+// memory estimate: each worker's local queue is bounded at 2K tasks of
+// taskBytes each, so one more task of batch size adds 2 tasks a worker.
+func TestEstimateMemoryQueueTerm(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		k1 := EstimateMemory(1<<10, Method2, Options{Workers: workers, K: 1})
+		k2 := EstimateMemory(1<<10, Method2, Options{Workers: workers, K: 2})
+		if want := int64(workers) * 2 * taskBytes; k2-k1 != want {
+			t.Fatalf("workers=%d: K=2 adds %d bytes to K=1's estimate, want %d", workers, k2-k1, want)
+		}
+	}
+}
+
 // TestEngineWarmRunsMatchTarjan re-runs a persistent engine on the
 // same graphs many times: every piece of retained state (arena
 // buffers, worker pools, task backing, queue, color/comp arrays) is

@@ -32,36 +32,22 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		pivot := e.choosePivot(members)
 
 		cfw, cbw, cscc := e.newColor(), e.newColor(), e.newColor()
-		// Claim the pivot into the FW set, then run the forward sweep.
-		if !atomic.CompareAndSwapInt32(&e.color[pivot], c, cfw) {
+		// The pivot is in both sets, so it starts as SCC.
+		if !atomic.CompareAndSwapInt32(&e.color[pivot], c, cscc) {
 			e.ar.PutNodes(members)
 			continue // pivot raced away (cannot happen single-threaded here; defensive)
 		}
-		// The transition tables and the one-element seed slice live in
-		// engine-resident arrays (fwTrans/bwTrans/seedBuf), so building
-		// them per trial allocates nothing.
-		e.seedBuf[0] = pivot
-		seeds := e.seedBuf[:]
-		e.fwTrans[0] = bfs.Transition{From: c, To: cfw}
-		fwRes := bfs.Run(e.sink, e.g, false, seeds, e.color, e.fwTrans[:], e.ar, members...)
-		// Backward sweep: unvisited partition nodes become BW; nodes
-		// already in FW are the SCC (Lemma 1: FW ∩ BW).
-		atomic.StoreInt32(&e.color[pivot], cscc)
-		e.bwTrans[0] = bfs.Transition{From: c, To: cbw}
-		e.bwTrans[1] = bfs.Transition{From: cfw, To: cscc}
-		bwRes := bfs.Run(e.sink, e.g, true, seeds, e.color, e.bwTrans[:], e.ar, members...)
+		levels, sccSize := e.searchFWBW(pivot, members, c, cfw, cbw, cscc)
 		e.ar.PutNodes(members)
 		if e.stopped() {
-			// The backward sweep may have been cut short; the partial
-			// coloring is unusable for SCC publication, so unwind
-			// without claiming anything. The whole Result is discarded
-			// by Engine.Run.
+			// A search may have been cut short; the partial coloring is
+			// unusable for SCC publication, so unwind without claiming
+			// anything. The whole Result is discarded by Engine.Run.
 			return alive
 		}
-		e.res.Phase1Levels += fwRes.Levels + bwRes.Levels
-		e.res.Phases[PhaseParFWBW].Rounds += fwRes.Levels + bwRes.Levels
+		e.res.Phase1Levels += levels
+		e.res.Phases[PhaseParFWBW].Rounds += levels
 
-		sccSize := bwRes.Claimed[1] + 1 // + pivot
 		// Publish the SCC: every cscc node is marked removed with the
 		// pivot as representative. The single-worker loop is spelled
 		// out (not a single-worker gang dispatch) so no publication
@@ -89,6 +75,58 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 		}
 	}
 	return alive
+}
+
+// searchFWBW runs one trial's forward and backward searches from the
+// pivot, already colored cscc, over the members of partition c, and
+// returns their total level count and the size of the pivot's SCC.
+// Each search claims unvisited partition nodes into its own set and
+// the other search's nodes into the SCC (Lemma 1: FW ∩ BW), so
+// whichever reaches a node second writes cscc, the two need no order,
+// and the SCC is both searches' cscc claims plus the pivot.
+//
+// At two or more workers the gang's first two workers run the two
+// searches' small levels at the same time (the opening), each pausing
+// at its first level too large to run inline; the coordinator then
+// finishes the forward search and then the backward one, so large
+// levels keep the whole gang. One worker runs the forward search to
+// the end before the backward one starts.
+func (e *engine) searchFWBW(pivot graph.NodeID, members []graph.NodeID, c, cfw, cbw, cscc int32) (levels int, sccSize int64) {
+	// The transition tables and the one-element seed slice live in
+	// engine-resident arrays (fwTrans/bwTrans/seedBuf), so building
+	// them per trial allocates nothing.
+	e.seedBuf[0] = pivot
+	seeds := e.seedBuf[:]
+	e.fwTrans = [2]bfs.Transition{{From: c, To: cfw}, {From: cbw, To: cscc}}
+	e.bwTrans = [2]bfs.Transition{{From: c, To: cbw}, {From: cfw, To: cscc}}
+	opening := e.ar.Workers() > 1
+	e.fw.Start(e.g, false, seeds, e.color, e.fwTrans[:], e.ar, members)
+	if opening {
+		e.bw.Start(e.g, true, seeds, e.color, e.bwTrans[:], e.ar, members)
+		if e.openFn == nil {
+			e.openFn = e.openSearches
+		}
+		e.ar.Gang().Run(e.openFn)
+	}
+	fw := e.fw.Finish(e.sink, e.ar)
+	if !opening {
+		e.bw.Start(e.g, true, seeds, e.color, e.bwTrans[:], e.ar, members)
+	}
+	bw := e.bw.Finish(e.sink, e.ar)
+	return fw.Levels + bw.Levels, fw.Claimed[1] + bw.Claimed[1] + 1
+}
+
+// openSearches is the phase-1 opening's gang body: worker 0 opens the
+// forward search and worker 1 the backward one; other workers return at
+// once. It reads its searches from the engine, so the bound e.openFn
+// survives across trials and runs.
+func (e *engine) openSearches(w int) {
+	switch w {
+	case 0:
+		e.fw.Open(e.sink, e.ar)
+	case 1:
+		e.bw.Open(e.sink, e.ar)
+	}
 }
 
 // publishRange marks every node of nodes colored cscc as removed, with

@@ -28,8 +28,8 @@ const (
 	// 1-based iteration and Nodes the nodes removed in it.
 	TrimRound
 	// BFSLevel is one level-synchronous BFS step of the data-parallel
-	// FW-BW sweep; Round is the 1-based level and Frontier the level's
-	// frontier size.
+	// FW-BW sweep; Round is the 1-based level within its search
+	// (forward or backward) and Frontier the level's frontier size.
 	BFSLevel
 	// WCCRound is one weakly-connected-component label-propagation
 	// round; Round is the 1-based round index.
@@ -107,8 +107,11 @@ type Event struct {
 // Observer receives engine events. Implementations must be safe for
 // concurrent use: phase-boundary and round events arrive from the
 // coordinating goroutine, but TaskDone and QueueSample events are
-// emitted concurrently by worker goroutines. Observe must not block
-// for long — it runs inline at barrier boundaries.
+// emitted concurrently by worker goroutines, and so are the BFSLevel
+// events of Par-FWBW's opening, where the forward and backward
+// searches run on two gang workers at once; a BFSLevel's Round is the
+// level within its own search. Observe must not block for long — it
+// runs inline at barrier boundaries.
 type Observer interface {
 	Observe(Event)
 }

@@ -27,7 +27,10 @@
 //     singletons: each Get hands out the same storage, so a
 //     kernel must release/stop using them before the next kernel
 //     invocation on the same arena. Kernels run one at a time within a
-//     run, which makes this safe by construction.
+//     run, which makes this safe by construction. Phase 1's two BFS
+//     searches overlap only in their opening, which draws nothing:
+//     the coordinator draws each search's buffers before it and
+//     takes them back as each search finishes.
 //   - The per-worker slots of GetLists, ClaimMatrix, Counts and Flags
 //     are written once per chunk, never per item. A list set's slice
 //     headers sit side by side and the counter rows are small and
@@ -36,9 +39,6 @@
 //     range body takes the worker's buffer by value, keeps its appends
 //     and counts in locals, and returns them for the call site to
 //     store.
-//   - ResultRow alternates between two retained rows, so one kernel
-//     result's Claimed counts stay valid across the next kernel call
-//     (phase 1 reads the backward sweep's counts after both sweeps).
 //   - Worker(w) state — DFS stack and the node-buffer pool behind
 //     phase-2 task recycling — must only be touched by worker w while
 //     a parallel section runs. Buffers may be freed into a different
@@ -69,23 +69,23 @@ import (
 	"repro/internal/worklist"
 )
 
-// Arena owns one run's reusable scratch memory. Accessors other than
-// Worker must be called from the run's coordinating goroutine; Worker
-// hands out per-worker state for use inside parallel sections.
+// Arena owns one run's reusable scratch memory. Accessors that hand
+// out or take back memory must be called from the run's coordinating
+// goroutine. Worker hands out per-worker state for use inside parallel
+// sections, where the read-only Workers, Counters and Chaos may be
+// called too.
 type Arena struct {
 	workers int
 	gang    *parallel.Gang
 	ctr     *metrics.Counters
 
-	free    [][]graph.NodeID   // node-buffer pool
-	lists   [][][]graph.NodeID // pool of per-worker list sets
-	claims  [][]int64          // per-worker counter matrix (retained)
-	rows    [2][]int64         // alternating result rows
-	rowFlip int
-	counts  []int64
-	flags   []bool
-	label   []int32
-	perW    []Worker
+	free   [][]graph.NodeID   // node-buffer pool
+	lists  [][][]graph.NodeID // pool of per-worker list sets
+	claims [][]int64          // per-worker counter matrix (retained)
+	counts []int64
+	flags  []bool
+	label  []int32
+	perW   []Worker
 
 	// Support-pointer trim state (see Peel). peelI32 backs the three
 	// int32 arrays (support in, support out, orig) and comes back dirty; marks
@@ -135,7 +135,6 @@ func (a *Arena) Shrink() {
 	a.free = nil
 	a.lists = nil
 	a.claims = nil
-	a.rows = [2][]int64{}
 	a.counts = nil
 	a.flags = nil
 	a.label = nil
@@ -168,7 +167,6 @@ func (a *Arena) RetainedBytes() int64 {
 	for _, row := range a.claims {
 		b += int64(cap(row)) * 8
 	}
-	b += int64(cap(a.rows[0])+cap(a.rows[1])) * 8
 	b += int64(cap(a.counts)) * 8
 	b += int64(cap(a.flags))
 	b += int64(cap(a.label)) * 4
@@ -273,23 +271,6 @@ func (a *Arena) ClaimMatrix(k int) [][]int64 {
 		}
 	}
 	return a.claims
-}
-
-// ResultRow returns a zeroed k-length row for a kernel result,
-// alternating between two retained rows so the previous kernel's
-// result row stays readable across one further kernel call.
-func (a *Arena) ResultRow(k int) []int64 {
-	a.rowFlip ^= 1
-	row := a.rows[a.rowFlip]
-	if cap(row) < k {
-		row = make([]int64, k)
-	}
-	row = row[:k]
-	for i := range row {
-		row[i] = 0
-	}
-	a.rows[a.rowFlip] = row
-	return row
 }
 
 // Counts returns the retained per-worker int64 counter slice, one

@@ -25,8 +25,9 @@ const (
 	// EventTrimRound reports one parallel trim iteration; Nodes is the
 	// number of nodes removed that round.
 	EventTrimRound = events.TrimRound
-	// EventBFSLevel reports one parallel BFS level; Frontier is the
-	// level's frontier size.
+	// EventBFSLevel reports one parallel BFS level; Round is the level
+	// within its forward or backward search, Frontier the level's
+	// frontier size.
 	EventBFSLevel = events.BFSLevel
 	// EventWCCRound reports one WCC label-propagation round.
 	EventWCCRound = events.WCCRound
@@ -50,8 +51,11 @@ const (
 
 // Observer receives progress events from a run. Implementations must
 // be safe for concurrent use: recursive-phase events (EventTaskDone,
-// EventQueueSample) are delivered from multiple worker goroutines.
-// Observe must not block — it runs on the engine's critical path.
+// EventQueueSample) are delivered from multiple worker goroutines, and
+// so are Par-FWBW's EventBFSLevel events while its forward and
+// backward searches run side by side (Round then counts levels within
+// each search). Observe must not block — it runs on the engine's
+// critical path.
 //
 // A nil Options.Observer costs nothing: the engine skips event
 // construction entirely.

@@ -316,15 +316,26 @@ func TestMemoryBudgetTooSmall(t *testing.T) {
 }
 
 // TestEstimateMemoryNonEngine: sequential and extension algorithms do
-// not run on the parallel engine, so there is nothing to budget.
+// not run on the parallel engine, so there is nothing to budget. The
+// engine's estimate grows with the workers: from two on, phase 1 holds
+// both BFS searches' frontier and next buffer at once, beside the
+// per-worker next lists.
 func TestEstimateMemoryNonEngine(t *testing.T) {
+	const n = 1 << 16
 	for _, alg := range []scc.Algorithm{scc.Tarjan, scc.OBF} {
-		if est := scc.EstimateMemory(1<<16, scc.Options{Algorithm: alg}); est != 0 {
+		if est := scc.EstimateMemory(n, scc.Options{Algorithm: alg}); est != 0 {
 			t.Fatalf("%v estimate = %d, want 0", alg, est)
 		}
 	}
-	if est := scc.EstimateMemory(1<<16, scc.Options{Algorithm: scc.Method2}); est <= 0 {
+	if est := scc.EstimateMemory(n, scc.Options{Algorithm: scc.Method2}); est <= 0 {
 		t.Fatalf("engine estimate = %d, want > 0", est)
+	}
+	one := scc.EstimateMemory(n, scc.Options{Algorithm: scc.Method2, Workers: 1})
+	two := scc.EstimateMemory(n, scc.Options{Algorithm: scc.Method2, Workers: 2})
+	// Two n-node lists for the workers and the second search's two
+	// buffers, 4 bytes a node.
+	if want := int64(4 * n * 4); two-one < want {
+		t.Fatalf("two-worker estimate %d exceeds one worker's %d by %d, want >= %d", two, one, two-one, want)
 	}
 }
 
