@@ -21,16 +21,13 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	ar := scratch.New(1, nil)
 	defer ar.Close()
 	color := make([]int32, n)
+	visited := newBits(n)
 	seeds := []graph.NodeID{0}
-	transitions := []Transition{{From: 0, To: 1}}
 	run := func() {
-		for i := range color {
-			color[i] = 0
-		}
-		color[0] = 1
-		Run(nil, g, false, seeds, color, transitions, ar)
+		clear(visited)
+		Run(nil, g, false, seeds, color, 0, visited, ar)
 	}
-	run() // warm both alternating result rows and the frontier pools
+	run() // warm the frontier pools
 	run()
 	if avg := testing.AllocsPerRun(100, run); avg != 0 {
 		t.Fatalf("Run allocates %.2f objects/run in steady state, want 0", avg)
@@ -50,18 +47,12 @@ func TestRunBottomUpSteadyStateAllocs(t *testing.T) {
 	ar := scratch.New(1, nil)
 	defer ar.Close()
 	color := make([]int32, n)
+	visited := newBits(n)
 	seeds := []graph.NodeID{0}
-	candidates := make([]graph.NodeID, n)
-	for v := range candidates {
-		candidates[v] = graph.NodeID(v)
-	}
-	transitions := []Transition{{From: 0, To: 1}}
+	candidates := allNodes(g)
 	sweep := func() {
-		for i := range color {
-			color[i] = 0
-		}
-		color[0] = 1
-		run(nil, g, false, seeds, color, transitions, ar, candidates, forceBottomUp)
+		clear(visited)
+		run(nil, g, false, seeds, color, 0, visited, ar, candidates, forceBottomUp)
 	}
 	sweep()
 	sweep()

@@ -4,27 +4,35 @@
 // level, so processing each level's frontier in parallel extracts
 // data-level parallelism even while computing a single reachable set.
 //
-// The traversal operates on the engine's Color array rather than a
-// visited bitmap: a node is claimed by atomically compare-and-swapping
-// its color from the partition color being traversed to the new color
-// (FW, BW, or SCC), which both marks it visited and records the
-// partition assignment in one step.
+// A traversal runs inside one partition of the engine's Color array
+// and marks what it reaches in a visited bitmap that only it writes,
+// one bit per node (see Visited for the layout): a node is admissible
+// when its color is the partition color and its bit is clear, and
+// setting the bit claims it. The color array is only read while
+// traversals run, so phase 1's forward and backward searches share it
+// without a claim protocol, and the caller publishes the partition
+// they leave (FW ∩ BW, FW only, BW only) in one pass afterwards.
+// Every bit is set on one goroutine, with plain loads and stores and
+// no branch on the visited test: a level that runs on one goroutine
+// claims as it goes, while the workers of a parallel level only read
+// the bitmap and the level's claims are set at its barrier.
 //
 // Each level picks its schedule from counts the traversal already
-// keeps (the frontier size and how many nodes it has claimed), after
-// Beamer, Asanović & Patterson's direction-optimizing BFS (cited as
-// [10]; §4.2 of the paper points at it):
+// keeps, after Beamer, Asanović & Patterson's direction-optimizing BFS
+// (cited as [10]; §4.2 of the paper points at it):
 //
 //   - a sparse frontier expands inline on the calling goroutine,
 //     because a gang dispatch costs more than it saves;
-//   - a frontier that is large next to the still-unclaimed part of the
-//     caller's candidate list sweeps bottom-up: every unclaimed
-//     candidate probes its traversal parents and stops at the first
-//     visited one, instead of the frontier pushing along every edge;
+//   - a frontier whose edges outnumber, by bottomUpAlpha, the edges
+//     of the caller's still-unclaimed candidates sweeps bottom-up:
+//     every unclaimed candidate probes its traversal parents against
+//     the bitmap and stops at the first visited one, instead of the
+//     frontier pushing along every edge, and the sweep's claims are
+//     marked once it is done;
 //   - every other level expands top-down in parallel.
 //
 // The claimed set does not depend on the schedule, only the number of
-// levels does.
+// levels does; neither depends on the worker count.
 //
 // A Search can pause between levels. Its Open runs only the inline
 // levels and stops before the first that would not run inline, and it
@@ -34,14 +42,14 @@
 // schedule. Run is a Search started and finished in one call.
 //
 // A search draws its frontier and next buffer, and for parallel levels
-// its per-worker next lists and claim counters, from the run's
-// *scratch.Arena, making steady-state BFS levels allocation-free; it
-// runs on the arena's gang, at the arena's worker count, and the
-// arena's metrics counters record level barriers and frontier sizes.
+// its per-worker next lists, from the run's *scratch.Arena, making
+// steady-state BFS levels allocation-free; it runs on the arena's gang,
+// at the arena's worker count, and the arena's metrics counters record
+// level barriers and frontier sizes.
 package bfs
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"repro/graph"
 	"repro/internal/chaos"
@@ -62,73 +70,65 @@ const (
 	// also inline flickr's level of ~4,000 hubs, which is milliseconds
 	// of edge work.
 	inlineFrontier = 1024
-	// bottomUpAlpha: a level with frontier f sweeps bottom-up once
-	// f × bottomUpAlpha exceeds the candidates not yet claimed. The
-	// unclaimed count includes partition nodes the sweep can never
-	// reach, each of which scans all its parents on every bottom-up
-	// level, so the bound is lower than Beamer's edge-based 14.
-	bottomUpAlpha = 4
+	// bottomUpAlpha is Beamer's α: a level sweeps bottom-up once its
+	// frontier's edges times bottomUpAlpha exceed the edges of the
+	// unclaimed candidates, estimated as their count times the graph's
+	// mean degree. It is Beamer's value. Counting edges rather than
+	// nodes sends flickr's first large level (the pivot's ~3,600
+	// forward neighbors at seed 1, most of them hubs) bottom-up.
+	bottomUpAlpha = 14
 )
 
-// Transition is one admissible color rewrite during traversal: a
-// neighbor with color From is claimed by setting it to To.
-type Transition struct {
-	From, To int32
+// Visited reports whether node v's bit is set in a visited bitmap: bit
+// v%32 of word v/32. A bitmap for n nodes holds (n+31)/32 words.
+func Visited(visited []uint32, v graph.NodeID) bool {
+	return visited[v>>5]>>(uint32(v)&31)&1 != 0
 }
 
-// maxTransitions bounds a transition table. Phase 1's searches pass
-// two each, so a range body can count its claims in a fixed-size local
-// tally and keep the table in registers (see table).
-const maxTransitions = 2
+// mark sets the bits of nodes in visited. The caller is the only
+// goroutine touching visited.
+func mark(visited []uint32, nodes []graph.NodeID) {
+	for _, v := range nodes {
+		visited[v>>5] |= 1 << (uint32(v) & 31)
+	}
+}
 
-// tally is one chunk's claim count per transition.
-type tally [maxTransitions]int64
-
-// Result reports the nodes claimed by each transition.
+// Result reports what a traversal claimed.
 type Result struct {
-	// Claimed[i] counts nodes claimed via Transitions[i]; entries past
-	// the table's length stay 0.
-	Claimed [maxTransitions]int64
+	// Claimed counts the nodes the traversal claimed, seeds excluded.
+	Claimed int64
 	// Levels is the number of BFS levels processed (frontier swaps).
 	Levels int
 }
 
 // Run performs a parallel BFS over g from the given seed frontier.
 // Edges are followed backward (in-neighbors) if reverse is true. A
-// neighbor is visited iff its current color equals some
-// transitions[i].From; winning the CAS to transitions[i].To claims the
-// node. Seeds must already carry their post-claim colors; they are
-// expanded unconditionally and not counted in Result.Claimed.
+// neighbor is admissible iff its color is c and its bit in visited is
+// clear, and setting the bit claims it. Run marks the seeds in visited
+// and expands them unconditionally; they are not counted in
+// Result.Claimed. visited holds a bit for every node of g and is
+// written only by this traversal while it runs; color is only read.
 //
-// candidates, when given, must list every node the traversal can
-// claim, each once (phase 1 passes the partition's member list), and
-// no node outside the traversal may carry a To color: bottom-up levels
-// sweep the candidates and treat a To-colored parent as visited. With
-// no candidates every level runs top-down.
+// candidates, when given, must list every node of color c the
+// traversal can claim, each once (phase 1 passes the partition's
+// member list in ascending order, which gives each bottom-up chunk a
+// contiguous run of bitmap words). With no candidates every level runs
+// top-down.
 //
 // sink carries cancellation and observability (nil is valid and
 // free): each level emits one BFSLevel event, hits the chaos BFS site
 // once and polls cancellation, returning the partial result early
 // when the run is canceled — callers discard partial state via the
 // sink's error.
-//
-// transitions holds one or two entries, and no To may also be a
-// From; Run panics on any other length. A claim that loses its CAS
-// reloads the color and tries again while some transition still admits
-// it, so a concurrent search over the same colors may move a node
-// between admissible colors under this one.
-//
-// The color slice is shared with concurrent readers/writers and is
-// accessed only with atomic operations.
 func Run(sink *events.Sink, g *graph.Graph, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena, candidates ...graph.NodeID) Result {
-	return run(sink, g, reverse, seeds, color, transitions, ar, candidates, adaptive)
+	color []int32, c int32, visited []uint32, ar *scratch.Arena, candidates ...graph.NodeID) Result {
+	return run(sink, g, reverse, seeds, color, c, visited, ar, candidates, adaptive)
 }
 
 func run(sink *events.Sink, g *graph.Graph, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena, candidates []graph.NodeID, dir direction) Result {
+	color []int32, c int32, visited []uint32, ar *scratch.Arena, candidates []graph.NodeID, dir direction) Result {
 	var s Search
-	s.start(g, reverse, seeds, color, transitions, ar, candidates, dir)
+	s.start(g, reverse, seeds, color, c, visited, ar, candidates, dir)
 	return s.Finish(sink, ar)
 }
 
@@ -139,7 +139,8 @@ type Search struct {
 	g          *graph.Graph
 	reverse    bool
 	color      []int32
-	tab        table
+	c          int32
+	visited    []uint32
 	candidates []graph.NodeID
 	dir        direction
 
@@ -147,24 +148,23 @@ type Search struct {
 	// levels fill; Start draws both from the arena and Finish returns
 	// them. claimed counts the seeds and every node claimed so far.
 	frontier, next []graph.NodeID
-	claimed        int
-	res            Result
+	seeds, claimed int
+	levels         int
 }
 
-// Start readies s for a traversal with Run's arguments, drawing its
-// frontier and next buffer from ar. Coordinator only.
+// Start readies s for a traversal with Run's arguments, marking the
+// seeds in visited and drawing its frontier and next buffer from ar.
+// Coordinator only.
 func (s *Search) Start(g *graph.Graph, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena, candidates []graph.NodeID) {
-	s.start(g, reverse, seeds, color, transitions, ar, candidates, adaptive)
+	color []int32, c int32, visited []uint32, ar *scratch.Arena, candidates []graph.NodeID) {
+	s.start(g, reverse, seeds, color, c, visited, ar, candidates, adaptive)
 }
 
 func (s *Search) start(g *graph.Graph, reverse bool, seeds []graph.NodeID,
-	color []int32, transitions []Transition, ar *scratch.Arena, candidates []graph.NodeID, dir direction) {
-	if len(transitions) == 0 || len(transitions) > maxTransitions {
-		panic("bfs: a transition table holds one or two entries")
-	}
-	*s = Search{g: g, reverse: reverse, color: color, tab: tableOf(transitions),
-		candidates: candidates, dir: dir, claimed: len(seeds)}
+	color []int32, c int32, visited []uint32, ar *scratch.Arena, candidates []graph.NodeID, dir direction) {
+	*s = Search{g: g, reverse: reverse, color: color, c: c, visited: visited,
+		candidates: candidates, dir: dir, seeds: len(seeds), claimed: len(seeds)}
+	mark(visited, seeds)
 	s.frontier = append(ar.GetNodes(len(seeds)), seeds...)
 	s.next = ar.GetNodes(0)
 }
@@ -174,16 +174,16 @@ func (s *Search) start(g *graph.Graph, reverse bool, seeds []graph.NodeID,
 // pauses before the first that would not, or when the run is
 // canceled. It touches no coordinator-only arena state, so two
 // searches may Open at once, each on its own gang worker.
-func (s *Search) Open(sink *events.Sink, ar *scratch.Arena) { s.levels(sink, ar, true) }
+func (s *Search) Open(sink *events.Sink, ar *scratch.Arena) { s.loop(sink, ar, true) }
 
 // Finish runs s's remaining levels with the per-level schedule,
 // returns its buffers to ar and reports what the whole search claimed.
 // The finished s holds nothing. Coordinator only.
 func (s *Search) Finish(sink *events.Sink, ar *scratch.Arena) Result {
-	s.levels(sink, ar, false)
+	s.loop(sink, ar, false)
 	ar.PutNodes(s.frontier)
 	ar.PutNodes(s.next)
-	res := s.res
+	res := Result{Claimed: int64(s.claimed - s.seeds), Levels: s.levels}
 	*s = Search{}
 	return res
 }
@@ -198,123 +198,172 @@ const (
 	forceBottomUp
 )
 
-// bottomUp reports whether a level with the given frontier sweeps the
+// bottomUp reports whether the level expanding frontier sweeps the
 // candidates bottom-up. claimed counts the seeds and every node claimed
-// so far, so len(candidates)-claimed bounds what is left to claim.
-func (d direction) bottomUp(frontier, candidates, claimed int) bool {
+// so far, so len(candidates)-claimed bounds what is left to claim. The
+// frontier's edges are summed only for a level too large to run
+// inline, where the sum is small next to the level's own work.
+func (s *Search) bottomUp(frontier []graph.NodeID, claimed int) bool {
 	switch {
-	case candidates == 0 || d == forceTopDown:
+	case len(s.candidates) == 0 || s.dir == forceTopDown:
 		return false
-	case d == forceBottomUp:
+	case s.dir == forceBottomUp:
 		return true
+	case len(frontier) <= inlineFrontier:
+		return false
 	}
-	return frontier > inlineFrontier && frontier*bottomUpAlpha > candidates-claimed
+	var edges int64
+	for _, v := range frontier {
+		if s.reverse {
+			edges += int64(s.g.InDegree(v))
+		} else {
+			edges += int64(s.g.OutDegree(v))
+		}
+	}
+	unclaimed := int64(len(s.candidates) - claimed)
+	return edges*bottomUpAlpha > unclaimed*s.g.NumEdges()/int64(s.g.NumNodes())
 }
 
-// levels is the search's level loop. It runs until the frontier
-// empties or the run is canceled; a solo call (Open) also stops before
-// the first level that would not run inline, leaving that level as the
+// loop is the search's level loop. It runs until the frontier empties
+// or the run is canceled; a solo call (Open) also stops before the
+// first level that would not run inline, leaving that level as the
 // frontier to resume from. The state lives in locals while the loop
 // runs, so two searches opening side by side write their adjacent
 // structs only once each.
-func (s *Search) levels(sink *events.Sink, ar *scratch.Arena, solo bool) {
+func (s *Search) loop(sink *events.Sink, ar *scratch.Arena, solo bool) {
 	workers := ar.Workers()
 	ctr := ar.Counters()
-	frontier, next, claimed, res := s.frontier, s.next, s.claimed, s.res
+	frontier, next, claimed, levels := s.frontier, s.next, s.claimed, s.levels
 	var lists [][]graph.NodeID
-	var claims [][]int64
 	for len(frontier) > 0 {
-		bottomUp := s.dir.bottomUp(len(frontier), len(s.candidates), claimed)
+		bottomUp := s.bottomUp(frontier, claimed)
 		inline := !bottomUp && len(frontier) <= inlineFrontier
 		if (solo && !inline) || sink.Err() != nil {
 			break
 		}
-		res.Levels++
+		levels++
 		ctr.AddBFSLevel(int64(len(frontier)), bottomUp)
-		sink.Emit(events.Event{Type: events.BFSLevel, Round: res.Levels, Frontier: len(frontier)})
-		level, nodes, chunk := expandRange, frontier, 64
-		if bottomUp {
-			level, nodes, chunk = sweepRange, s.candidates, 512
-		}
-		if inline || workers == 1 {
+		sink.Emit(events.Event{Type: events.BFSLevel, Round: levels, Frontier: len(frontier)})
+		switch {
+		case inline || workers == 1:
 			// Direct call on the calling goroutine: no closure, no
 			// goroutines — the steady-state zero-allocation path. The
 			// level's output becomes the frontier by a swap.
 			ar.Chaos().Hit(chaos.SiteBFS)
-			var cnt tally
-			next, cnt = level(s.g, s.reverse, nodes, 0, len(nodes), s.color, s.tab, next[:0])
-			cnt.addTo(res.Claimed[:])
-			frontier, next = next, frontier
-		} else {
-			if lists == nil {
-				lists, claims = ar.GetLists(), ar.ClaimMatrix(maxTransitions)
+			if bottomUp {
+				next = sweepRange(s.g, s.reverse, s.candidates, 0, len(s.candidates), s.color, s.c, s.visited, next[:0])
+			} else {
+				next = expandSolo(s.g, s.reverse, frontier, s.color, s.c, s.visited, next[:0])
 			}
-			levelPar(level, s.g, s.reverse, nodes, chunk, s.color, s.tab, lists, claims, ar)
-			// Level barrier: merge per-worker buffers into the new frontier.
+			frontier, next = next, frontier
+		default:
+			if lists == nil {
+				lists = ar.GetLists()
+			}
+			level, nodes, chunk := expandRange, frontier, 64
+			if bottomUp {
+				level, nodes, chunk = sweepRange, s.candidates, 512
+			}
+			levelPar(level, s.g, s.reverse, nodes, chunk, s.color, s.c, s.visited, lists, ar)
+			// Level barrier: the per-worker buffers become the new
+			// frontier. A sweep's are its claims, marked here; top-down
+			// ones are claimed here, which drops their duplicates.
 			frontier = frontier[:0]
 			for w := range lists {
-				frontier = append(frontier, lists[w]...)
+				if bottomUp {
+					frontier = append(frontier, lists[w]...)
+				} else {
+					frontier = claim(lists[w], s.color, s.c, s.visited, frontier)
+				}
 				lists[w] = lists[w][:0]
 			}
+		}
+		if bottomUp {
+			mark(s.visited, frontier)
 		}
 		claimed += len(frontier)
 	}
 	if lists != nil {
-		for _, row := range claims {
-			for ti, n := range row {
-				res.Claimed[ti] += n
-			}
-		}
 		ar.PutLists(lists)
 	}
-	s.frontier, s.next, s.claimed, s.res = frontier, next, claimed, res
+	s.frontier, s.next, s.claimed, s.levels = frontier, next, claimed, levels
 }
 
-// levelFunc processes nodes[lo:hi] of one level, appending claims to
-// buf and returning it with the claims counted per transition:
-// expandRange top-down over the frontier, sweepRange bottom-up over the
-// candidates. The caller writes both into the worker's slots once per
-// chunk; per-item writes there would bounce the cache line the
-// workers' adjacent slots share.
+// levelFunc processes nodes[lo:hi] of one parallel level, appending
+// claims to buf and returning it: expandRange top-down over the
+// frontier, sweepRange bottom-up over the candidates. The caller
+// stores buf into the worker's slot once per chunk; per-item writes
+// there would bounce the cache line the workers' adjacent slots share.
 type levelFunc func(g *graph.Graph, reverse bool, nodes []graph.NodeID, lo, hi int,
-	color []int32, tab table, buf []graph.NodeID) ([]graph.NodeID, tally)
-
-// addTo adds the tally into a claim row.
-func (t tally) addTo(row []int64) {
-	for ti := range row {
-		row[ti] += t[ti]
-	}
-}
+	color []int32, c int32, visited []uint32, buf []graph.NodeID) []graph.NodeID
 
 // levelPar runs one level on the gang with dynamic chunks: top-down
 // frontier nodes vary wildly in degree on scale-free graphs (§4.3),
-// while most bottom-up candidates cost one color load, hence the
+// while most bottom-up candidates cost one bitmap load, hence the
 // caller's larger chunk. It lives outside the level loop so the
 // escaping closure (and the heap cells its captures force) never
 // exists on the single-worker path.
 func levelPar(level levelFunc, g *graph.Graph, reverse bool, nodes []graph.NodeID, chunk int,
-	color []int32, tab table, next [][]graph.NodeID, claims [][]int64, ar *scratch.Arena) {
+	color []int32, c int32, visited []uint32, next [][]graph.NodeID, ar *scratch.Arena) {
 	inj := ar.Chaos()
 	ar.ForDynamic(len(nodes), chunk, func(w, lo, hi int) {
 		if lo == 0 {
 			// One chaos hit per level, from inside the dispatch.
 			inj.Hit(chaos.SiteBFS)
 		}
-		buf, cnt := level(g, reverse, nodes, lo, hi, color, tab, next[w])
-		next[w] = buf
-		cnt.addTo(claims[w])
+		next[w] = level(g, reverse, nodes, lo, hi, color, c, visited, next[w])
 	})
 }
 
-// expandRange expands frontier[lo:hi], claiming admissible neighbors
-// by CAS, appending wins to buf and counting them per transition. It
-// is a plain function (not a closure) so the single-worker path can
-// call it without any per-level allocation.
+// expandSolo expands a whole frontier on one goroutine, the only one
+// touching visited, claiming each frontier node's neighbors with claim.
+func expandSolo(g *graph.Graph, reverse bool, frontier []graph.NodeID,
+	color []int32, c int32, visited []uint32, buf []graph.NodeID) []graph.NodeID {
+	for _, v := range frontier {
+		if reverse {
+			buf = claim(g.In(v), color, c, visited, buf)
+		} else {
+			buf = claim(g.Out(v), color, c, visited, buf)
+		}
+	}
+	return buf
+}
+
+// claim appends to buf each node of nodes that is admissible — of
+// color c with its bit clear — setting its bit, so a node listed twice
+// is claimed once. It runs on the one goroutine touching visited. Every
+// node is stored at the end of buf and kept by advancing buf's length
+// by its claim bit, so the loop does not branch on the visited test,
+// which a BFS over a partly visited neighborhood mispredicts about as
+// often as not.
+func claim(nodes []graph.NodeID, color []int32, c int32, visited []uint32, buf []graph.NodeID) []graph.NodeID {
+	buf = slices.Grow(buf, len(nodes))
+	k, out := len(buf), buf[:cap(buf)]
+	for _, t := range nodes {
+		sh := uint32(t) & 31
+		word := visited[t>>5]
+		// d|-d has its sign bit set iff d != 0, that is, iff t lies
+		// outside the partition.
+		d := color[t] ^ c
+		bit := (^word >> sh) & 1 &^ (uint32(d|-d) >> 31)
+		visited[t>>5] = word | bit<<sh
+		out[k] = t
+		k += int(bit)
+	}
+	return out[:k]
+}
+
+// expandRange is the parallel top-down body over frontier[lo:hi]: it
+// gathers the admissible neighbors, duplicates included, and writes no
+// bit; the level loop then claims the gathered lists with claim on one
+// goroutine. Setting bits from several workers moves the bitmap's
+// cache lines between their cores on every claim: claiming that way, a
+// parallel top-down level of the flickr analog ran slower than on one
+// worker (EXPERIMENTS.md). Testing colors here, in parallel, rather
+// than only in claim keeps other partitions' nodes out of the lists.
 func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi int,
-	color []int32, tab table, buf []graph.NodeID) ([]graph.NodeID, tally) {
-	var cnt tally
-	for i := lo; i < hi; i++ {
-		v := frontier[i]
+	color []int32, c int32, visited []uint32, buf []graph.NodeID) []graph.NodeID {
+	for _, v := range frontier[lo:hi] {
 		var nbrs []graph.NodeID
 		if reverse {
 			nbrs = g.In(v)
@@ -322,28 +371,27 @@ func expandRange(g *graph.Graph, reverse bool, frontier []graph.NodeID, lo, hi i
 			nbrs = g.Out(v)
 		}
 		for _, t := range nbrs {
-			if ti := tab.claim(color, t, atomic.LoadInt32(&color[t])); ti >= 0 {
+			if !Visited(visited, t) && color[t] == c {
 				buf = append(buf, t)
-				cnt[ti]++
 			}
 		}
 	}
-	return buf, cnt
+	return buf
 }
 
 // sweepRange is the bottom-up counterpart of expandRange over
-// candidates[lo:hi]: each still-admissible candidate scans its
+// candidates[lo:hi]: each unclaimed candidate of the partition scans its
 // traversal parents (out-neighbors for a reverse traversal, in-neighbors
-// for a forward one) and is claimed at the first visited one. A parent
-// claimed earlier in the same sweep counts as visited, which is sound —
-// it is reachable — and only merges levels.
+// for a forward one) and is claimed at the first visited one. Like
+// expandRange it writes no bit, for the same reason: each candidate is
+// listed once, so it cannot be claimed twice, and the level loop marks
+// the claims once the sweep is done. Parents are thus tested against
+// the bitmap as the level found it, so the level count does not depend
+// on the schedule.
 func sweepRange(g *graph.Graph, reverse bool, candidates []graph.NodeID, lo, hi int,
-	color []int32, tab table, buf []graph.NodeID) ([]graph.NodeID, tally) {
-	var cnt tally
-	for i := lo; i < hi; i++ {
-		u := candidates[i]
-		c := atomic.LoadInt32(&color[u])
-		if tab.admit(c) < 0 {
+	color []int32, c int32, visited []uint32, buf []graph.NodeID) []graph.NodeID {
+	for _, u := range candidates[lo:hi] {
+		if Visited(visited, u) || color[u] != c {
 			continue
 		}
 		var parents []graph.NodeID
@@ -353,65 +401,11 @@ func sweepRange(g *graph.Graph, reverse bool, candidates []graph.NodeID, lo, hi 
 			parents = g.In(u)
 		}
 		for _, p := range parents {
-			if !tab.visited(atomic.LoadInt32(&color[p])) {
-				continue
-			}
-			if ti := tab.claim(color, u, c); ti >= 0 {
+			if Visited(visited, p) {
 				buf = append(buf, u)
-				cnt[ti]++
+				break
 			}
-			break
 		}
 	}
-	return buf, cnt
-}
-
-// table is a transition table held in four words, so the range bodies
-// keep it in registers across their atomic operations. Read from a
-// slice, its entries were reloaded for every neighbor, and phase 1's
-// two-entry tables made a forward sweep of an R-MAT giant about an
-// eighth slower than a one-entry table (2 workers on a 2-vCPU Xeon;
-// EXPERIMENTS.md). A one-entry table repeats its entry in the second
-// slot, which changes nothing: the first admitting transition wins,
-// and its To counts as visited either way.
-type table struct{ from0, to0, from1, to1 int32 }
-
-func tableOf(transitions []Transition) table {
-	first, last := transitions[0], transitions[len(transitions)-1]
-	return table{first.From, first.To, last.From, last.To}
-}
-
-// admit returns the index of the transition that admits color c, or -1
-// when none does.
-func (t table) admit(c int32) int {
-	switch c {
-	case t.from0:
-		return 0
-	case t.from1:
-		return 1
-	}
-	return -1
-}
-
-// visited reports whether c is a post-claim color.
-func (t table) visited(c int32) bool { return c == t.to0 || c == t.to1 }
-
-// claim moves node v, last seen with color c, to the To color of the
-// transition that admits it, and returns that transition's index, or
-// -1 when no transition admits v's color. A lost CAS reloads the color
-// and tries again, since a concurrent search over the same colors may
-// have moved v to another admissible color. Within one search the
-// reloaded color is the search's own To, which no transition admits.
-func (t table) claim(color []int32, v graph.NodeID, c int32) int {
-	for {
-		ti := t.admit(c)
-		to := t.to0
-		if ti == 1 {
-			to = t.to1
-		}
-		if ti < 0 || atomic.CompareAndSwapInt32(&color[v], c, to) {
-			return ti
-		}
-		c = atomic.LoadInt32(&color[v])
-	}
+	return buf
 }

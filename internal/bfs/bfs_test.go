@@ -44,6 +44,20 @@ func serialReach(g *graph.Graph, src graph.NodeID, color []int32, from int32, re
 	return seen
 }
 
+// newBits returns a cleared visited bitmap for n nodes.
+func newBits(n int) []uint32 { return make([]uint32, (n+31)/32) }
+
+// firstBitDiff returns the first node whose visited bit differs between
+// a and b, or -1 when none does.
+func firstBitDiff(a, b []uint32, n int) int {
+	for v := 0; v < n; v++ {
+		if Visited(a, graph.NodeID(v)) != Visited(b, graph.NodeID(v)) {
+			return v
+		}
+	}
+	return -1
+}
+
 func TestRunMatchesSerialForward(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(3))
@@ -59,17 +73,17 @@ func TestRunMatchesSerialForward(t *testing.T) {
 			want := serialReach(g, src, make([]int32, n), 0, false)
 
 			color := make([]int32, n)
-			color[src] = 5
-			res := Run(nil, g, false, []graph.NodeID{src}, color,
-				[]Transition{{From: 0, To: 5}}, newArena(t, workers))
-			claimed := res.Claimed[0]
-			if claimed != int64(len(want)-1) {
-				t.Fatalf("trial %d workers %d: claimed %d, want %d", trial, workers, claimed, len(want)-1)
+			visited := newBits(n)
+			res := Run(nil, g, false, []graph.NodeID{src}, color, 0, visited, newArena(t, workers))
+			if res.Claimed != int64(len(want)-1) {
+				t.Fatalf("trial %d workers %d: claimed %d, want %d", trial, workers, res.Claimed, len(want)-1)
 			}
 			for v := 0; v < n; v++ {
-				gotVisited := color[v] == 5
-				if gotVisited != want[graph.NodeID(v)] {
-					t.Fatalf("trial %d: node %d visited=%v want=%v", trial, v, gotVisited, want[graph.NodeID(v)])
+				if got := Visited(visited, graph.NodeID(v)); got != want[graph.NodeID(v)] {
+					t.Fatalf("trial %d: node %d visited=%v want=%v", trial, v, got, want[graph.NodeID(v)])
+				}
+				if color[v] != 0 {
+					t.Fatalf("trial %d: node %d color %d, want it untouched", trial, v, color[v])
 				}
 			}
 		}
@@ -79,66 +93,60 @@ func TestRunMatchesSerialForward(t *testing.T) {
 func TestRunBackward(t *testing.T) {
 	// 0→1→2: backward from 2 reaches {2,1,0}.
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}})
-	color := []int32{0, 0, 9}
-	res := Run(nil, g, true, []graph.NodeID{2}, color, []Transition{{From: 0, To: 9}}, newArena(t, 2))
-	if res.Claimed[0] != 2 {
-		t.Fatalf("claimed %d, want 2", res.Claimed[0])
+	visited := newBits(3)
+	res := Run(nil, g, true, []graph.NodeID{2}, make([]int32, 3), 0, visited, newArena(t, 2))
+	if res.Claimed != 2 {
+		t.Fatalf("claimed %d, want 2", res.Claimed)
 	}
-	for v, c := range color {
-		if c != 9 {
-			t.Fatalf("node %d color %d", v, c)
+	for v := 0; v < 3; v++ {
+		if !Visited(visited, graph.NodeID(v)) {
+			t.Fatalf("node %d not visited", v)
 		}
 	}
 }
 
 func TestRunRespectsColorBoundary(t *testing.T) {
-	// Path 0→1→2→3 with node 2 colored differently: BFS from 0 must
+	// Path 0→1→2→3 with node 2 in another partition: BFS from 0 must
 	// stop at the boundary and not claim 2 or 3.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
-	color := []int32{7, 0, 1, 0}
-	res := Run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 7}}, newArena(t, 2))
-	if res.Claimed[0] != 1 {
-		t.Fatalf("claimed %d, want 1", res.Claimed[0])
+	color := []int32{0, 0, 1, 0}
+	visited := newBits(4)
+	res := Run(nil, g, false, []graph.NodeID{0}, color, 0, visited, newArena(t, 2))
+	if res.Claimed != 1 {
+		t.Fatalf("claimed %d, want 1", res.Claimed)
 	}
-	if color[2] != 1 || color[3] != 0 {
-		t.Fatalf("colors beyond boundary mutated: %v", color)
+	if Visited(visited, 2) || Visited(visited, 3) {
+		t.Fatalf("nodes beyond the boundary visited: %b", visited[0])
 	}
 }
 
-func TestRunTwoTransitions(t *testing.T) {
-	// The backward sweep of FW-BW: color c=0 → cbw=2, cfw=1 → cscc=3.
-	// Graph: 0↔1 cycle (both will be FW from 0), 2→0 (BW only).
+// TestRunSearchesShareColors runs FW-BW's two searches from one pivot
+// over the same color array, each into its own bitmap: neither writes
+// a color, and FW ∩ BW is the pivot's SCC.
+func TestRunSearchesShareColors(t *testing.T) {
+	// Graph: 0↔1 cycle (FW from 0 reaches both), 2→0 (BW only).
 	g := graph.FromEdges(3, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 0}, {From: 2, To: 0}})
-	color := []int32{1, 1, 0} // fwd pass already colored 0,1 as cfw=1
-	color[0] = 3              // pivot claimed as cscc before backward sweep
-	res := Run(nil, g, true, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 2}, {From: 1, To: 3}}, newArena(t, 2))
-	if res.Claimed[0] != 1 { // node 2 → cbw
-		t.Fatalf("cbw claims = %d, want 1", res.Claimed[0])
+	color := make([]int32, 3)
+	fw, bw := newBits(3), newBits(3)
+	ar := newArena(t, 2)
+	fwRes := Run(nil, g, false, []graph.NodeID{0}, color, 0, fw, ar)
+	bwRes := Run(nil, g, true, []graph.NodeID{0}, color, 0, bw, ar)
+	if fwRes.Claimed != 1 || bwRes.Claimed != 2 {
+		t.Fatalf("FW claimed %d and BW %d, want 1 and 2", fwRes.Claimed, bwRes.Claimed)
 	}
-	if res.Claimed[1] != 1 { // node 1 → cscc
-		t.Fatalf("cscc claims = %d, want 1", res.Claimed[1])
-	}
-	if color[1] != 3 || color[2] != 2 {
-		t.Fatalf("final colors %v", color)
-	}
-}
-
-func TestRunRejectsThreeTransitions(t *testing.T) {
-	// Range bodies tally claims in a two-entry array.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run accepted a three-transition table")
+	for v, want := range []bool{true, true, false} {
+		if scc := Visited(fw, graph.NodeID(v)) && Visited(bw, graph.NodeID(v)); scc != want {
+			t.Fatalf("node %d in FW ∩ BW = %v, want %v", v, scc, want)
 		}
-	}()
-	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	Run(nil, g, false, []graph.NodeID{0}, []int32{1, 0},
-		[]Transition{{From: 0, To: 1}, {From: 2, To: 3}, {From: 4, To: 5}}, newArena(t, 1))
+	}
+	if color[0] != 0 || color[1] != 0 || color[2] != 0 {
+		t.Fatalf("colors %v, want them untouched", color)
+	}
 }
 
 func TestRunEmptySeeds(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	res := Run(nil, g, false, nil, make([]int32, 2), []Transition{{From: 0, To: 1}}, newArena(t, 2))
+	res := Run(nil, g, false, nil, make([]int32, 2), 0, newBits(2), newArena(t, 2))
 	if res.Levels != 0 {
 		t.Fatalf("levels = %d, want 0", res.Levels)
 	}
@@ -152,29 +160,19 @@ func TestRunLevelsOnPath(t *testing.T) {
 		edges[i] = graph.Edge{From: graph.NodeID(i), To: graph.NodeID(i + 1)}
 	}
 	g := graph.FromEdges(6, edges)
-	color := make([]int32, 6)
-	color[0] = 1
-	res := Run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, newArena(t, 1))
-	if res.Claimed[0] != 5 {
-		t.Fatalf("claimed %d, want 5", res.Claimed[0])
+	res := Run(nil, g, false, []graph.NodeID{0}, make([]int32, 6), 0, newBits(6), newArena(t, 1))
+	if res.Claimed != 5 {
+		t.Fatalf("claimed %d, want 5", res.Claimed)
 	}
 	if res.Levels != 6 {
 		t.Fatalf("levels = %d, want 6", res.Levels)
 	}
 }
 
-// TestRunParallelDeterministicClaims pins that the claimed set does not
-// depend on the worker count. On benchGiant's graph, forward and
-// backward, with the one-transition table and the backward sweep's
-// two-transition one, and under every schedule, the 2- and 8-worker
-// runs claim what the 1-worker run claims per transition and leave the
-// same colors; top-down runs also take the same number of levels. The
-// graph is large enough that levels run on the gang in many chunks.
-func TestRunParallelDeterministicClaims(t *testing.T) {
-	g := gen.RMAT(gen.DefaultRMAT(15, 10, 1))
-	n := g.NumNodes()
-	cand := allNodes(g)
-	// Half the nodes precolored cfw=1, as after a forward sweep.
+// partitions returns the color arrays the worker-count and pause tests
+// traverse: one partition, and a random half of the nodes moved to
+// another, as a later phase-1 trial or phase 2 sees the graph.
+func partitions(n int) [][]int32 {
 	rng := rand.New(rand.NewSource(4))
 	half := make([]int32, n)
 	for v := range half {
@@ -182,47 +180,51 @@ func TestRunParallelDeterministicClaims(t *testing.T) {
 			half[v] = 1
 		}
 	}
-	tables := []struct {
-		base        []int32
-		seedColor   int32
-		transitions []Transition
-	}{
-		{make([]int32, n), 1, []Transition{{From: 0, To: 1}}},
-		{half, 3, []Transition{{From: 0, To: 2}, {From: 1, To: 3}}},
-	}
-	for _, tb := range tables {
-		for _, reverse := range []bool{false, true} {
-			for _, dir := range []direction{adaptive, forceTopDown, forceBottomUp} {
-				var wantClaimed [maxTransitions]int64
-				var wantColor []int32
-				var wantLevels int
-				for _, workers := range []int{1, 2, 8} {
-					color := append([]int32(nil), tb.base...)
-					color[0] = tb.seedColor
-					var ctr metrics.Counters
-					ar := scratch.New(workers, &ctr)
-					res := run(nil, g, reverse, []graph.NodeID{0}, color, tb.transitions, ar, cand, dir)
-					claimed := res.Claimed
-					ar.Close()
-					where := fmt.Sprintf("%d transitions, reverse=%v, direction %d, workers=%d",
-						len(tb.transitions), reverse, dir, workers)
-					if peak := ctr.Snapshot().FrontierPeak; peak <= inlineFrontier {
-						t.Fatalf("%s: frontier peak %d never leaves the coordinator", where, peak)
-					}
-					if workers == 1 {
-						wantClaimed, wantColor, wantLevels = claimed, color, res.Levels
-						continue
-					}
-					if claimed != wantClaimed {
-						t.Fatalf("%s: claimed %v, want %v", where, claimed, wantClaimed)
-					}
-					for v := range color {
-						if color[v] != wantColor[v] {
-							t.Fatalf("%s: node %d color %d, want %d", where, v, color[v], wantColor[v])
+	return [][]int32{make([]int32, n), half}
+}
+
+// TestRunParallelDeterministicClaims pins that neither the claimed set
+// nor the level count depends on the worker count. On an R-MAT giant
+// and a road lattice (searchGraphs), forward and backward, over one
+// partition and over half the graph, and under every schedule, the 2-
+// and 4-worker runs claim what the 1-worker run claims, leave the same
+// bitmap and take as many levels. The R-MAT graph is large enough that
+// its levels run on the gang in many chunks.
+func TestRunParallelDeterministicClaims(t *testing.T) {
+	for _, sg := range searchGraphs() {
+		g, n := sg.g, sg.g.NumNodes()
+		cand := allNodes(g)
+		for pi, color := range partitions(n) {
+			c := color[sg.seed]
+			for _, reverse := range []bool{false, true} {
+				for _, dir := range []direction{adaptive, forceTopDown, forceBottomUp} {
+					var want Result
+					var wantBits []uint32
+					for _, workers := range []int{1, 2, 4} {
+						visited := newBits(n)
+						var ctr metrics.Counters
+						ar := scratch.New(workers, &ctr)
+						res := run(nil, g, reverse, []graph.NodeID{sg.seed}, color, c, visited, ar, cand, dir)
+						ar.Close()
+						where := fmt.Sprintf("%s, partition %d, reverse=%v, direction %d, workers=%d",
+							sg.name, pi, reverse, dir, workers)
+						if peak := ctr.Snapshot().FrontierPeak; sg.pauses && peak <= inlineFrontier {
+							t.Fatalf("%s: frontier peak %d never leaves the coordinator", where, peak)
 						}
-					}
-					if dir == forceTopDown && res.Levels != wantLevels {
-						t.Fatalf("%s: %d levels, want %d", where, res.Levels, wantLevels)
+						if workers == 1 {
+							want, wantBits = res, visited
+							continue
+						}
+						if res.Claimed != want.Claimed {
+							t.Fatalf("%s: claimed %d, want %d", where, res.Claimed, want.Claimed)
+						}
+						if v := firstBitDiff(visited, wantBits, n); v >= 0 {
+							t.Fatalf("%s: node %d visited=%v, want %v", where, v,
+								Visited(visited, graph.NodeID(v)), Visited(wantBits, graph.NodeID(v)))
+						}
+						if res.Levels != want.Levels {
+							t.Fatalf("%s: %d levels, want %d", where, res.Levels, want.Levels)
+						}
 					}
 				}
 			}
@@ -238,10 +240,10 @@ func BenchmarkBFSRMAT(b *testing.B) {
 	ar := scratch.New(workers, nil)
 	defer ar.Close()
 	color := make([]int32, g.NumNodes())
+	visited := newBits(g.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(color)
-		color[0] = 1
-		Run(nil, g, false, []graph.NodeID{0}, color, []Transition{{From: 0, To: 1}}, ar)
+		clear(visited)
+		Run(nil, g, false, []graph.NodeID{0}, color, 0, visited, ar)
 	}
 }

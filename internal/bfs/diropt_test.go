@@ -21,33 +21,29 @@ func allNodes(g *graph.Graph) []graph.NodeID {
 }
 
 // runBoth runs the traversal top-down and again under dir with every
-// node as a candidate, on identical copies of the color array, checks
-// that the claims and final colorings agree, and returns the second
-// run's bottom-up level count and total level count.
+// node as a candidate, into two bitmaps over the same colors, checks
+// that the claims and visited sets agree, and returns the second run's
+// bottom-up level count and total level count.
 func runBoth(t *testing.T, g *graph.Graph, reverse bool, seed graph.NodeID,
-	baseColor []int32, seedColor int32, transitions []Transition, dir direction) (bottomUp int64, levels int) {
+	color []int32, dir direction) (bottomUp int64, levels int) {
 	t.Helper()
-	c1 := append([]int32(nil), baseColor...)
-	c1[seed] = seedColor
-	r1 := Run(nil, g, reverse, []graph.NodeID{seed}, c1, transitions, newArena(t, 4))
+	n := g.NumNodes()
+	c := color[seed]
+	v1 := newBits(n)
+	r1 := Run(nil, g, reverse, []graph.NodeID{seed}, color, c, v1, newArena(t, 4))
 
-	c2 := append([]int32(nil), baseColor...)
-	c2[seed] = seedColor
+	v2 := newBits(n)
 	var ctr metrics.Counters
 	ar := scratch.New(4, &ctr)
 	defer ar.Close()
-	r2 := run(nil, g, reverse, []graph.NodeID{seed}, c2, transitions, ar, allNodes(g), dir)
+	r2 := run(nil, g, reverse, []graph.NodeID{seed}, color, c, v2, ar, allNodes(g), dir)
 
-	for ti := range transitions {
-		if r1.Claimed[ti] != r2.Claimed[ti] {
-			t.Fatalf("transition %d: top-down claimed %d, direction %d claimed %d",
-				ti, r1.Claimed[ti], dir, r2.Claimed[ti])
-		}
+	if r1.Claimed != r2.Claimed {
+		t.Fatalf("top-down claimed %d, direction %d claimed %d", r1.Claimed, dir, r2.Claimed)
 	}
-	for v := range c1 {
-		if c1[v] != c2[v] {
-			t.Fatalf("node %d: top-down color %d, direction %d color %d", v, c1[v], dir, c2[v])
-		}
+	if v := firstBitDiff(v1, v2, n); v >= 0 {
+		t.Fatalf("node %d: top-down visited=%v, direction %d visited=%v",
+			v, Visited(v1, graph.NodeID(v)), dir, Visited(v2, graph.NodeID(v)))
 	}
 	return ctr.Snapshot().BitmapLevels, r2.Levels
 }
@@ -64,7 +60,7 @@ func TestDirOptMatchesTopDownRandom(t *testing.T) {
 		seed := graph.NodeID(rng.Intn(n))
 		reverse := trial%2 == 0
 		for _, dir := range []direction{adaptive, forceBottomUp} {
-			runBoth(t, g, reverse, seed, make([]int32, n), 5, []Transition{{From: 0, To: 5}}, dir)
+			runBoth(t, g, reverse, seed, make([]int32, n), dir)
 		}
 	}
 }
@@ -72,7 +68,7 @@ func TestDirOptMatchesTopDownRandom(t *testing.T) {
 func TestDirOptForcedBottomUp(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(10, 8, 3))
 	n := g.NumNodes()
-	bu, levels := runBoth(t, g, false, 7, make([]int32, n), 1, []Transition{{From: 0, To: 1}}, forceBottomUp)
+	bu, levels := runBoth(t, g, false, 7, make([]int32, n), forceBottomUp)
 	if bu != int64(levels) {
 		t.Fatalf("forced bottom-up ran %d of %d levels bottom-up", bu, levels)
 	}
@@ -81,13 +77,16 @@ func TestDirOptForcedBottomUp(t *testing.T) {
 func TestDirOptForcedTopDown(t *testing.T) {
 	g := gen.RMAT(gen.DefaultRMAT(9, 6, 4))
 	n := g.NumNodes()
-	if bu, _ := runBoth(t, g, true, 3, make([]int32, n), 1, []Transition{{From: 0, To: 1}}, forceTopDown); bu != 0 {
+	if bu, _ := runBoth(t, g, true, 3, make([]int32, n), forceTopDown); bu != 0 {
 		t.Fatalf("forced top-down ran %d levels bottom-up", bu)
 	}
 }
 
-func TestDirOptTwoTransitions(t *testing.T) {
-	// The FW-BW backward sweep shape with two admissible rewrites.
+// TestDirOptRespectsPartition sweeps bottom-up inside one partition of
+// a graph split in two at random: the sweep must claim what the
+// top-down traversal claims, never a node of the other partition,
+// even though every node is a candidate.
+func TestDirOptRespectsPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		n := 20 + rng.Intn(100)
@@ -96,15 +95,14 @@ func TestDirOptTwoTransitions(t *testing.T) {
 			b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
 		}
 		g := b.Build()
-		// Pre-color a random half as cfw=1 to emulate a forward pass.
-		base := make([]int32, n)
-		for v := range base {
+		color := make([]int32, n)
+		for v := range color {
 			if rng.Intn(2) == 0 {
-				base[v] = 1
+				color[v] = 1
 			}
 		}
 		seed := graph.NodeID(rng.Intn(n))
-		runBoth(t, g, true, seed, base, 3, []Transition{{From: 0, To: 2}, {From: 1, To: 3}}, forceBottomUp)
+		runBoth(t, g, true, seed, color, forceBottomUp)
 	}
 }
 
@@ -113,24 +111,24 @@ func TestDirOptRespectsCandidates(t *testing.T) {
 	// reachable set listed nothing is lost, and a node left off the
 	// list is never claimed by a bottom-up sweep.
 	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}})
-	color := []int32{9, 0, 0, 0}
-	res := run(nil, g, false, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 9}}, newArena(t, 2), []graph.NodeID{1, 2, 3}, forceBottomUp)
-	if res.Claimed[0] != 3 {
-		t.Fatalf("claimed %d, want 3", res.Claimed[0])
+	color := make([]int32, 4)
+	res := run(nil, g, false, []graph.NodeID{0}, color, 0, newBits(4),
+		newArena(t, 2), []graph.NodeID{1, 2, 3}, forceBottomUp)
+	if res.Claimed != 3 {
+		t.Fatalf("claimed %d, want 3", res.Claimed)
 	}
-	color = []int32{9, 0, 0, 0}
-	res = run(nil, g, false, []graph.NodeID{0}, color,
-		[]Transition{{From: 0, To: 9}}, newArena(t, 2), []graph.NodeID{1, 2}, forceBottomUp)
-	if res.Claimed[0] != 2 || color[3] != 0 {
-		t.Fatalf("claimed %d with colors %v, want 2 and node 3 untouched", res.Claimed[0], color)
+	visited := newBits(4)
+	res = run(nil, g, false, []graph.NodeID{0}, color, 0, visited,
+		newArena(t, 2), []graph.NodeID{1, 2}, forceBottomUp)
+	if res.Claimed != 2 || Visited(visited, 3) {
+		t.Fatalf("claimed %d with visited %b, want 2 and node 3 unclaimed", res.Claimed, visited[0])
 	}
 }
 
 func TestDirOptEmptySeeds(t *testing.T) {
 	g := graph.FromEdges(2, []graph.Edge{{From: 0, To: 1}})
-	res := run(nil, g, false, nil, make([]int32, 2),
-		[]Transition{{From: 0, To: 1}}, newArena(t, 2), allNodes(g), forceBottomUp)
+	res := run(nil, g, false, nil, make([]int32, 2), 0, newBits(2),
+		newArena(t, 2), allNodes(g), forceBottomUp)
 	if res.Levels != 0 {
 		t.Fatalf("levels = %d", res.Levels)
 	}
@@ -161,7 +159,7 @@ func TestDirOptPlantedGiant(t *testing.T) {
 		}
 	}
 	for _, dir := range []direction{adaptive, forceBottomUp} {
-		runBoth(t, g, false, seed, make([]int32, n), 1, []Transition{{From: 0, To: 1}}, dir)
+		runBoth(t, g, false, seed, make([]int32, n), dir)
 	}
 }
 
@@ -172,42 +170,29 @@ func TestDirOptPlantedGiant(t *testing.T) {
 func TestDirOptDefaultsStayTopDownOnLattice(t *testing.T) {
 	g := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 128, Cols: 128, TwoWayProb: 0.05, Seed: 2})
 	for _, reverse := range []bool{false, true} {
-		bu, levels := runBoth(t, g, reverse, 0, make([]int32, g.NumNodes()), 1, []Transition{{From: 0, To: 1}}, adaptive)
+		bu, levels := runBoth(t, g, reverse, 0, make([]int32, g.NumNodes()), adaptive)
 		if bu != 0 {
 			t.Fatalf("reverse=%v: %d of %d lattice levels swept bottom-up", reverse, bu, levels)
 		}
 	}
 }
 
-func BenchmarkBFSTopDownGiant(b *testing.B) {
-	benchGiant(b, forceTopDown, []Transition{{From: 0, To: 1}})
-}
+func BenchmarkBFSTopDownGiant(b *testing.B) { benchGiant(b, forceTopDown) }
 
-func BenchmarkBFSAdaptiveGiant(b *testing.B) {
-	benchGiant(b, adaptive, []Transition{{From: 0, To: 1}})
-}
+func BenchmarkBFSAdaptiveGiant(b *testing.B) { benchGiant(b, adaptive) }
 
-// BenchmarkBFSAdaptiveGiantFW runs phase 1's forward table, whose
-// second transition claims into the SCC what a concurrent backward
-// search reached first; here it never fires, so against
-// BenchmarkBFSAdaptiveGiant it times only the second entry's checks.
-func BenchmarkBFSAdaptiveGiantFW(b *testing.B) {
-	benchGiant(b, adaptive, []Transition{{From: 0, To: 1}, {From: 2, To: 3}})
-}
-
-// benchGiant sweeps forward from the hub of an R-MAT giant, seeded with
-// the table's last post-claim color as phase 1 seeds the pivot.
-func benchGiant(b *testing.B, dir direction, transitions []Transition) {
+// benchGiant sweeps forward from the hub of an R-MAT giant.
+func benchGiant(b *testing.B, dir direction) {
 	g := gen.RMAT(gen.DefaultRMAT(15, 10, 1))
 	cand := allNodes(g)
 	color := make([]int32, g.NumNodes())
+	visited := newBits(g.NumNodes())
 	workers := runtime.GOMAXPROCS(0)
 	ar := scratch.New(workers, nil)
 	defer ar.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(color)
-		color[0] = transitions[len(transitions)-1].To
-		run(nil, g, false, []graph.NodeID{0}, color, transitions, ar, cand, dir)
+		clear(visited)
+		run(nil, g, false, []graph.NodeID{0}, color, 0, visited, ar, cand, dir)
 	}
 }

@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/gen"
@@ -44,77 +43,62 @@ func searchGraphs() []searchGraph {
 
 // TestSearchPauseResume pauses a search where Open stops, at its first
 // level above inlineFrontier, and resumes it with Finish: the search
-// must claim what one uninterrupted Run claims, leaving the same
-// colors, per-transition counts and level count. It covers both
-// directions, the one- and two-transition tables and 1, 2 and 4
-// workers. Level counts are compared where they are deterministic: at
-// one worker, and top-down, since a parallel bottom-up sweep merges
-// levels in whatever order its chunks run.
+// must claim what one uninterrupted Run claims, leaving the same bitmap
+// and level count. It covers both directions, one partition and half
+// the graph, forced top-down and forced bottom-up as well as the
+// adaptive schedule, and 1, 2 and 4 workers, and level counts, frontier
+// sizes and bottom-up levels must match too. A forced bottom-up search
+// opens nothing, as no level of it runs inline.
 func TestSearchPauseResume(t *testing.T) {
 	for _, sg := range searchGraphs() {
 		g, n := sg.g, sg.g.NumNodes()
 		cand := allNodes(g)
-		// Half the nodes precolored cfw=1, as after a forward sweep.
-		rng := rand.New(rand.NewSource(4))
-		half := make([]int32, n)
-		for v := range half {
-			if rng.Intn(2) == 0 {
-				half[v] = 1
-			}
-		}
-		tables := []struct {
-			base        []int32
-			seedColor   int32
-			transitions []Transition
-		}{
-			{make([]int32, n), 1, []Transition{{From: 0, To: 1}}},
-			{half, 3, []Transition{{From: 0, To: 2}, {From: 1, To: 3}}},
-		}
-		for _, tb := range tables {
+		for pi, color := range partitions(n) {
+			c := color[sg.seed]
 			for _, reverse := range []bool{false, true} {
-				for _, dir := range []direction{adaptive, forceTopDown} {
+				for _, dir := range []direction{adaptive, forceTopDown, forceBottomUp} {
 					for _, workers := range []int{1, 2, 4} {
-						where := fmt.Sprintf("%s, %d transitions, reverse=%v, direction %d, workers=%d",
-							sg.name, len(tb.transitions), reverse, dir, workers)
+						where := fmt.Sprintf("%s, partition %d, reverse=%v, direction %d, workers=%d",
+							sg.name, pi, reverse, dir, workers)
 						seeds := []graph.NodeID{sg.seed}
 
-						want := append([]int32(nil), tb.base...)
-						want[sg.seed] = tb.seedColor
+						want := newBits(n)
 						var wantCtr metrics.Counters
 						ar := scratch.New(workers, &wantCtr)
-						wantRes := run(nil, g, reverse, seeds, want, tb.transitions, ar, cand, dir)
+						wantRes := run(nil, g, reverse, seeds, color, c, want, ar, cand, dir)
 						ar.Close()
 
-						got := append([]int32(nil), tb.base...)
-						got[sg.seed] = tb.seedColor
+						got := newBits(n)
 						var ctr metrics.Counters
 						ar = scratch.New(workers, &ctr)
 						var s Search
-						s.start(g, reverse, seeds, got, tb.transitions, ar, cand, dir)
+						s.start(g, reverse, seeds, color, c, got, ar, cand, dir)
 						s.Open(nil, ar)
-						opened := s.res.Levels
+						opened := s.levels
 						switch {
+						case dir == forceBottomUp:
+							if opened != 0 {
+								t.Fatalf("%s: a forced bottom-up search opened %d levels", where, opened)
+							}
 						case sg.pauses && len(s.frontier) <= inlineFrontier:
 							t.Fatalf("%s: Open stopped at a frontier of %d nodes", where, len(s.frontier))
 						case !sg.pauses && len(s.frontier) != 0:
 							t.Fatalf("%s: Open paused at a frontier of %d nodes", where, len(s.frontier))
+						case opened == 0:
+							t.Fatalf("%s: Open ran no level", where)
 						}
 						res := s.Finish(nil, ar)
 						ar.Close()
 
-						if opened == 0 || (sg.pauses && res.Levels <= opened) {
+						if sg.pauses && res.Levels <= opened {
 							t.Fatalf("%s: opened %d of %d levels", where, opened, res.Levels)
 						}
 						if res.Claimed != wantRes.Claimed {
-							t.Fatalf("%s: claimed %v, want %v", where, res.Claimed, wantRes.Claimed)
+							t.Fatalf("%s: claimed %d, want %d", where, res.Claimed, wantRes.Claimed)
 						}
-						for v := range got {
-							if got[v] != want[v] {
-								t.Fatalf("%s: node %d color %d, want %d", where, v, got[v], want[v])
-							}
-						}
-						if workers > 1 && dir != forceTopDown {
-							continue
+						if v := firstBitDiff(got, want, n); v >= 0 {
+							t.Fatalf("%s: node %d visited=%v, want %v", where, v,
+								Visited(got, graph.NodeID(v)), Visited(want, graph.NodeID(v)))
 						}
 						if res.Levels != wantRes.Levels {
 							t.Fatalf("%s: %d levels, want %d", where, res.Levels, wantRes.Levels)
@@ -130,64 +114,65 @@ func TestSearchPauseResume(t *testing.T) {
 	}
 }
 
-// TestSearchPauseResumeSideBySide runs phase 1's color encoding: the
-// pivot starts as the SCC color, the forward search claims with
-// {c → cfw, cbw → cscc} and the backward one with {c → cbw, cfw →
-// cscc}. Both open at once on the gang and are then finished one
-// after the other, and the result must match running them one after
-// the other from the start: the same colors, each search claiming
-// exactly the nodes it reaches, and the SCC size split between the two
-// searches' cscc claims. A search that lost a claim without retrying
-// would leave a node cfw or cbw that both searches reach.
+// TestSearchPauseResumeSideBySide runs phase 1's trial shape: a
+// forward and a backward search from one pivot over the same colors,
+// each claiming into its own bitmap. Both open at once on the gang and
+// are then finished one after the other, and the result must match
+// running them one after the other from the start: the same two
+// bitmaps, so the same FW ∩ BW, and the same claim counts, with the
+// color array untouched. A search that wrote anything the other reads
+// would show here as a differing bitmap.
 func TestSearchPauseResumeSideBySide(t *testing.T) {
-	const c, cfw, cbw, cscc = 0, 1, 2, 3
-	fwTrans := []Transition{{From: c, To: cfw}, {From: cbw, To: cscc}}
-	bwTrans := []Transition{{From: c, To: cbw}, {From: cfw, To: cscc}}
-	total := func(r Result) int64 { return r.Claimed[0] + r.Claimed[1] }
 	for _, sg := range searchGraphs() {
-		g := sg.g
+		g, n := sg.g, sg.g.NumNodes()
 		cand := allNodes(g)
 		seeds := []graph.NodeID{sg.seed}
+		for pi, color := range partitions(n) {
+			c := color[sg.seed]
+			wantColor := append([]int32(nil), color...)
+			wantFW, wantBW := newBits(n), newBits(n)
+			ar := scratch.New(1, nil)
+			wantFWRes := Run(nil, g, false, seeds, color, c, wantFW, ar, cand...)
+			wantBWRes := Run(nil, g, true, seeds, color, c, wantBW, ar, cand...)
+			ar.Close()
 
-		want := make([]int32, g.NumNodes())
-		want[sg.seed] = cscc
-		ar := scratch.New(1, nil)
-		wantFW := Run(nil, g, false, seeds, want, fwTrans, ar, cand...)
-		wantBW := Run(nil, g, true, seeds, want, bwTrans, ar, cand...)
-		ar.Close()
+			for _, workers := range []int{2, 4} {
+				for rep := 0; rep < 3; rep++ {
+					where := fmt.Sprintf("%s, partition %d, workers=%d, rep %d", sg.name, pi, workers, rep)
+					fwBits, bwBits := newBits(n), newBits(n)
+					ar := scratch.New(workers, nil)
+					var fw, bw Search
+					fw.Start(g, false, seeds, color, c, fwBits, ar, cand)
+					bw.Start(g, true, seeds, color, c, bwBits, ar, cand)
+					ar.Gang().Run(func(w int) {
+						switch w {
+						case 0:
+							fw.Open(nil, ar)
+						case 1:
+							bw.Open(nil, ar)
+						}
+					})
+					fwRes := fw.Finish(nil, ar)
+					bwRes := bw.Finish(nil, ar)
+					ar.Close()
 
-		for _, workers := range []int{2, 4} {
-			for rep := 0; rep < 3; rep++ {
-				where := fmt.Sprintf("%s, workers=%d, rep %d", sg.name, workers, rep)
-				got := make([]int32, g.NumNodes())
-				got[sg.seed] = cscc
-				ar := scratch.New(workers, nil)
-				var fw, bw Search
-				fw.Start(g, false, seeds, got, fwTrans, ar, cand)
-				bw.Start(g, true, seeds, got, bwTrans, ar, cand)
-				ar.Gang().Run(func(w int) {
-					switch w {
-					case 0:
-						fw.Open(nil, ar)
-					case 1:
-						bw.Open(nil, ar)
+					if v := firstBitDiff(fwBits, wantFW, n); v >= 0 {
+						t.Fatalf("%s: node %d forward-visited=%v, want %v", where, v,
+							Visited(fwBits, graph.NodeID(v)), Visited(wantFW, graph.NodeID(v)))
 					}
-				})
-				fwRes := fw.Finish(nil, ar)
-				bwRes := bw.Finish(nil, ar)
-				ar.Close()
-
-				for v := range got {
-					if got[v] != want[v] {
-						t.Fatalf("%s: node %d color %d, want %d", where, v, got[v], want[v])
+					if v := firstBitDiff(bwBits, wantBW, n); v >= 0 {
+						t.Fatalf("%s: node %d backward-visited=%v, want %v", where, v,
+							Visited(bwBits, graph.NodeID(v)), Visited(wantBW, graph.NodeID(v)))
 					}
-				}
-				if total(fwRes) != total(wantFW) || total(bwRes) != total(wantBW) {
-					t.Fatalf("%s: searches claimed %d and %d nodes, want %d and %d",
-						where, total(fwRes), total(bwRes), total(wantFW), total(wantBW))
-				}
-				if scc := fwRes.Claimed[1] + bwRes.Claimed[1]; scc != wantBW.Claimed[1] {
-					t.Fatalf("%s: %d cscc claims, want %d", where, scc, wantBW.Claimed[1])
+					if fwRes.Claimed != wantFWRes.Claimed || bwRes.Claimed != wantBWRes.Claimed {
+						t.Fatalf("%s: searches claimed %d and %d nodes, want %d and %d",
+							where, fwRes.Claimed, bwRes.Claimed, wantFWRes.Claimed, wantBWRes.Claimed)
+					}
+					for v := range color {
+						if color[v] != wantColor[v] {
+							t.Fatalf("%s: node %d color %d, want it untouched (%d)", where, v, color[v], wantColor[v])
+						}
+					}
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/gen"
 	"repro/graph"
+	"repro/internal/bfs"
 	"repro/internal/scratch"
 	"repro/internal/seq"
 	"repro/internal/worklist"
@@ -59,45 +60,97 @@ func TestRecurFWBWSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPhase1OpeningSteadyStateAllocs pins the zero-allocation contract
-// of a two-worker phase-1 trial's opening: with a warm arena, the gang
-// dispatch of the bound opening body and both searches' small levels,
-// run side by side, allocate nothing. Every level of a road lattice is
-// small, so both searches run to their end inside the opening.
-func TestPhase1OpeningSteadyStateAllocs(t *testing.T) {
-	g := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 64, Cols: 64, TwoWayProb: 0.05, Seed: 3})
+// phase1Lattice returns a two-worker engine over a road lattice, every
+// node alive in partition 0, with the lattice's Tarjan components.
+// Every level of the lattice is small, so both searches of a trial run
+// to their end inside the opening, side by side.
+func phase1Lattice(t *testing.T) (e *engine, alive []graph.NodeID, comp []int32) {
+	g := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 64, Cols: 128, TwoWayProb: 0.05, Seed: 3})
 	n := g.NumNodes()
-	e := &engine{
+	e = &engine{
 		g:     g,
-		opt:   Options{Workers: 2},
+		opt:   Options{Workers: 2, GiantThreshold: 0.01, MaxPhase1Trials: 3, PivotSample: 64},
 		color: make([]int32, n),
 		comp:  make([]int32, n),
 		res:   &Result{},
 	}
 	e.ar = scratch.New(2, nil)
-	defer e.ar.Close()
-	comp, _ := seq.Tarjan(g)
+	t.Cleanup(e.ar.Close)
+	comp, _ = seq.Tarjan(g)
+	alive = make([]graph.NodeID, n)
+	for v := range alive {
+		alive[v] = graph.NodeID(v)
+	}
+	return e, alive, comp
+}
+
+// TestPhase1OpeningSteadyStateAllocs pins the zero-allocation contract
+// of a two-worker phase-1 trial's opening: with a warm arena, the gang
+// dispatch of the bound opening body and both searches' small levels,
+// run side by side, allocate nothing. The pivot's SCC, FW ∩ BW, must
+// be its Tarjan component.
+func TestPhase1OpeningSteadyStateAllocs(t *testing.T) {
+	e, members, comp := phase1Lattice(t)
 	sizes := map[int32]int64{}
 	var pivot graph.NodeID
-	members := make([]graph.NodeID, n)
 	for v, c := range comp {
-		members[v] = graph.NodeID(v)
 		sizes[c]++
 		if sizes[c] > sizes[comp[pivot]] {
 			pivot = graph.NodeID(v)
 		}
 	}
-	const c, cfw, cbw, cscc = 0, 1, 2, 3
 	trial := func() {
-		clear(e.color)
-		e.color[pivot] = cscc
-		if _, size := e.searchFWBW(pivot, members, c, cfw, cbw, cscc); size != sizes[comp[pivot]] {
+		e.searchFWBW(pivot, members, 0)
+		var size int64
+		for _, v := range members {
+			if bfs.Visited(e.fwBits, v) && bfs.Visited(e.bwBits, v) {
+				size++
+			}
+		}
+		if size != sizes[comp[pivot]] {
 			t.Fatalf("SCC size %d, want %d", size, sizes[comp[pivot]])
 		}
 	}
-	trial() // warm the arena's node pool and bind the opening body
+	trial() // warm the arena's node pool and bitmaps and bind the opening body
 	trial()
 	if avg := testing.AllocsPerRun(100, trial); avg != 0 {
 		t.Fatalf("the phase-1 opening allocates %.2f objects/trial in steady state, want 0", avg)
+	}
+}
+
+// TestPhase1TrialSteadyStateAllocs pins a whole warm two-worker phase-1
+// trial at zero allocations: choosing the partition and pivot, both
+// searches, the publication pass on the gang through its bound body,
+// and filtering the alive list. The published SCC must be a Tarjan
+// component, marked removed with the pivot as its representative.
+func TestPhase1TrialSteadyStateAllocs(t *testing.T) {
+	e, all, comp := phase1Lattice(t)
+	if len(all) <= 4096 {
+		t.Fatalf("%d nodes publish in one chunk, inline", len(all))
+	}
+	alive := make([]graph.NodeID, 0, len(all))
+	e.opt.MaxPhase1Trials = 1
+	trial := func() {
+		clear(e.color)
+		e.nextColor.Store(0)
+		*e.res = Result{}
+		alive = e.parFWBW(append(alive[:0], all...))
+		pivot := -1
+		for v, c := range e.color {
+			if c == Removed {
+				pivot = int(e.comp[v])
+				if comp[v] != comp[pivot] {
+					t.Fatalf("node %d published with pivot %d from another SCC", v, pivot)
+				}
+			}
+		}
+		if pivot < 0 || e.res.GiantSCC != int64(len(all)-len(alive)) {
+			t.Fatalf("GiantSCC %d, %d of %d nodes left alive", e.res.GiantSCC, len(alive), len(all))
+		}
+	}
+	trial() // warm the arena and bind the opening and publication bodies
+	trial()
+	if avg := testing.AllocsPerRun(100, trial); avg != 0 {
+		t.Fatalf("a phase-1 trial allocates %.2f objects in steady state, want 0", avg)
 	}
 }

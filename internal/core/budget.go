@@ -54,15 +54,19 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 	est += nn * 3 * nodeB
 	// Phase-1 BFS: a search's frontier and next buffer. At two or more
 	// workers add the per-worker next lists of its parallel levels —
-	// each can, in the worst skew, hold nearly the whole next frontier,
-	// and list capacity is retained once grown — and the other search's
-	// frontier and next buffer: both searches open at once, and one
-	// stays paused while the other finishes.
+	// each can, in the worst skew, hold nearly the whole next frontier
+	// (a top-down level's lists hold its gathered neighbors, duplicates
+	// included, which the edge rule keeps below 1/α of the unclaimed
+	// candidates' edges), and list capacity is retained once grown —
+	// and the other search's frontier and next buffer: both searches
+	// open at once, and one stays paused while the other finishes.
 	bfsBufs := int64(2)
 	if opt.Workers > 1 {
 		bfsBufs += int64(opt.Workers) + 2
 	}
 	est += nn * nodeB * bfsBufs
+	// Phase 1's two visited bitmaps, one bit a node in 4-byte words.
+	est += 2 * 4 * ((nn + 31) / 32)
 	// Phase-2 per-worker DFS stacks + recycled task buffers: bounded by
 	// the alive nodes each worker can be holding.
 	est += nn * nodeB

@@ -353,18 +353,27 @@ type engine struct {
 
 	// Per-trial phase-1 scratch and the phase-2 task build buffer,
 	// hoisted onto the engine so repeated trials — and repeated runs on
-	// a persistent Engine — construct their transition, seed and task
-	// slices without allocating.
-	fwTrans [2]bfs.Transition
-	bwTrans [2]bfs.Transition
+	// a persistent Engine — construct their seed and task slices
+	// without allocating.
 	seedBuf [1]graph.NodeID
 	taskBuf []task
 
-	// fw and bw are phase 1's forward and backward searches. openFn is
-	// the gang body that opens both at once, bound once (first opening)
-	// and retained across runs like taskFn.
-	fw, bw bfs.Search
-	openFn func(worker int)
+	// fw and bw are phase 1's forward and backward searches, claiming
+	// into the arena's bitmaps fwBits and bwBits. openFn is the gang
+	// body that opens both at once, bound once (first opening) and
+	// retained across runs like taskFn.
+	fw, bw         bfs.Search
+	fwBits, bwBits []uint32
+	openFn         func(worker int)
+
+	// pubFn is the publication pass's body, bound once like openFn; the
+	// pass in flight reads its members, pivot and the colors of FW only
+	// and BW only from the pub fields and counts its SCC into pubCounts.
+	pubFn     func(worker, lo, hi int)
+	pubNodes  []graph.NodeID
+	pubPivot  graph.NodeID
+	cfw, cbw  int32
+	pubCounts []int64
 
 	// taskFn is the phase-2 task body, bound once (first phase2 call)
 	// and retained across runs so the steady state never rebuilds the

@@ -138,8 +138,8 @@ func TestAllAlgorithmsDAG(t *testing.T) {
 // lattice edge is two-way, so the lattice is one SCC: any pivot lies in
 // it, phase 1 takes one trial at any worker count, and both searches
 // reach every node over a thousand small levels each, which run side
-// by side in the opening. The SCC size phase 1 reports — both
-// searches' SCC claims plus the pivot — must equal Tarjan's largest
+// by side in the opening. The SCC size phase 1 reports — the
+// publication pass's count of FW ∩ BW — must equal Tarjan's largest
 // SCC exactly.
 func TestMethod1FindsGiantInPhase1(t *testing.T) {
 	p := gen.SmallWorldSCC(3000, 300, 2.5, 20, 2.0, 21)
@@ -174,6 +174,33 @@ func TestMethod1FindsGiantInPhase1(t *testing.T) {
 			t.Fatalf("road, workers=%d: %d phase-1 levels, want a high-diameter run", workers, res.Phase1Levels)
 		}
 		checkAgainstTarjan(t, road, Method1, res)
+	}
+}
+
+// TestPhase1DeterministicAcrossWorkers pins that a fixed Seed fixes
+// phase 1's pivots at any worker count: a trial's members are gathered
+// in node order, not in the order the parallel trim leaves the alive
+// list in. On this mostly one-way lattice a pivot can land in a small
+// SCC and cost a second trial, so a pivot that followed the trim's
+// schedule shows as a differing trial count or giant SCC.
+func TestPhase1DeterministicAcrossWorkers(t *testing.T) {
+	g := gen.RoadLattice(gen.RoadLatticeConfig{Rows: 256, Cols: 256, TwoWayProb: 0.05, Seed: 109})
+	wantTrials, wantGiant := -1, int64(-1)
+	for _, workers := range []int{1, 2, 4} {
+		for rep := 0; rep < 12; rep++ {
+			res := Run(g, Method1, Options{Workers: workers, Seed: 5})
+			if rep == 0 {
+				checkAgainstTarjan(t, g, Method1, res)
+			}
+			if wantTrials < 0 {
+				wantTrials, wantGiant = res.Phase1Trials, res.GiantSCC
+				continue
+			}
+			if res.Phase1Trials != wantTrials || res.GiantSCC != wantGiant {
+				t.Fatalf("workers=%d, run %d: %d trials with a giant of %d, want %d trials with %d",
+					workers, rep, res.Phase1Trials, res.GiantSCC, wantTrials, wantGiant)
+			}
+		}
 	}
 }
 

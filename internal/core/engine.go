@@ -145,6 +145,7 @@ func (en *Engine) shrink() {
 	en.color, en.comp = nil, nil
 	en.run.taskBuf = nil
 	en.run.colorScratch = nil
+	en.run.fwBits, en.run.bwBits = nil, nil
 	en.pq = worklist.New[task](en.pq.Workers(), en.pq.K())
 	en.highN = 0
 }

@@ -30,40 +30,18 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 			break
 		}
 		pivot := e.choosePivot(members)
-
-		cfw, cbw, cscc := e.newColor(), e.newColor(), e.newColor()
-		// The pivot is in both sets, so it starts as SCC.
-		if !atomic.CompareAndSwapInt32(&e.color[pivot], c, cscc) {
-			e.ar.PutNodes(members)
-			continue // pivot raced away (cannot happen single-threaded here; defensive)
-		}
-		levels, sccSize := e.searchFWBW(pivot, members, c, cfw, cbw, cscc)
-		e.ar.PutNodes(members)
+		levels := e.searchFWBW(pivot, members, c)
 		if e.stopped() {
-			// A search may have been cut short; the partial coloring is
-			// unusable for SCC publication, so unwind without claiming
-			// anything. The whole Result is discarded by Engine.Run.
+			// A search may have been cut short; its bitmap is unusable
+			// for publication, so unwind without claiming anything. The
+			// whole Result is discarded by Engine.Run.
+			e.ar.PutNodes(members)
 			return alive
 		}
 		e.res.Phase1Levels += levels
 		e.res.Phases[PhaseParFWBW].Rounds += levels
-
-		// Publish the SCC: every cscc node is marked removed with the
-		// pivot as representative. The single-worker loop is spelled
-		// out (not a single-worker gang dispatch) so no publication
-		// closure is ever built on the zero-allocation path.
-		if e.ar.Workers() == 1 {
-			publishRange(e.color, e.comp, alive, cscc, pivot)
-		} else {
-			// pub shadows alive: capturing the reassigned loop variable
-			// directly would box it at function entry on every call,
-			// single-worker runs included. Every node costs one color
-			// load, hence the large chunk.
-			pub := alive
-			e.ar.ForDynamic(len(pub), 4096, func(_, lo, hi int) {
-				publishRange(e.color, e.comp, pub[lo:hi], cscc, pivot)
-			})
-		}
+		sccSize := e.publish(pivot, members)
+		e.ar.PutNodes(members)
 		e.res.Phases[PhaseParFWBW].Nodes += sccSize
 		e.res.Phases[PhaseParFWBW].SCCs++
 		if sccSize > e.res.GiantSCC {
@@ -78,12 +56,11 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 }
 
 // searchFWBW runs one trial's forward and backward searches from the
-// pivot, already colored cscc, over the members of partition c, and
-// returns their total level count and the size of the pivot's SCC.
-// Each search claims unvisited partition nodes into its own set and
-// the other search's nodes into the SCC (Lemma 1: FW ∩ BW), so
-// whichever reaches a node second writes cscc, the two need no order,
-// and the SCC is both searches' cscc claims plus the pivot.
+// pivot over the members of partition c and returns their total level
+// count. Each search claims into its own bitmap (the engine's fwBits
+// and bwBits, cleared here), and neither writes a color, so the two
+// need no order and no claim protocol; publish then reads FW ∩ BW,
+// the pivot's SCC (Lemma 1), off the two bitmaps.
 //
 // At two or more workers the gang's first two workers run the two
 // searches' small levels at the same time (the opening), each pausing
@@ -91,18 +68,18 @@ func (e *engine) parFWBW(alive []graph.NodeID) []graph.NodeID {
 // finishes the forward search and then the backward one, so large
 // levels keep the whole gang. One worker runs the forward search to
 // the end before the backward one starts.
-func (e *engine) searchFWBW(pivot graph.NodeID, members []graph.NodeID, c, cfw, cbw, cscc int32) (levels int, sccSize int64) {
-	// The transition tables and the one-element seed slice live in
-	// engine-resident arrays (fwTrans/bwTrans/seedBuf), so building
-	// them per trial allocates nothing.
+func (e *engine) searchFWBW(pivot graph.NodeID, members []graph.NodeID, c int32) (levels int) {
+	// The one-element seed slice lives in an engine-resident array, so
+	// building it per trial allocates nothing.
 	e.seedBuf[0] = pivot
 	seeds := e.seedBuf[:]
-	e.fwTrans = [2]bfs.Transition{{From: c, To: cfw}, {From: cbw, To: cscc}}
-	e.bwTrans = [2]bfs.Transition{{From: c, To: cbw}, {From: cfw, To: cscc}}
+	e.fwBits, e.bwBits = e.ar.Bitmaps(e.g.NumNodes())
+	clear(e.fwBits)
+	clear(e.bwBits)
 	opening := e.ar.Workers() > 1
-	e.fw.Start(e.g, false, seeds, e.color, e.fwTrans[:], e.ar, members)
+	e.fw.Start(e.g, false, seeds, e.color, c, e.fwBits, e.ar, members)
 	if opening {
-		e.bw.Start(e.g, true, seeds, e.color, e.bwTrans[:], e.ar, members)
+		e.bw.Start(e.g, true, seeds, e.color, c, e.bwBits, e.ar, members)
 		if e.openFn == nil {
 			e.openFn = e.openSearches
 		}
@@ -110,10 +87,10 @@ func (e *engine) searchFWBW(pivot graph.NodeID, members []graph.NodeID, c, cfw, 
 	}
 	fw := e.fw.Finish(e.sink, e.ar)
 	if !opening {
-		e.bw.Start(e.g, true, seeds, e.color, e.bwTrans[:], e.ar, members)
+		e.bw.Start(e.g, true, seeds, e.color, c, e.bwBits, e.ar, members)
 	}
 	bw := e.bw.Finish(e.sink, e.ar)
-	return fw.Levels + bw.Levels, fw.Claimed[1] + bw.Claimed[1] + 1
+	return fw.Levels + bw.Levels
 }
 
 // openSearches is the phase-1 opening's gang body: worker 0 opens the
@@ -129,23 +106,59 @@ func (e *engine) openSearches(w int) {
 	}
 }
 
-// publishRange marks every node of nodes colored cscc as removed, with
-// the pivot as its SCC representative.
-func publishRange(color, comp []int32, nodes []graph.NodeID, cscc int32, pivot graph.NodeID) {
-	for _, v := range nodes {
-		if atomic.LoadInt32(&color[v]) == cscc {
-			comp[v] = int32(pivot)
-			atomic.StoreInt32(&color[v], Removed)
+// publish turns a trial's two bitmaps into colors in one pass over the
+// partition's members: FW ∩ BW is marked removed with the pivot as its
+// SCC representative, FW only takes a fresh color and BW only another,
+// and unreached members keep the partition's color. It returns the
+// SCC's size. The pass runs on the gang through the bound e.pubFn, one
+// worker inline, and each chunk adds its SCC count to its worker's slot
+// once.
+func (e *engine) publish(pivot graph.NodeID, members []graph.NodeID) int64 {
+	e.pubNodes, e.pubPivot = members, pivot
+	e.cfw, e.cbw = e.newColor(), e.newColor()
+	e.pubCounts = e.ar.Counts()
+	if e.pubFn == nil {
+		e.pubFn = e.publishRange
+	}
+	// Every member costs two bitmap loads, hence the large chunk.
+	e.ar.ForDynamic(len(members), 4096, e.pubFn)
+	var size int64
+	for _, k := range e.pubCounts {
+		size += k
+	}
+	return size
+}
+
+// publishRange is publish's body over e.pubNodes[lo:hi]. No other
+// worker reads or writes these members' colors during the pass.
+func (e *engine) publishRange(w, lo, hi int) {
+	var scc int64
+	for _, v := range e.pubNodes[lo:hi] {
+		fw, bw := bfs.Visited(e.fwBits, v), bfs.Visited(e.bwBits, v)
+		switch {
+		case fw && bw:
+			e.comp[v] = int32(e.pubPivot)
+			e.color[v] = Removed
+			scc++
+		case fw:
+			e.color[v] = e.cfw
+		case bw:
+			e.color[v] = e.cbw
 		}
 	}
+	e.pubCounts[w] += scc
 }
 
 // largestPartition returns the most populous color among alive nodes
 // together with its members — the partition most likely to contain the
-// giant SCC for the next trial. The lowest color wins a tie, so a
-// fixed Seed fixes the trial sequence. The histogram is the engine's
-// retained per-color slice; the member list is arena-owned, and the
-// caller releases it with PutNodes after the trial.
+// giant SCC for the next trial. The lowest color wins a tie, and the
+// members are gathered in ascending node order by a scan of the color
+// array (every node outside alive is Removed), not in alive's order,
+// which follows the parallel trim's schedule; so a fixed Seed fixes
+// the pivots and the trial sequence at any worker count. The histogram
+// is the engine's retained per-color slice; the member list is
+// arena-owned, and the caller releases it with PutNodes after the
+// trial.
 func (e *engine) largestPartition(alive []graph.NodeID) (int32, []graph.NodeID) {
 	counts := e.perColor(0)
 	for _, v := range alive {
@@ -158,9 +171,9 @@ func (e *engine) largestPartition(alive []graph.NodeID) (int32, []graph.NodeID) 
 		}
 	}
 	members := e.ar.GetNodes(int(counts[best]))
-	for _, v := range alive {
-		if e.color[v] == int32(best) {
-			members = append(members, v)
+	for v, c := range e.color {
+		if c == int32(best) {
+			members = append(members, graph.NodeID(v))
 		}
 	}
 	return int32(best), members

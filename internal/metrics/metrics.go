@@ -28,8 +28,8 @@ type Counters struct {
 
 	// BFS kernel: level barriers, sum of frontier sizes over all
 	// levels, peak single-level frontier, and how many levels swept the
-	// candidate list bottom-up. BitmapLevels keeps the name of the
-	// bitmap representation that sweep replaced.
+	// candidate list bottom-up, testing each candidate's parents against
+	// the search's visited bitmap (BitmapLevels).
 	BFSLevels     atomic.Int64
 	FrontierNodes atomic.Int64
 	FrontierPeak  atomic.Int64

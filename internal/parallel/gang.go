@@ -44,6 +44,15 @@ type Gang struct {
 	closed  bool
 
 	trap Trap
+
+	// The ForDynamic in flight: its range, chunk and body, and the
+	// shared cursor its workers claim chunks from. dynamic is the gang
+	// body that drives them, bound once in NewGang, so a dispatch
+	// allocates nothing of its own.
+	dynN, dynChunk int
+	dynBody        func(worker, lo, hi int)
+	dynNext        atomic.Int64
+	dynamic        func(worker int)
 }
 
 // NewGang starts workers goroutines and returns the gang. workers
@@ -60,6 +69,7 @@ func NewGang(workers int) *Gang {
 	// separate object would be an allocation of its own.
 	g.work.L = &g.mu
 	g.done.L = &g.mu
+	g.dynamic = g.dynamicWorker
 	for w := 0; w < workers; w++ {
 		go g.loop(w)
 	}
@@ -162,6 +172,8 @@ func (g *Gang) Abort() {
 // index for per-worker scratch state. chunk <= 0 selects 256. A
 // one-worker gang and small inputs (n <= chunk) run inline on the
 // caller as worker 0, costing nothing. The panic contract is Run's.
+// The dispatch itself allocates nothing; a body built as a capturing
+// closure per call still costs its own allocation.
 func (g *Gang) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -173,20 +185,25 @@ func (g *Gang) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 		body(0, 0, n)
 		return
 	}
-	var next atomic.Int64
-	g.Run(func(w int) {
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(w, lo, hi)
+	g.dynN, g.dynChunk, g.dynBody = n, chunk, body
+	g.dynNext.Store(0)
+	g.Run(g.dynamic)
+	// Every worker has returned, so nothing reads the body any more;
+	// dropping it keeps the caller's captures collectable. A Run that
+	// panics skips this, as a wedged worker may still hold it.
+	g.dynBody = nil
+}
+
+// dynamicWorker is ForDynamic's gang body.
+func (g *Gang) dynamicWorker(w int) {
+	n, chunk, body := g.dynN, g.dynChunk, g.dynBody
+	for {
+		lo := int(g.dynNext.Add(int64(chunk))) - chunk
+		if lo >= n {
+			return
 		}
-	})
+		body(w, lo, min(lo+chunk, n))
+	}
 }
 
 // Close releases the gang's goroutines. Idempotent, and safe to call

@@ -75,3 +75,22 @@ func TestGangCloseIdempotent(t *testing.T) {
 	g.Close()
 	g.Close()
 }
+
+// TestGangForDynamicSteadyStateAllocs pins that a dispatch allocates
+// nothing of its own: with its body built once, a warm two-worker
+// ForDynamic that runs on the gang performs no heap allocations.
+func TestGangForDynamicSteadyStateAllocs(t *testing.T) {
+	g := NewGang(2)
+	defer g.Close()
+	const n = 1000
+	var covered atomic.Int64
+	body := func(_, lo, hi int) { covered.Add(int64(hi - lo)) }
+	dispatch := func() { g.ForDynamic(n, 64, body) }
+	dispatch()
+	if avg := testing.AllocsPerRun(100, dispatch); avg != 0 {
+		t.Fatalf("ForDynamic allocates %.2f objects/dispatch in steady state, want 0", avg)
+	}
+	if got := covered.Load(); got != 102*n {
+		t.Fatalf("covered %d indices over 102 dispatches, want %d", got, 102*n)
+	}
+}

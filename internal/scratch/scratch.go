@@ -23,14 +23,15 @@
 //     arena-owned buffers: the caller (the engine) owns the returned
 //     slice and must PutNodes it once it stops using it.
 //   - Per-worker list sets (GetLists/PutLists), counter matrices
-//     (ClaimMatrix), counts, flags and the label array are retained
-//     singletons: each Get hands out the same storage, so a
-//     kernel must release/stop using them before the next kernel
-//     invocation on the same arena. Kernels run one at a time within a
-//     run, which makes this safe by construction. Phase 1's two BFS
-//     searches overlap only in their opening, which draws nothing:
-//     the coordinator draws each search's buffers before it and
-//     takes them back as each search finishes.
+//     (ClaimMatrix), counts, flags, the label array and phase 1's two
+//     visited bitmaps are retained singletons: each Get hands out the
+//     same storage, so a kernel must release/stop using them before
+//     the next kernel invocation on the same arena. Kernels run one at
+//     a time within a run, which makes this safe by construction.
+//     Phase 1's two BFS searches overlap only in their opening, which
+//     draws nothing: the coordinator draws both bitmaps and each
+//     search's buffers before it, and takes the buffers back as each
+//     search finishes.
 //   - The per-worker slots of GetLists, ClaimMatrix, Counts and Flags
 //     are written once per chunk, never per item. A list set's slice
 //     headers sit side by side and the counter rows are small and
@@ -48,8 +49,8 @@
 //     worker 0 between runs.
 //   - Nothing is zeroed on reuse except what the arena's accessors
 //     document: list sets and counter rows come back length-reset or
-//     zeroed; Label comes back dirty and the caller
-//     reinitializes exactly the entries it reads.
+//     zeroed; Label and Bitmaps come back dirty and the caller
+//     reinitializes what it reads.
 //
 // # The run's worker gang
 //
@@ -85,6 +86,7 @@ type Arena struct {
 	counts []int64
 	flags  []bool
 	label  []int32
+	bits   [2][]uint32 // phase 1's visited bitmaps (see Bitmaps)
 	perW   []Worker
 
 	// Support-pointer trim state (see Peel). peelI32 backs the three
@@ -138,6 +140,7 @@ func (a *Arena) Shrink() {
 	a.counts = nil
 	a.flags = nil
 	a.label = nil
+	a.bits = [2][]uint32{}
 	a.peelI32 = nil
 	a.marks = nil
 	a.frontier.Init(nil, nil, nil)
@@ -170,6 +173,7 @@ func (a *Arena) RetainedBytes() int64 {
 	b += int64(cap(a.counts)) * 8
 	b += int64(cap(a.flags))
 	b += int64(cap(a.label)) * 4
+	b += int64(cap(a.bits[0])+cap(a.bits[1])) * 4
 	b += int64(cap(a.peelI32))*4 + int64(cap(a.marks))
 	for w := range a.perW {
 		b += int64(cap(a.perW[w].Stack)) * nodeB
@@ -301,6 +305,21 @@ func (a *Arena) Label(n int) []int32 {
 		a.label = make([]int32, n)
 	}
 	return a.label[:n]
+}
+
+// Bitmaps returns the two retained visited bitmaps phase 1's forward
+// and backward searches claim into, each with one bit for every one of
+// n nodes, in (n+31)/32 words. Contents are NOT zeroed: the caller
+// clears them before a search. Each is a separate allocation, so the
+// two searches opening side by side write no shared cache line.
+func (a *Arena) Bitmaps(n int) (fw, bw []uint32) {
+	words := (n + 31) / 32
+	for i := range a.bits {
+		if cap(a.bits[i]) < words {
+			a.bits[i] = make([]uint32, words)
+		}
+	}
+	return a.bits[0][:words], a.bits[1][:words]
 }
 
 // PeelScratch is the support-pointer trim kernel's retained per-node

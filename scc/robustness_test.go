@@ -319,7 +319,9 @@ func TestMemoryBudgetTooSmall(t *testing.T) {
 // not run on the parallel engine, so there is nothing to budget. The
 // engine's estimate grows with the workers: from two on, phase 1 holds
 // both BFS searches' frontier and next buffer at once, beside the
-// per-worker next lists.
+// per-worker next lists. It also charges phase 1's two visited
+// bitmaps, which grow by a 4-byte word each every 32 nodes: the node
+// that starts a new word costs 8 bytes more than the next one.
 func TestEstimateMemoryNonEngine(t *testing.T) {
 	const n = 1 << 16
 	for _, alg := range []scc.Algorithm{scc.Tarjan, scc.OBF} {
@@ -336,6 +338,16 @@ func TestEstimateMemoryNonEngine(t *testing.T) {
 	// buffers, 4 bytes a node.
 	if want := int64(4 * n * 4); two-one < want {
 		t.Fatalf("two-worker estimate %d exceeds one worker's %d by %d, want >= %d", two, one, two-one, want)
+	}
+	for _, workers := range []int{1, 2} {
+		est := func(n int) int64 {
+			return scc.EstimateMemory(n, scc.Options{Algorithm: scc.Method2, Workers: workers})
+		}
+		newWord, sameWord := est(n+1)-est(n), est(n+2)-est(n+1)
+		if newWord-sameWord != 8 {
+			t.Fatalf("workers=%d: node %d adds %d bytes and node %d adds %d, want two bitmap words (8 bytes) apart",
+				workers, n+1, newWord, n+2, sameWord)
+		}
 	}
 }
 
