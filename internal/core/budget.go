@@ -67,9 +67,10 @@ func EstimateMemory(n int, alg Algorithm, opt Options) int64 {
 	est += nn * nodeB * bfsBufs
 	// Phase 1's two visited bitmaps, one bit a node in 4-byte words.
 	est += 2 * 4 * ((nn + 31) / 32)
-	// Phase-2 per-worker DFS stacks + recycled task buffers: bounded by
-	// the alive nodes each worker can be holding.
-	est += nn * nodeB
+	// Phase 2: the order array whose ranges the tasks own, and the
+	// per-worker DFS stacks, which together hold at most the alive
+	// nodes, since the tasks in flight own disjoint partitions.
+	est += 2 * nn * nodeB
 	if alg == Method2 {
 		// Par-WCC label array.
 		est += nn * 4

@@ -160,7 +160,7 @@ type Options struct {
 	// the §3.4 claim that Trim2 halves WCC time).
 	DisableTrim2 bool
 	// DisableHybrid drops the hybrid set representation (§4.1): phase-2
-	// tasks carry only a color, and pivot selection plus partition
+	// tasks go by their color alone, and pivot selection plus partition
 	// enumeration scan the full Color array (the ~10x-slower variant
 	// the paper warns about).
 	DisableHybrid bool
@@ -357,6 +357,11 @@ type engine struct {
 	// without allocating.
 	seedBuf [1]graph.NodeID
 	taskBuf []task
+
+	// order is the run's phase-2 order array, an arena node buffer from
+	// the grouping of the seed tasks until phase 2 drains: each task
+	// owns the range of it that holds its partition's nodes (see task).
+	order []graph.NodeID
 
 	// fw and bw are phase 1's forward and backward searches, claiming
 	// into the arena's bitmaps fwBits and bwBits. openFn is the gang

@@ -446,7 +446,8 @@ func TestLargestPartitionTieIsDeterministic(t *testing.T) {
 
 // TestGroupTasks pins the sort-free grouping behind buildTasks and
 // wccTasks: one task per root, in the roots' order in alive, each
-// holding its group's nodes in alive order; fresh recolors each group.
+// owning the range of the order array that holds its group's nodes in
+// alive order; fresh recolors each group.
 func TestGroupTasks(t *testing.T) {
 	alive := []graph.NodeID{5, 0, 3, 2, 7, 6}
 	for _, fresh := range []bool{false, true} {
@@ -457,10 +458,10 @@ func TestGroupTasks(t *testing.T) {
 		// leaves them.
 		root := []int32{0, -9, 2, 0, -9, 0, 2, 2}
 		tasks := e.groupTasks(alive, root, fresh)
-		if len(tasks) != 2 ||
-			!slices.Equal(tasks[0].nodes, []graph.NodeID{5, 0, 3}) ||
-			!slices.Equal(tasks[1].nodes, []graph.NodeID{2, 7, 6}) {
-			t.Fatalf("fresh=%v: tasks %+v, want [5 0 3] then [2 7 6]", fresh, tasks)
+		if len(tasks) != 2 || tasks[0].lo != 0 || tasks[1].lo != tasks[0].hi || tasks[1].hi != int32(len(alive)) ||
+			!slices.Equal(e.order[tasks[0].lo:tasks[0].hi], []graph.NodeID{5, 0, 3}) ||
+			!slices.Equal(e.order[tasks[1].lo:tasks[1].hi], []graph.NodeID{2, 7, 6}) {
+			t.Fatalf("fresh=%v: tasks %+v over %v, want [5 0 3] then [2 7 6]", fresh, tasks, e.order)
 		}
 		for i, tk := range tasks {
 			want := int32(3)
@@ -470,7 +471,7 @@ func TestGroupTasks(t *testing.T) {
 			if tk.c != want || tk.parent != -1 {
 				t.Fatalf("fresh=%v: task %d color %d parent %d, want color %d parent -1", fresh, i, tk.c, tk.parent, want)
 			}
-			for _, v := range tk.nodes {
+			for _, v := range e.order[tk.lo:tk.hi] {
 				if e.color[v] != want {
 					t.Fatalf("fresh=%v: node %d color %d, want %d", fresh, v, e.color[v], want)
 				}

@@ -19,10 +19,10 @@ import (
 // cannot recover — callers must Close it and build a new one.
 var ErrEngineUnusable = errors.New("core: engine unusable after forced barrier abort")
 
-// taskBytes is the in-memory size of a phase-2 task (color + node
-// slice header + parent, padded), used by the retained-footprint
+// taskBytes is the in-memory size of a phase-2 task (color, range
+// bounds and parent, int32 each), used by the retained-footprint
 // accounting. Kept in sync with the task struct by TestTaskBytes.
-const taskBytes = 40
+const taskBytes = 16
 
 // PerRun carries the settings that may change from one Run to the
 // next on the same Engine. scc.Engine resolves them against its
@@ -222,10 +222,6 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, pr PerRun) (res *Resu
 	e := &en.run
 	e.reset(g, en.alg, opt, color, comp, &en.res, events.NewSink(runCtx, pr.Observer), en.ar, en.ctr, en.pq)
 	e.ar.SetChaos(pr.Chaos)
-	// The previous run's phase 2 freed its task lists into the pools of
-	// whichever workers finished them; this run draws its root-task
-	// lists from worker 0's.
-	e.ar.GatherWorkerPools()
 	if pr.Chaos != nil {
 		pr.Chaos.Bind(runCtx.Done())
 	}

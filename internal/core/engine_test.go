@@ -33,9 +33,9 @@ func TestEstimateMemoryQueueTerm(t *testing.T) {
 
 // TestEngineWarmRunsMatchTarjan re-runs a persistent engine on the
 // same graphs many times: every piece of retained state (arena
-// buffers, worker pools, task backing, queue, color/comp arrays) is
-// reused, so any cross-run aliasing or stale-state bug shows up as a
-// partition that diverges from Tarjan's.
+// buffers, the phase-2 order array, task backing, queue, color/comp
+// arrays) is reused, so any cross-run aliasing or stale-state bug
+// shows up as a partition that diverges from Tarjan's.
 func TestEngineWarmRunsMatchTarjan(t *testing.T) {
 	big := gen.RMAT(gen.DefaultRMAT(11, 8, 6))
 	small := gen.RMAT(gen.DefaultRMAT(8, 6, 7))
@@ -95,15 +95,10 @@ func TestEngineShrinksUnderBudget(t *testing.T) {
 }
 
 // TestEnginePoolsSteadyStateAllocs pins the cross-run footprint of a
-// multi-worker engine: root-task lists are drawn from worker 0's pool
-// but freed into the pool of whichever worker finished the task, so
-// without gathering the pools back the other workers' free lists grow
-// on every run. After warm-up the retained scratch must stay flat.
+// multi-worker engine on a graph that leaves phase 2 about a thousand
+// seed tasks: after warm-up, the retained scratch must stay flat.
 func TestEnginePoolsSteadyStateAllocs(t *testing.T) {
-	core := gen.RMAT(gen.DefaultRMAT(12, 8, 9))
-	g := gen.WithTail(core, gen.TailConfig{
-		Components: 1024, Alpha: 2.0, MaxSize: 32, AttachEdges: 2, ChainProb: 0.6, Seed: 9,
-	})
+	g := tailGraph()
 	en := NewEngine(Method2, Options{Workers: 2, Seed: 3})
 	defer en.Close()
 	run := func() {
@@ -118,10 +113,8 @@ func TestEnginePoolsSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		run()
 	}
-	// Pooled buffers still grow their capacity now and then, when one
-	// is handed a longer list than it ever held; drift instead adds
-	// whole root-task lists on every run (over half the footprint in
-	// 40 runs here).
+	// Pooled buffers may still grow their capacity now and then, when
+	// one is handed a longer list than it ever held.
 	if after := en.retainedBytes(); after > warm+warm/20 {
 		t.Fatalf("retained scratch grew from %d to %d bytes over 40 warm runs", warm, after)
 	}

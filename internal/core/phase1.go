@@ -155,28 +155,32 @@ func (e *engine) publishRange(w, lo, hi int) {
 // members are gathered in ascending node order by a scan of the color
 // array (every node outside alive is Removed), not in alive's order,
 // which follows the parallel trim's schedule; so a fixed Seed fixes
-// the pivots and the trial sequence at any worker count. The histogram
-// is the engine's retained per-color slice; the member list is
-// arena-owned, and the caller releases it with PutNodes after the
-// trial.
+// the pivots and the trial sequence at any worker count. Until the
+// first trial hands out a color every alive node has color 0, and the
+// histogram, the engine's retained per-color slice, is skipped. The
+// member list is arena-owned, and the caller releases it with PutNodes
+// after the trial.
 func (e *engine) largestPartition(alive []graph.NodeID) (int32, []graph.NodeID) {
-	counts := e.perColor(0)
-	for _, v := range alive {
-		counts[e.color[v]]++
-	}
-	best := 0
-	for c, n := range counts {
-		if n > counts[best] {
-			best = c
+	best, size := int32(0), len(alive)
+	if e.nextColor.Load() > 0 {
+		counts := e.perColor(0)
+		for _, v := range alive {
+			counts[e.color[v]]++
 		}
+		for c, n := range counts {
+			if n > counts[best] {
+				best = int32(c)
+			}
+		}
+		size = int(counts[best])
 	}
-	members := e.ar.GetNodes(int(counts[best]))
+	members := e.ar.GetNodes(size)
 	for v, c := range e.color {
-		if c == int32(best) {
+		if c == best {
 			members = append(members, graph.NodeID(v))
 		}
 	}
-	return int32(best), members
+	return best, members
 }
 
 // choosePivot picks a phase-1 pivot from the candidate set: the node

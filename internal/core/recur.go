@@ -12,14 +12,16 @@ import (
 	"repro/internal/worklist"
 )
 
-// task is one phase-2 work item: a partition color plus, under the
-// hybrid set representation of §4.1, the explicit list of the
-// partition's nodes. With Options.DisableHybrid the list is nil and
-// the partition is recovered by scanning the full Color array — the
-// ~10x-slower variant the paper measured.
+// task is one phase-2 work item: a partition color and, under the
+// hybrid set representation of §4.1, the range [lo, hi) of the run's
+// order array (engine.order) that holds the partition's nodes. A task
+// owns its range exclusively until it returns; its children own
+// disjoint subranges of it, which the queue hands over. With
+// Options.DisableHybrid the range goes unread: the partition is
+// recovered by scanning the full Color array, the ~10x-slower variant
+// the paper measured.
 type task struct {
-	c     int32
-	nodes []graph.NodeID
+	c, lo, hi int32
 	// parent is the TaskTrace index of the spawning task (-1 for
 	// seeds); only meaningful under Options.TraceSchedule.
 	parent int32
@@ -27,7 +29,8 @@ type task struct {
 
 // phase2 runs the task-parallel recursive FW-BW phase over the seeded
 // work queue (the "until work queue is empty do in parallel" loop of
-// Algorithms 3, 6 and 9).
+// Algorithms 3, 6 and 9). The seeds' ranges index e.order, which goes
+// back to the arena once the queue has drained.
 func (e *engine) phase2(tasks []task) {
 	e.res.InitialTasks = len(tasks)
 	q := e.pq
@@ -53,6 +56,8 @@ func (e *engine) phase2(tasks []task) {
 	// worker included, a task that wedges stays abortable, since the
 	// watchdog's gang abort releases this goroutine.
 	q.Run(e.ar.Gang(), e.taskFn)
+	e.ar.PutNodes(e.order)
+	e.order = nil
 	e.res.Phases[PhaseRecurFWBW].Nodes += e.p2Nodes.Load()
 	e.res.Phases[PhaseRecurFWBW].SCCs += e.p2SCCs.Load()
 	e.res.Queue = q.Stats()
@@ -111,42 +116,38 @@ func (e *engine) runTask(w int, t task) {
 // pushes the three residual partitions. Returns the task record and
 // whether a pivot existed.
 //
-// ws is the executing worker's scratch: the DFS stack is reused across
-// tasks, the FW/BW child lists are drawn from the worker's buffer
-// pool, and every node list a task consumes without forwarding to a
-// child is recycled into that pool — in steady state a task allocates
-// nothing. A list may be recycled by a different worker than the one
-// that drew it (it travels with the task), which is safe because each
-// pool is only touched by its own worker.
+// The DFSs only count their claims: the task owns e.order[t.lo:t.hi],
+// so it splits that range in place (split) and pushes each child the
+// subrange holding its nodes. ws is the executing worker's scratch,
+// whose DFS stack is reused across tasks; in steady state a task
+// allocates nothing.
 func (e *engine) recurFWBW(ws *scratch.Worker, t task, q *worklist.Queue[task], worker int) (TaskRecord, bool) {
-	nodes := t.nodes
-	scanned := false
-	if nodes == nil {
+	c := t.c
+	nodes := e.order[t.lo:t.hi]
+	if e.opt.DisableHybrid {
 		// Ablation path: recover the partition by scanning the whole
-		// Color array (§4.1's "very expensive operation").
-		nodes = ws.GetNodes(64)
-		scanned = true
-		for v := 0; v < e.g.NumNodes(); v++ {
-			if atomic.LoadInt32(&e.color[v]) == t.c {
+		// Color array (§4.1's "very expensive operation") into the DFS
+		// stack, which holds the scan until the pivot is drawn.
+		nodes = ws.Stack[:0]
+		for v := range e.color {
+			if atomic.LoadInt32(&e.color[v]) == c {
 				nodes = append(nodes, graph.NodeID(v))
 			}
 		}
+		ws.Stack = nodes[:0]
 	}
 	if len(nodes) == 0 {
-		if scanned {
-			ws.PutNodes(nodes)
-		}
 		return TaskRecord{}, false
 	}
-	c := t.c
 	pivot := nodes[int(e.rand64()%uint64(len(nodes)))]
+	size := len(nodes)
 	cfw, cbw := e.newColor(), e.newColor()
 
 	// Forward DFS: claim every color-c node reachable from the pivot
 	// into cfw. Only this task writes color-c nodes, so plain stores
 	// behind atomic loads suffice; stores are atomic so concurrent
 	// tasks scanning neighbors read consistent values.
-	fwList := ws.GetNodes(16)
+	fw := 0
 	stack := append(ws.Stack[:0], pivot)
 	atomic.StoreInt32(&e.color[pivot], cfw)
 	for len(stack) > 0 {
@@ -155,7 +156,7 @@ func (e *engine) recurFWBW(ws *scratch.Worker, t task, q *worklist.Queue[task], 
 		for _, k := range e.g.Out(v) {
 			if atomic.LoadInt32(&e.color[k]) == c {
 				atomic.StoreInt32(&e.color[k], cfw)
-				fwList = append(fwList, k)
+				fw++
 				stack = append(stack, k)
 			}
 		}
@@ -165,7 +166,7 @@ func (e *engine) recurFWBW(ws *scratch.Worker, t task, q *worklist.Queue[task], 
 	// the pivot's SCC (Lemma 1) — and are marked removed immediately.
 	// Traversal continues through SCC members (Algorithm 5 does not
 	// prune at cscc nodes it just claimed).
-	bwList := ws.GetNodes(16)
+	bw := 0
 	sccSize := 1
 	e.comp[pivot] = int32(pivot)
 	atomic.StoreInt32(&e.color[pivot], Removed)
@@ -177,7 +178,7 @@ func (e *engine) recurFWBW(ws *scratch.Worker, t task, q *worklist.Queue[task], 
 			switch atomic.LoadInt32(&e.color[k]) {
 			case c:
 				atomic.StoreInt32(&e.color[k], cbw)
-				bwList = append(bwList, k)
+				bw++
 				stack = append(stack, k)
 			case cfw:
 				e.comp[k] = int32(pivot)
@@ -189,58 +190,53 @@ func (e *engine) recurFWBW(ws *scratch.Worker, t task, q *worklist.Queue[task], 
 	}
 	ws.Stack = stack[:0]
 
-	// Assemble the three residual partitions and push them. Under the
-	// hybrid representation each child task inherits an exact node
-	// list; fwList is filtered in place (SCC members left it), and the
-	// parent's list filtered for still-color-c nodes is the remainder.
-	fwRemain := fwList[:0]
-	for _, v := range fwList {
-		if atomic.LoadInt32(&e.color[v]) == cfw {
-			fwRemain = append(fwRemain, v)
-		}
+	// The forward claims not in the SCC are FW only; what neither DFS
+	// claimed is the remainder.
+	rec := TaskRecord{SCC: sccSize, FW: fw - (sccSize - 1), BW: bw}
+	rec.Remain = size - sccSize - rec.FW - rec.BW
+	if !e.opt.DisableHybrid {
+		split(e.color, nodes, cfw, cbw)
 	}
-	var remain []graph.NodeID
-	if t.nodes != nil {
-		remain = t.nodes[:0]
-		for _, v := range t.nodes {
-			if atomic.LoadInt32(&e.color[v]) == c {
-				remain = append(remain, v)
-			}
-		}
-	}
-	rec := TaskRecord{SCC: sccSize, FW: len(fwRemain), BW: len(bwList), Remain: len(nodes) - sccSize - len(fwRemain) - len(bwList)}
-
-	if e.opt.DisableHybrid {
-		if len(fwRemain) > 0 {
-			q.Push(worker, task{c: cfw, parent: t.parent})
-		}
-		if len(bwList) > 0 {
-			q.Push(worker, task{c: cbw, parent: t.parent})
-		}
-		if rec.Remain > 0 {
-			q.Push(worker, task{c: c, parent: t.parent})
-		}
-		ws.PutNodes(fwList)
-		ws.PutNodes(bwList)
-		if scanned {
-			ws.PutNodes(nodes)
-		}
-	} else {
-		if len(fwRemain) > 0 {
-			q.Push(worker, task{c: cfw, nodes: fwRemain, parent: t.parent})
-		} else {
-			ws.PutNodes(fwList)
-		}
-		if len(bwList) > 0 {
-			q.Push(worker, task{c: cbw, nodes: bwList, parent: t.parent})
-		} else {
-			ws.PutNodes(bwList)
-		}
-		if len(remain) > 0 {
-			q.Push(worker, task{c: c, nodes: remain, parent: t.parent})
-		} else if t.nodes != nil {
-			ws.PutNodes(t.nodes)
+	lo := t.lo
+	for _, ch := range [...]struct {
+		c int32
+		n int
+	}{{cfw, rec.FW}, {cbw, rec.BW}, {c, rec.Remain}} {
+		if ch.n > 0 {
+			hi := lo + int32(ch.n)
+			q.Push(worker, task{c: ch.c, lo: lo, hi: hi, parent: t.parent})
+			lo = hi
 		}
 	}
 	return rec, true
+}
+
+// split rearranges a finished task's nodes in place: it compacts out
+// the SCC's members, now Removed, and splits the rest three ways into
+// FW only (cfw), BW only (cbw) and the remainder, in that order, each
+// contiguous.
+func split(color []int32, nodes []graph.NodeID, cfw, cbw int32) {
+	m := 0
+	for _, v := range nodes {
+		if atomic.LoadInt32(&color[v]) != Removed {
+			nodes[m] = v
+			m++
+		}
+	}
+	// Three-way partition of nodes[:m]: [0, i) is FW only, [i, j) BW
+	// only, [k, m) the remainder, and [j, k) is still to be read.
+	i, j, k := 0, 0, m
+	for j < k {
+		switch atomic.LoadInt32(&color[nodes[j]]) {
+		case cfw:
+			nodes[i], nodes[j] = nodes[j], nodes[i]
+			i++
+			j++
+		case cbw:
+			j++
+		default:
+			k--
+			nodes[j], nodes[k] = nodes[k], nodes[j]
+		}
+	}
 }

@@ -145,20 +145,19 @@ func (e *engine) runBaseline() {
 }
 
 // runFWBW is the original FW-BW algorithm of Fleischer et al.: the
-// recursive phase alone, seeded with the whole graph as one task. Its
-// poor behavior on real graphs (every size-1 SCC costs a full task
-// with two traversals) is what motivated the Trim step.
+// recursive phase alone, seeded with the whole graph as one task over
+// the order array [0, n). Its poor behavior on real graphs (every
+// size-1 SCC costs a full task with two traversals) is what motivated
+// the Trim step.
 func (e *engine) runFWBW() {
 	n := e.g.NumNodes()
-	// The seed list is a pool buffer for the same recycling-safety
-	// reason as groupTasks' seed lists.
-	all := e.ar.Worker(0).GetNodes(n)
-	for i := 0; i < n; i++ {
-		all = append(all, graph.NodeID(i))
+	order := e.orderArray(n)
+	for i := range order {
+		order[i] = graph.NodeID(i)
 	}
 	e.phaseStart(PhaseRecurFWBW)
 	e.timePhase(PhaseRecurFWBW, func() {
-		e.taskBuf = append(e.taskBuf[:0], task{c: 0, nodes: all, parent: -1})
+		e.taskBuf = append(e.taskBuf[:0], task{c: 0, lo: 0, hi: int32(n), parent: -1})
 		e.phase2(e.taskBuf)
 	})
 	e.phaseEnd(PhaseRecurFWBW)
@@ -293,16 +292,12 @@ func (e *engine) wccTasks(alive []graph.NodeID) []task {
 // Par-WCC leaves its labels; each root's entry is rewritten in place,
 // first to minus its group's size, then to the complement of its
 // task's index. Tasks follow their roots' order in alive, and each
-// task's nodes keep alive's order. fresh gives every task a new color
-// and recolors its nodes; otherwise a task keeps its root's color.
-//
-// Seed lists are buffers from worker 0's pool, never subslices of a
-// retained array: phase 2 recycles consumed lists into the worker
-// pools, so on a persistent engine a pooled alias would be handed out
-// as "free" while the next run's seeds still live in it. Under
-// DisableHybrid the node lists are dropped. The task slice is the
-// engine-retained taskBuf, safe to reuse per run because phase 2's
-// queue copies the seeds out.
+// task's range of the order array, placed by the group sizes, holds
+// its group's nodes in alive's order; the last pass fills each range
+// with its task's hi as the cursor. fresh gives every task a new color
+// and recolors its nodes; otherwise a task keeps its root's color. The
+// task slice is the engine-retained taskBuf, safe to reuse per run
+// because phase 2's queue copies the seeds out.
 func (e *engine) groupTasks(alive []graph.NodeID, root []int32, fresh bool) []task {
 	groups := 0
 	for _, v := range alive {
@@ -319,21 +314,19 @@ func (e *engine) groupTasks(alive []graph.NodeID, root []int32, fresh bool) []ta
 			root[r]--
 		}
 	}
-	hybrid := !e.opt.DisableHybrid
-	ws := e.ar.Worker(0)
+	order := e.orderArray(len(alive))
 	tasks := slices.Grow(e.taskBuf[:0], groups)
+	var lo int32
 	for _, v := range alive {
-		size := -int(root[v])
+		size := -root[v]
 		if size <= 0 {
 			continue
 		}
-		t := task{c: e.color[v], parent: -1}
+		t := task{c: e.color[v], lo: lo, hi: lo, parent: -1}
 		if fresh {
 			t.c = e.newColor()
 		}
-		if hybrid {
-			t.nodes = ws.GetNodes(size)
-		}
+		lo += size
 		root[v] = ^int32(len(tasks))
 		tasks = append(tasks, t)
 	}
@@ -346,10 +339,17 @@ func (e *engine) groupTasks(alive []graph.NodeID, root []int32, fresh bool) []ta
 		if fresh {
 			e.color[v] = t.c
 		}
-		if hybrid {
-			t.nodes = append(t.nodes, v)
-		}
+		order[t.hi] = v
+		t.hi++
 	}
 	e.taskBuf = tasks
 	return tasks
+}
+
+// orderArray draws the run's phase-2 order array from the arena, n
+// nodes long. The arena hands back whatever pooled buffer it holds, so
+// the buffer is grown first.
+func (e *engine) orderArray(n int) []graph.NodeID {
+	e.order = slices.Grow(e.ar.GetNodes(n), n)[:n]
+	return e.order
 }

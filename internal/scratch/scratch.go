@@ -2,7 +2,7 @@
 // hot paths draw their working memory from. The parallel kernels
 // (trim fixpoints, level-synchronous BFS, Par-WCC) and the recursive
 // phase's tasks all need short-lived buffers — frontiers, survivor
-// lists, per-worker counters, task node-lists — every barrier round;
+// lists, per-worker counters, DFS stacks — every barrier round;
 // allocating them fresh each round is exactly the per-round fixed cost
 // the paper warns dominates small partitions. An Arena owns those
 // buffers for the lifetime of one Detect call and hands them back out
@@ -40,13 +40,10 @@
 //     range body takes the worker's buffer by value, keeps its appends
 //     and counts in locals, and returns them for the call site to
 //     store.
-//   - Worker(w) state — DFS stack and the node-buffer pool behind
-//     phase-2 task recycling — must only be touched by worker w while
-//     a parallel section runs. Buffers may be freed into a different
-//     worker's pool than they were taken from (a task's list travels
-//     with the task), which is safe because each pool is only ever
-//     accessed by its own worker; GatherWorkerPools returns them to
-//     worker 0 between runs.
+//   - Worker(w) state, the DFS stack of phase 2's tasks, must only be
+//     touched by worker w while a parallel section runs. A task's
+//     nodes are not worker state: each task owns a range of one node
+//     buffer the engine draws for the phase (see internal/core).
 //   - Nothing is zeroed on reuse except what the arena's accessors
 //     document: list sets and counter rows come back length-reset or
 //     zeroed; Label and Bitmaps come back dirty and the caller
@@ -108,12 +105,8 @@ func New(workers int, ctr *metrics.Counters) *Arena {
 	if ctr == nil {
 		ctr = new(metrics.Counters)
 	}
-	a := &Arena{workers: workers, ctr: ctr, perW: make([]Worker, workers)}
-	for w := range a.perW {
-		a.perW[w].ctr = ctr
-	}
-	a.gang = parallel.NewGang(workers)
-	return a
+	return &Arena{workers: workers, ctr: ctr, perW: make([]Worker, workers),
+		gang: parallel.NewGang(workers)}
 }
 
 // Close releases the arena's worker gang. The arena must not be used
@@ -128,9 +121,9 @@ func (a *Arena) Workers() int { return a.workers }
 // phase-2 work queue runs on.
 func (a *Arena) Gang() *parallel.Gang { return a.gang }
 
-// Shrink drops every retained buffer — pools, singletons, peel state,
-// per-worker stacks and free lists — while keeping the worker gang, so
-// a persistent engine can shed a high-water footprint that no longer
+// Shrink drops every retained buffer — pools, singletons, peel state
+// and per-worker stacks — while keeping the worker gang, so a
+// persistent engine can shed a high-water footprint that no longer
 // fits a memory budget. The next run re-grows buffers to its own
 // graph's size. Must not be called while a kernel holds arena memory.
 func (a *Arena) Shrink() {
@@ -146,8 +139,6 @@ func (a *Arena) Shrink() {
 	a.frontier.Init(nil, nil, nil)
 	for w := range a.perW {
 		a.perW[w].Stack = nil
-		a.perW[w].free = nil
-		a.perW[w].own = 0
 	}
 }
 
@@ -177,9 +168,6 @@ func (a *Arena) RetainedBytes() int64 {
 	b += int64(cap(a.peelI32))*4 + int64(cap(a.marks))
 	for w := range a.perW {
 		b += int64(cap(a.perW[w].Stack)) * nodeB
-		for _, buf := range a.perW[w].free {
-			b += int64(cap(buf)) * nodeB
-		}
 	}
 	return b
 }
@@ -208,8 +196,10 @@ func (a *Arena) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 	a.gang.ForDynamic(n, chunk, body)
 }
 
-// GetNodes returns an empty node buffer with at least capHint
-// capacity when the pool can supply one, recording the reuse.
+// GetNodes returns an empty node buffer: the most recently pooled one,
+// whatever its capacity, recording the reuse, or a fresh one of capHint
+// capacity when the pool is empty. A caller that indexes the buffer
+// rather than appending to it grows it first.
 func (a *Arena) GetNodes(capHint int) []graph.NodeID {
 	if len(a.free) == 0 {
 		if capHint < 8 {
@@ -373,59 +363,10 @@ func (a *Arena) Frontier() *worklist.Frontier[graph.NodeID] {
 // while a parallel section runs.
 func (a *Arena) Worker(w int) *Worker { return &a.perW[w] }
 
-// GatherWorkerPools hands node buffers back to worker 0's pool. The
-// engine draws every root-task node list from worker 0's pool, while
-// phase 2 frees each consumed list into the pool of whichever worker
-// finished the task; left alone, worker 0's pool drains and the others
-// grow on every run of a persistent engine. Each other worker keeps as
-// many buffers as it has allocated itself: the reserve its tasks draw
-// on before they free anything, which would otherwise be allocated
-// afresh on every run. Coordinator only, between parallel sections.
-func (a *Arena) GatherWorkerPools() {
-	w0 := &a.perW[0]
-	for w := 1; w < len(a.perW); w++ {
-		ws := &a.perW[w]
-		extra := ws.free[min(ws.own, len(ws.free)):]
-		w0.free = append(w0.free, extra...)
-		clear(extra)
-		ws.free = ws.free[:len(ws.free)-len(extra)]
-	}
-}
-
-// Worker is one worker's private scratch: a reusable DFS stack and a
-// node-buffer pool for recycling phase-2 task node-lists.
+// Worker is one worker's private scratch: the reusable DFS stack of
+// phase 2's tasks.
 type Worker struct {
 	// Stack is the worker's reusable DFS stack; users leave it reset
 	// (length 0) but with capacity retained.
 	Stack []graph.NodeID
-
-	free [][]graph.NodeID
-	// own counts the buffers this worker allocated itself; see
-	// Arena.GatherWorkerPools.
-	own int
-	ctr *metrics.Counters
-}
-
-// GetNodes returns an empty node buffer from the worker's pool, or a
-// fresh one of capHint capacity.
-func (w *Worker) GetNodes(capHint int) []graph.NodeID {
-	if len(w.free) == 0 {
-		if capHint < 8 {
-			capHint = 8
-		}
-		w.own++
-		return make([]graph.NodeID, 0, capHint)
-	}
-	buf := w.free[len(w.free)-1]
-	w.free = w.free[:len(w.free)-1]
-	w.ctr.AddReuse(int64(cap(buf)) * 4)
-	return buf[:0]
-}
-
-// PutNodes recycles a task node buffer into the worker's pool.
-func (w *Worker) PutNodes(buf []graph.NodeID) {
-	if buf == nil {
-		return
-	}
-	w.free = append(w.free, buf)
 }
