@@ -42,10 +42,12 @@
 // schedule. Run is a Search started and finished in one call.
 //
 // A search draws its frontier and next buffer, and for parallel levels
-// its per-worker next lists, from the run's *scratch.Arena, making
-// steady-state BFS levels allocation-free; it runs on the arena's gang,
-// at the arena's worker count, and the arena's metrics counters record
-// level barriers and frontier sizes.
+// its per-worker next lists, from the run's *scratch.Arena, and a
+// parallel level dispatches a body bound once on the arena's kept level
+// state, making steady-state BFS levels allocation-free at any worker
+// count; it runs on the arena's gang, at the arena's worker count, and
+// the arena's metrics counters record level barriers and frontier
+// sizes.
 package bfs
 
 import (
@@ -246,9 +248,9 @@ func (s *Search) loop(sink *events.Sink, ar *scratch.Arena, solo bool) {
 		sink.Emit(events.Event{Type: events.BFSLevel, Round: levels, Frontier: len(frontier)})
 		switch {
 		case inline || workers == 1:
-			// Direct call on the calling goroutine: no closure, no
-			// goroutines — the steady-state zero-allocation path. The
-			// level's output becomes the frontier by a swap.
+			// The level runs on the calling goroutine, the only one
+			// touching visited, so it claims as it goes; its output
+			// becomes the frontier by a swap.
 			ar.Chaos().Hit(chaos.SiteBFS)
 			if bottomUp {
 				next = sweepRange(s.g, s.reverse, s.candidates, 0, len(s.candidates), s.color, s.c, s.visited, next[:0])
@@ -260,11 +262,21 @@ func (s *Search) loop(sink *events.Sink, ar *scratch.Arena, solo bool) {
 			if lists == nil {
 				lists = ar.GetLists()
 			}
-			level, nodes, chunk := expandRange, frontier, 64
-			if bottomUp {
-				level, nodes, chunk = sweepRange, s.candidates, 512
+			// Dynamic chunks: top-down frontier nodes vary wildly in
+			// degree on scale-free graphs (§4.3), while most bottom-up
+			// candidates cost one bitmap load, hence the larger chunk.
+			k := scratch.Keep[level](ar)
+			body := k.body
+			if body == nil {
+				body = k.chunk
 			}
-			levelPar(level, s.g, s.reverse, nodes, chunk, s.color, s.c, s.visited, lists, ar)
+			*k = level{Search: *s, bottomUp: bottomUp, nodes: frontier, lists: lists, inj: ar.Chaos(), body: body}
+			chunk := 64
+			if bottomUp {
+				k.nodes, chunk = s.candidates, 512
+			}
+			ar.ForDynamic(len(k.nodes), chunk, body)
+			*k = level{body: body}
 			// Level barrier: the per-worker buffers become the new
 			// frontier. A sweep's are its claims, marked here; top-down
 			// ones are claimed here, which drops their duplicates.
@@ -289,30 +301,38 @@ func (s *Search) loop(sink *events.Sink, ar *scratch.Arena, solo bool) {
 	s.frontier, s.next, s.claimed, s.levels = frontier, next, claimed, levels
 }
 
-// levelFunc processes nodes[lo:hi] of one parallel level, appending
-// claims to buf and returning it: expandRange top-down over the
-// frontier, sweepRange bottom-up over the candidates. The caller
-// stores buf into the worker's slot once per chunk; per-item writes
-// there would bounce the cache line the workers' adjacent slots share.
-type levelFunc func(g *graph.Graph, reverse bool, nodes []graph.NodeID, lo, hi int,
-	color []int32, c int32, visited []uint32, buf []graph.NodeID) []graph.NodeID
+// level is the parallel levels' dispatch state, kept on the arena (see
+// scratch.Keep): the inputs of the level in flight, beside a copy of
+// its Search — a body bound to the Search itself would make a Search on
+// the caller's stack escape — and the level body, bound once as a
+// method value, so a parallel level allocates nothing. nodes is the
+// frontier of a top-down level and the candidates of a bottom-up one.
+// Parallel levels run only on the coordinator, one at a time, and the
+// inputs are cleared at each level's barrier, so the arena keeps no
+// buffer of the search between levels.
+type level struct {
+	Search
+	bottomUp bool
+	nodes    []graph.NodeID
+	lists    [][]graph.NodeID
+	inj      *chaos.Injector
+	body     func(w, lo, hi int)
+}
 
-// levelPar runs one level on the gang with dynamic chunks: top-down
-// frontier nodes vary wildly in degree on scale-free graphs (§4.3),
-// while most bottom-up candidates cost one bitmap load, hence the
-// caller's larger chunk. It lives outside the level loop so the
-// escaping closure (and the heap cells its captures force) never
-// exists on the single-worker path.
-func levelPar(level levelFunc, g *graph.Graph, reverse bool, nodes []graph.NodeID, chunk int,
-	color []int32, c int32, visited []uint32, next [][]graph.NodeID, ar *scratch.Arena) {
-	inj := ar.Chaos()
-	ar.ForDynamic(len(nodes), chunk, func(w, lo, hi int) {
-		if lo == 0 {
-			// One chaos hit per level, from inside the dispatch.
-			inj.Hit(chaos.SiteBFS)
-		}
-		next[w] = level(g, reverse, nodes, lo, hi, color, c, visited, next[w])
-	})
+// chunk is a parallel level's body over nodes[lo:hi]: expandRange
+// top-down, sweepRange bottom-up. Its first chunk hits the BFS site,
+// once per level from inside the dispatch. The worker's claims go to
+// its list once per chunk: per-item writes there would bounce the
+// cache line the workers' adjacent list headers share.
+func (k *level) chunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteBFS)
+	}
+	if k.bottomUp {
+		k.lists[w] = sweepRange(k.g, k.reverse, k.nodes, lo, hi, k.color, k.c, k.visited, k.lists[w])
+	} else {
+		k.lists[w] = expandRange(k.g, k.reverse, k.nodes, lo, hi, k.color, k.c, k.visited, k.lists[w])
+	}
 }
 
 // expandSolo expands a whole frontier on one goroutine, the only one

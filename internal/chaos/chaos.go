@@ -8,6 +8,12 @@
 // hit of site S" reproduces the identical failure every run, which is
 // what the chaos matrix tests require. All methods are safe for
 // concurrent use from kernel workers (-race clean).
+//
+// One rule holds at every worker count: a kernel round hits its site
+// from inside its gang dispatch — from the dispatch's first chunk for a
+// once-per-round site, from every chunk for a per-chunk one — and a
+// one-worker or one-chunk dispatch runs inline on the coordinator as a
+// single chunk. So a round over an empty list hits nothing.
 package chaos
 
 import (
@@ -22,30 +28,35 @@ import (
 type Site uint8
 
 const (
-	// SiteTrim is hit once per Par-Trim round (Alg. 2).
+	// SiteTrim is hit once per Par-Trim round (Alg. 2), or per
+	// support-pointer cascade round under the worklist kernels; a
+	// round over no candidates hits nothing.
 	SiteTrim Site = iota
 	// SiteBFS is hit once per FW/BW BFS level, top-down or bottom-up.
 	// Phase 1's forward and backward searches run their small levels
 	// at the same time, so the site is hit once per level of either
 	// search and its ordinals count across both.
 	SiteBFS
-	// SiteTrim2 is hit once per Trim2 sweep (Alg. 3).
+	// SiteTrim2 is hit once per Trim2 sweep (Alg. 3); a sweep over no
+	// candidates hits nothing.
 	SiteTrim2
 	// SiteWCC is hit once per Par-WCC label-propagation round (Alg. 5)
 	// under the legacy kernels, and once per union-find pass (sample,
-	// full, flatten) under the worklist kernels.
+	// full, flatten) under the worklist kernels; a round over no nodes
+	// hits nothing.
 	SiteWCC
 	// SiteTask is hit once per phase-2 recursive FW-BW task (§4.3).
 	SiteTask
 	// SitePeel is hit inside the support-pointer trim kernel's drain
-	// loop: once per drain wave, the cascade's removals included (per
-	// frontier chunk when parallel), so
-	// injected failures land inside the worklist peeling itself rather
-	// than at the round boundary SiteTrim covers.
+	// loop, once per chunk of a drain wave, the cascade's removals
+	// included: once per wave at one worker or for a wave of one
+	// chunk. Injected failures thus land inside the worklist peeling
+	// itself rather than at the round boundary SiteTrim covers.
 	SitePeel
 	// SiteUF is hit inside the union-find WCC kernel's hook loops
-	// (sampling and full passes), once per chunk, exercising failure
-	// capture mid-union rather than at the pass boundary.
+	// (sampling and full passes), once per chunk — once per pass at one
+	// worker — exercising failure capture mid-union rather than at the
+	// pass boundary.
 	SiteUF
 	// SiteCondense is hit once per condensation build on the serving
 	// path (internal/server), after detection succeeds and before the

@@ -400,7 +400,7 @@ type engine struct {
 
 	// curPhase is the phase the coordinating goroutine is executing,
 	// tracked atomically so the watchdog goroutine can stamp it onto a
-	// Stalled event without racing phaseStart.
+	// Stalled event without racing the pipeline's phase changes.
 	curPhase atomic.Int32
 }
 

@@ -255,18 +255,7 @@ func (en *Engine) Run(ctx context.Context, g *graph.Graph, pr PerRun) (res *Resu
 	}()
 
 	start := time.Now()
-	switch en.alg {
-	case Baseline:
-		e.runBaseline()
-	case Method1:
-		e.runMethod1()
-	case Method2:
-		e.runMethod2()
-	case FWBW:
-		e.runFWBW()
-	default:
-		panic("core: unknown algorithm")
-	}
+	e.detect()
 	e.res.Total = time.Since(start)
 	if e.sink.Err() != nil {
 		return nil, teardownErr(runCtx)

@@ -72,181 +72,119 @@ func (e *engine) recoverErr(runCtx context.Context, v any) error {
 	if wp, ok := v.(*parallel.WorkerPanic); ok {
 		return wp
 	}
-	// A raw panic on the coordinating goroutine (single-worker inline
-	// kernel path): wrap it here, where the stack still includes the
-	// panic site.
+	// A raw panic on the coordinating goroutine (a kernel round the
+	// gang ran inline): wrap it here, where the stack still includes
+	// the panic site.
 	return &parallel.WorkerPanic{Value: v, Stack: debug.Stack()}
 }
 
 // stopped reports whether the run's context has been canceled; the
-// run methods bail out at the next phase boundary when it fires.
+// pipeline bails out at the next phase boundary when it fires.
 func (e *engine) stopped() bool { return e.sink.Err() != nil }
 
-// phaseStart stamps subsequent kernel events with phase p and emits
-// the PhaseStart boundary event. The phase is also tracked atomically
-// for the watchdog's Stalled snapshot.
-func (e *engine) phaseStart(p Phase) {
+// phase runs fn as phase p and reports whether the run goes on, false
+// once it is canceled. It stamps the kernels' events with p, tracks p
+// atomically for the watchdog's Stalled snapshot, brackets fn with the
+// PhaseStart and PhaseEnd boundary events, the latter carrying the
+// phase's cumulative totals, and adds fn's wall time to the phase.
+func (e *engine) phase(p Phase, fn func()) bool {
 	e.curPhase.Store(int32(p))
 	e.sink.SetPhase(int(p))
 	e.sink.Emit(events.Event{Type: events.PhaseStart})
-}
-
-// phaseEnd emits the PhaseEnd boundary event with the phase's
-// cumulative totals.
-func (e *engine) phaseEnd(p Phase) {
-	st := e.res.Phases[p]
-	e.sink.Emit(events.Event{Type: events.PhaseEnd, Round: st.Rounds, Nodes: st.Nodes, SCCs: st.SCCs})
-}
-
-// timePhase runs fn and adds its wall time to the given phase.
-func (e *engine) timePhase(p Phase, fn func()) {
 	t0 := time.Now()
 	fn()
-	e.res.Phases[p].Time += time.Since(t0)
+	st := &e.res.Phases[p]
+	st.Time += time.Since(t0)
+	e.sink.Emit(events.Event{Type: events.PhaseEnd, Round: st.Rounds, Nodes: st.Nodes, SCCs: st.SCCs})
+	return !e.stopped()
 }
 
-// parTrim runs Par-Trim over the candidates, attributing results to
-// phase p, and returns the survivors. The candidates buffer is
-// recycled into the arena (trim never pools it itself); the returned
-// survivors are a distinct arena-owned buffer.
+// detect runs the engine's algorithm. The paper's Algorithms 3, 6 and
+// 9 are one pipeline that adds steps, and Fleischer et al.'s FW-BW is
+// its last step alone:
+//
+//   - Baseline (Algorithm 3): Par-Trim, then the recursive phase from
+//     the partitions trimming left;
+//   - Method 1 (Algorithm 6) adds data-parallel FW-BW for the giant
+//     SCC and Par-Trim again before the recursive phase;
+//   - Method 2 (Algorithm 9) adds Trim2 and a third Trim to Par-Trim′,
+//     and Par-WCC, which seeds the recursive phase with one task per
+//     weakly connected component;
+//   - FW-BW runs the recursive phase alone, from one task over the
+//     whole graph. Its poor behavior on real graphs (every size-1 SCC
+//     costs a full task with two traversals) is what motivated the
+//     Trim step.
+func (e *engine) detect() {
+	var alive []graph.NodeID
+	var tasks []task
+	if e.alg != FWBW && !e.phase(PhaseParTrim, func() { alive = e.parTrim(PhaseParTrim, nil) }) {
+		return
+	}
+	if e.alg == Method1 || e.alg == Method2 {
+		if !e.phase(PhaseParFWBW, func() { alive = e.parFWBW(alive) }) {
+			return
+		}
+		// Par-Trim′: Trim iteratively, then for Method 2 Trim2 once
+		// (it is more expensive, §3.4) and Trim iteratively again.
+		if !e.phase(PhaseParTrimPost, func() {
+			alive = e.parTrim(PhaseParTrimPost, alive)
+			if e.alg == Method2 && !e.opt.DisableTrim2 && !e.stopped() {
+				res, survivors := trim.Par2(e.sink, e.g, e.color, e.comp, alive, e.ar)
+				e.addTrim(PhaseParTrimPost, res, alive)
+				alive = e.parTrim(PhaseParTrimPost, survivors)
+			}
+		}) {
+			return
+		}
+	}
+	if e.alg == Method2 && !e.phase(PhaseParWCC, func() {
+		tasks = e.wccTasks(alive)
+		e.ar.PutNodes(alive)
+	}) {
+		return
+	}
+	e.phase(PhaseRecurFWBW, func() {
+		switch e.alg {
+		case Method2: // seeded by Par-WCC
+		case Baseline, Method1:
+			tasks = e.buildTasks(alive)
+			e.ar.PutNodes(alive)
+		case FWBW:
+			n := e.g.NumNodes()
+			order := e.orderArray(n)
+			for i := range order {
+				order[i] = graph.NodeID(i)
+			}
+			e.taskBuf = append(e.taskBuf[:0], task{c: 0, lo: 0, hi: int32(n), parent: -1})
+			tasks = e.taskBuf
+		default:
+			panic("core: unknown algorithm")
+		}
+		e.phase2(tasks)
+	})
+}
+
+// parTrim runs the selected trim kernel over the candidates (every node
+// when nil), attributing its results to phase p, and returns the
+// survivors, a distinct arena-owned buffer.
 func (e *engine) parTrim(p Phase, candidates []graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
 	kernel := trim.Peel
 	if e.opt.Kernels == KernelsLegacy {
 		kernel = trim.Par
 	}
-	e.timePhase(p, func() {
-		res, alive := kernel(e.sink, e.g, e.color, e.comp, candidates, e.ar)
-		e.res.Phases[p].Nodes += res.Removed
-		e.res.Phases[p].SCCs += res.SCCs
-		e.res.Phases[p].Rounds += res.Rounds
-		out = alive
-	})
+	res, alive := kernel(e.sink, e.g, e.color, e.comp, candidates, e.ar)
+	e.addTrim(p, res, candidates)
+	return alive
+}
+
+// addTrim adds a trim kernel's result to phase p and recycles the
+// candidates buffer into the arena (trim never pools it itself).
+func (e *engine) addTrim(p Phase, res trim.Result, candidates []graph.NodeID) {
+	st := &e.res.Phases[p]
+	st.Nodes += res.Removed
+	st.SCCs += res.SCCs
+	st.Rounds += res.Rounds
 	e.ar.PutNodes(candidates)
-	return out
-}
-
-// runBaseline is Algorithm 3: Par-Trim, then recursive FW-BW from a
-// single initial partition.
-func (e *engine) runBaseline() {
-	e.phaseStart(PhaseParTrim)
-	alive := e.parTrim(PhaseParTrim, nil)
-	e.phaseEnd(PhaseParTrim)
-	if e.stopped() {
-		return
-	}
-	e.phaseStart(PhaseRecurFWBW)
-	e.timePhase(PhaseRecurFWBW, func() {
-		tasks := e.buildTasks(alive)
-		e.ar.PutNodes(alive)
-		e.phase2(tasks)
-	})
-	e.phaseEnd(PhaseRecurFWBW)
-}
-
-// runFWBW is the original FW-BW algorithm of Fleischer et al.: the
-// recursive phase alone, seeded with the whole graph as one task over
-// the order array [0, n). Its poor behavior on real graphs (every
-// size-1 SCC costs a full task with two traversals) is what motivated
-// the Trim step.
-func (e *engine) runFWBW() {
-	n := e.g.NumNodes()
-	order := e.orderArray(n)
-	for i := range order {
-		order[i] = graph.NodeID(i)
-	}
-	e.phaseStart(PhaseRecurFWBW)
-	e.timePhase(PhaseRecurFWBW, func() {
-		e.taskBuf = append(e.taskBuf[:0], task{c: 0, lo: 0, hi: int32(n), parent: -1})
-		e.phase2(e.taskBuf)
-	})
-	e.phaseEnd(PhaseRecurFWBW)
-}
-
-// runMethod1 is Algorithm 6: Par-Trim, data-parallel FW-BW for the
-// giant SCC, Par-Trim again, then the recursive phase.
-func (e *engine) runMethod1() {
-	e.phaseStart(PhaseParTrim)
-	alive := e.parTrim(PhaseParTrim, nil)
-	e.phaseEnd(PhaseParTrim)
-	if e.stopped() {
-		return
-	}
-	e.phaseStart(PhaseParFWBW)
-	e.timePhase(PhaseParFWBW, func() {
-		alive = e.parFWBW(alive)
-	})
-	e.phaseEnd(PhaseParFWBW)
-	if e.stopped() {
-		return
-	}
-	e.phaseStart(PhaseParTrimPost)
-	alive = e.parTrim(PhaseParTrimPost, alive)
-	e.phaseEnd(PhaseParTrimPost)
-	if e.stopped() {
-		return
-	}
-	e.phaseStart(PhaseRecurFWBW)
-	e.timePhase(PhaseRecurFWBW, func() {
-		tasks := e.buildTasks(alive)
-		e.ar.PutNodes(alive)
-		e.phase2(tasks)
-	})
-	e.phaseEnd(PhaseRecurFWBW)
-}
-
-// runMethod2 is Algorithm 9: Par-Trim, Par-FWBW, Par-Trim′ (Trim,
-// Trim2, Trim), Par-WCC, then the recursive phase.
-func (e *engine) runMethod2() {
-	e.phaseStart(PhaseParTrim)
-	alive := e.parTrim(PhaseParTrim, nil)
-	e.phaseEnd(PhaseParTrim)
-	if e.stopped() {
-		return
-	}
-	e.phaseStart(PhaseParFWBW)
-	e.timePhase(PhaseParFWBW, func() {
-		alive = e.parFWBW(alive)
-	})
-	e.phaseEnd(PhaseParFWBW)
-	if e.stopped() {
-		return
-	}
-	// Par-Trim′: Trim iteratively, Trim2 once (it is more expensive,
-	// §3.4), then Trim iteratively again.
-	e.phaseStart(PhaseParTrimPost)
-	alive = e.parTrim(PhaseParTrimPost, alive)
-	if !e.opt.DisableTrim2 && !e.stopped() {
-		e.timePhase(PhaseParTrimPost, func() {
-			res, survivors := trim.Par2(e.sink, e.g, e.color, e.comp, alive, e.ar)
-			e.res.Phases[PhaseParTrimPost].Nodes += res.Removed
-			e.res.Phases[PhaseParTrimPost].SCCs += res.SCCs
-			e.res.Phases[PhaseParTrimPost].Rounds += res.Rounds
-			e.ar.PutNodes(alive)
-			alive = survivors
-		})
-		alive = e.parTrim(PhaseParTrimPost, alive)
-	}
-	e.phaseEnd(PhaseParTrimPost)
-	if e.stopped() {
-		return
-	}
-	// Par-WCC: one task (color) per weakly connected component.
-	e.phaseStart(PhaseParWCC)
-	var tasks []task
-	e.timePhase(PhaseParWCC, func() {
-		tasks = e.wccTasks(alive)
-		e.ar.PutNodes(alive)
-	})
-	e.phaseEnd(PhaseParWCC)
-	if e.stopped() {
-		return
-	}
-	e.phaseStart(PhaseRecurFWBW)
-	e.timePhase(PhaseRecurFWBW, func() {
-		e.phase2(tasks)
-	})
-	e.phaseEnd(PhaseRecurFWBW)
 }
 
 // buildTasks groups the alive nodes by their current color into

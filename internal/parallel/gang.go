@@ -170,10 +170,13 @@ func (g *Gang) Abort() {
 // repeatedly claims the next chunk of `chunk` iterations from a shared
 // counter until [0, n) is exhausted, and the body receives the worker
 // index for per-worker scratch state. chunk <= 0 selects 256. A
-// one-worker gang and small inputs (n <= chunk) run inline on the
-// caller as worker 0, costing nothing. The panic contract is Run's.
-// The dispatch itself allocates nothing; a body built as a capturing
-// closure per call still costs its own allocation.
+// one-worker gang and small inputs (n <= chunk) run body(0, 0, n)
+// inline on the caller, costing nothing, so callers dispatch every
+// round this one way at any worker count; n <= 0 runs nothing. The
+// panic contract is Run's. The dispatch itself allocates nothing; a
+// body bound once (a method value kept across calls) keeps the whole
+// call allocation-free, while a capturing closure built per call
+// costs its own allocation.
 func (g *Gang) ForDynamic(n, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -37,13 +37,17 @@
 //     headers sit side by side and the counter rows are small and
 //     adjacent, so the workers' slots share cache lines, and a write
 //     per item moves that line between the cores on every claim. A
-//     range body takes the worker's buffer by value, keeps its appends
-//     and counts in locals, and returns them for the call site to
-//     store.
+//     chunk body takes the worker's buffer by value, keeps its appends
+//     and counts in locals, and stores them once per chunk.
 //   - Worker(w) state, the DFS stack of phase 2's tasks, must only be
 //     touched by worker w while a parallel section runs. A task's
 //     nodes are not worker state: each task owns a range of one node
 //     buffer the engine draws for the phase (see internal/core).
+//   - Kept dispatch states (Keep) live as long as the arena: each
+//     kernel package keeps one, holding the inputs of the round in
+//     flight and its gang body, bound once. A kernel fills its state
+//     on entry and clears it before it returns, so between kernel
+//     calls a kept state holds no arena buffer.
 //   - Nothing is zeroed on reuse except what the arena's accessors
 //     document: list sets and counter rows come back length-reset or
 //     zeroed; Label and Bitmaps come back dirty and the caller
@@ -55,7 +59,8 @@
 // parallel.Gang of its worker count, one worker included, and that
 // count (Workers) is the only one the kernels read: every parallel
 // section of a run — the kernels' loops, phase 1's SCC publication,
-// the phase-2 work queue — dispatches on the arena's gang. Every
+// the phase-2 work queue — dispatches on the arena's gang, through
+// ForDynamic at every worker count for the kernels' rounds. Every
 // kernel therefore takes an arena; there is no arena-less mode.
 package scratch
 
@@ -64,7 +69,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/worklist"
 )
 
 // Arena owns one run's reusable scratch memory. Accessors that hand
@@ -89,9 +93,10 @@ type Arena struct {
 	// Support-pointer trim state (see Peel). peelI32 backs the three
 	// int32 arrays (support in, support out, orig) and comes back dirty; marks
 	// must be left all-zero by the previous holder.
-	peelI32  []int32
-	marks    []uint8
-	frontier worklist.Frontier[graph.NodeID]
+	peelI32 []int32
+	marks   []uint8
+
+	kept []any // the kernels' dispatch states (see Keep)
 
 	inj *chaos.Injector
 }
@@ -122,7 +127,8 @@ func (a *Arena) Workers() int { return a.workers }
 func (a *Arena) Gang() *parallel.Gang { return a.gang }
 
 // Shrink drops every retained buffer — pools, singletons, peel state
-// and per-worker stacks — while keeping the worker gang, so a
+// and per-worker stacks — while keeping the worker gang and the kept
+// dispatch states, which hold no buffer between kernel calls, so a
 // persistent engine can shed a high-water footprint that no longer
 // fits a memory budget. The next run re-grows buffers to its own
 // graph's size. Must not be called while a kernel holds arena memory.
@@ -136,7 +142,6 @@ func (a *Arena) Shrink() {
 	a.bits = [2][]uint32{}
 	a.peelI32 = nil
 	a.marks = nil
-	a.frontier.Init(nil, nil, nil)
 	for w := range a.perW {
 		a.perW[w].Stack = nil
 	}
@@ -144,9 +149,7 @@ func (a *Arena) Shrink() {
 
 // RetainedBytes reports the capacity, in bytes, of the buffers the
 // arena currently retains — the high-water scratch footprint a
-// persistent engine holds between runs. The frontier's swap buffers
-// are excluded: between runs they have been recycled into the node
-// pool and would double-count.
+// persistent engine holds between runs.
 func (a *Arena) RetainedBytes() int64 {
 	const nodeB = 4
 	var b int64
@@ -349,14 +352,22 @@ func (a *Arena) Peel(n int) PeelScratch {
 	}
 }
 
-// Frontier returns the retained wave-synchronous worklist the
-// support-pointer trim kernel drives its waves through. It lives inside
-// the (heap-resident) arena by design: the kernels hand its pointer
-// into gang closures, which would force a stack-allocated frontier to
-// escape every invocation. State is fully overwritten by
-// Frontier.Init; only one kernel may hold it at a time.
-func (a *Arena) Frontier() *worklist.Frontier[graph.NodeID] {
-	return &a.frontier
+// Keep returns the arena's kept value of type T, a zero T on first
+// use. A kernel package keeps its dispatch state here — the inputs of
+// the round in flight and its gang body, bound once as a method value
+// — so a dispatch allocates nothing at any worker count; the arena
+// holds it as any, since it cannot name the kernels' types. A kept
+// value lives as long as the arena and must hold no arena buffer
+// between kernel calls, so Shrink and RetainedBytes need not see it.
+func Keep[T any](a *Arena) *T {
+	for _, v := range a.kept {
+		if p, ok := v.(*T); ok {
+			return p
+		}
+	}
+	p := new(T)
+	a.kept = append(a.kept, p)
+	return p
 }
 
 // Worker returns worker w's scratch state. Only worker w may use it

@@ -8,12 +8,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/events"
 	"repro/internal/scratch"
-	"repro/internal/worklist"
 )
-
-// peelChunk is the multi-worker cascade's dynamic-scheduling chunk,
-// and so the size of the stack buffer each chunk gathers its output in.
-const peelChunk = 128
 
 // Peel is the work-efficient replacement for Par: support-pointer
 // trimming in the style of Guo & Sekerinski's arc-consistency (AC-6)
@@ -56,7 +51,8 @@ const peelChunk = 128
 // removed, and any alive same-color neighbor, candidate or not, is a
 // support. Colors other than Removed must be non-negative.
 //
-// Single-worker invocations skip the atomics' read-modify-writes: with
+// Every round dispatches on the arena's gang at any worker count, but
+// at one worker the claims skip the atomics' read-modify-writes: with
 // no concurrent claimer, the claim CAS degrades to a plain store and
 // the pointer update to a plain write.
 func Peel(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []graph.NodeID, ar *scratch.Arena) (Result, []graph.NodeID) {
@@ -66,38 +62,30 @@ func Peel(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []g
 		ownCandidates = true
 	}
 	ctr := ar.Counters()
-	ps := ar.Peel(g.NumNodes())
+	k := begin(g, color, comp, ar)
+	k.ps = ar.Peel(g.NumNodes())
 
 	res := Result{Rounds: 1}
 	// The cascade writes its survivors to the front of casc and its
 	// removals to the back, so the first drain needs no buffer of its
 	// own.
-	casc := ar.GetNodes(len(candidates))
-	if cap(casc) < len(candidates) {
-		casc = make([]graph.NodeID, 0, len(candidates))
-	}
-	all := casc[:len(candidates)]
-	var kept, dropped int
+	casc := slices.Grow(ar.GetNodes(len(candidates)), len(candidates))
+	live := casc[:0]
+	var dropped int64
 	if sink.Err() == nil {
-		if ar.Workers() == 1 {
-			ar.Chaos().Hit(chaos.SiteTrim)
-			kept, dropped = peelCascadeRange(g, color, comp, ps, candidates, all, true)
-		} else {
-			kept, dropped = peelCascadePar(g, color, comp, ps, candidates, all, ar)
-		}
-		res.Removed += int64(dropped)
-		res.SCCs += int64(dropped)
-		ctr.AddTrimRound(int64(dropped))
-		sink.Emit(events.Event{Type: events.TrimRound, Round: 1, Nodes: int64(dropped)})
+		live, dropped = k.scan(ar, candidates, casc, (*kernel).cascadeChunk)
+		res.Removed += dropped
+		res.SCCs += dropped
+		ctr.AddTrimRound(dropped)
+		sink.Emit(events.Event{Type: events.TrimRound, Round: 1, Nodes: dropped})
 	}
-	live := all[:kept]
 	// A cascade that removed nothing already reached the fixpoint — it
 	// is exactly one Par round — so the kernel matches the round-based
 	// one's single-scan cost on partitions that have nothing to trim
 	// (every recursion step on a dense giant SCC). A cascade that
 	// removed everything leaves no pointer to move.
-	if dropped > 0 && kept > 0 && sink.Err() == nil {
-		peelWaves(sink, g, color, comp, ps, all[len(all)-dropped:], kept, &res, ar)
+	if dropped > 0 && len(live) > 0 && sink.Err() == nil {
+		k.waves(sink, casc[len(candidates)-int(dropped):len(candidates)], len(live), &res, ar)
 	}
 
 	// Survivors, and the mark-clearing that upholds the arena's
@@ -112,38 +100,34 @@ func Peel(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []g
 	}
 	out := casc[:0]
 	for _, v := range src {
-		ps.Marks[v] = 0
+		k.ps.Marks[v] = 0
 		if atomic.LoadInt32(&color[v]) != Removed {
 			out = append(out, v)
 		}
 	}
+	k.end()
 	if ownCandidates {
 		ar.PutNodes(candidates)
 	}
 	return res, out
 }
 
-// peelWaves drains the cascade's removals, then wave after wave of the
+// waves drains the cascade's removals, then wave after wave of the
 // survivors they leave unsupported, until no pointer runs out. Waves
 // after the first are claimed from the cascade's live survivors, so
 // the frontier's swap buffers are sized by them.
-func peelWaves(sink *events.Sink, g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
-	wave []graph.NodeID, live int, res *Result, ar *scratch.Arena) {
+func (k *kernel) waves(sink *events.Sink, wave []graph.NodeID, live int, res *Result, ar *scratch.Arena) {
 	ctr := ar.Counters()
-	fr := ar.Frontier()
+	fr := &k.fr
 	fr.Init(ar.GetNodes(live), ar.GetNodes(live), ar.GetLists())
 	pushed := int64(len(wave))
-	single := ar.Workers() == 1
 	for first := true; ; first = false {
-		if single || len(wave) <= 64 {
-			// Tiny waves (deep-chain peeling produces thousands of them)
-			// drain on the coordinator: a gang dispatch per two-node wave
-			// would cost more in barriers than the drain itself.
-			ar.Chaos().Hit(chaos.SitePeel)
-			fr.SetPending(0, peelDrainRange(g, color, comp, ps, wave, fr.Pending(0), single))
-		} else {
-			peelDrainPar(g, color, comp, ps, wave, fr, ar)
-		}
+		// Dynamic chunks: a wave node's cost is its degree, which is
+		// heavily skewed on scale-free graphs. A wave of one chunk —
+		// deep-chain peeling produces thousands of two-node waves —
+		// drains inline on the coordinator, where a gang dispatch
+		// would cost more in barriers than the drain itself.
+		k.dispatch(ar, wave, 64, (*kernel).drainChunk)
 		if !first {
 			rm := int64(len(wave))
 			res.Removed += rm
@@ -155,7 +139,7 @@ func peelWaves(sink *events.Sink, g *graph.Graph, color, comp []int32, ps scratc
 		// The wave's drain is about to start: its nodes stop counting
 		// as supports.
 		for _, v := range wave {
-			color[v] = Removed
+			k.color[v] = Removed
 		}
 		if len(wave) == 0 || sink.Err() != nil {
 			break
@@ -169,34 +153,20 @@ func peelWaves(sink *events.Sink, g *graph.Graph, color, comp []int32, ps scratc
 	ar.PutLists(lists)
 }
 
-// peelCascadePar is the multi-worker cascade round. Each chunk gathers
-// its survivors and removals in a stack buffer and reserves their
-// places at the two ends of out with one atomic add each, so no
-// per-worker list is grown and merged. It lives outside Peel so the
-// escaping parallel-for closure never exists on the single-worker
-// path.
-func peelCascadePar(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
-	active, out []graph.NodeID, ar *scratch.Arena) (kept, dropped int) {
-	// A retained arena counter row as the head and tail cursors: a
-	// local the closure adds to would be moved to the heap on every
-	// call.
-	cur := ar.ClaimMatrix(2)[0]
-	inj := ar.Chaos()
-	ar.ForDynamic(len(active), peelChunk, func(w, lo, hi int) {
-		if lo == 0 {
-			// One chaos hit per round, fired from inside the gang
-			// dispatch so injected failures exercise worker-side
-			// capture.
-			inj.Hit(chaos.SiteTrim)
-		}
-		var buf [peelChunk]graph.NodeID
-		for ; lo < hi; lo += peelChunk {
-			k, d := peelCascadeRange(g, color, comp, ps, active[lo:min(lo+peelChunk, hi)], buf[:], false)
-			copy(out[atomic.AddInt64(&cur[0], int64(k))-int64(k):], buf[:k])
-			copy(out[len(out)-int(atomic.AddInt64(&cur[1], int64(d))):], buf[peelChunk-d:])
-		}
-	})
-	return int(cur[0]), int(cur[1])
+// cascadeChunk is the cascade round's body over nodes[lo:hi]; its
+// first chunk hits the trim site. Each scanChunk nodes gather their
+// survivors and removals in a stack buffer, which keep and one more
+// atomic add place at the two ends of out.
+func (k *kernel) cascadeChunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteTrim)
+	}
+	var buf [scanChunk]graph.NodeID
+	for ; lo < hi; lo += scanChunk {
+		kept, d := peelCascadeRange(k.g, k.color, k.comp, k.ps, k.nodes[lo:min(lo+scanChunk, hi)], buf[:], k.single)
+		k.keep(buf[:kept])
+		copy(k.out[len(k.out)-int(atomic.AddInt64(&k.removed, int64(d))):], buf[scanChunk-d:])
+	}
 }
 
 // peelCascadeRange runs the cascade round over active with trimRange's
@@ -236,15 +206,11 @@ func peelCascadeRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratc
 	return kept, dropped
 }
 
-// peelDrainPar drains a wave in dynamic chunks: a wave node's cost is
-// its degree, which is heavily skewed on scale-free graphs.
-func peelDrainPar(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
-	wave []graph.NodeID, fr *worklist.Frontier[graph.NodeID], ar *scratch.Arena) {
-	inj := ar.Chaos()
-	ar.ForDynamic(len(wave), 64, func(w, lo, hi int) {
-		inj.Hit(chaos.SitePeel)
-		fr.SetPending(w, peelDrainRange(g, color, comp, ps, wave[lo:hi], fr.Pending(w), false))
-	})
+// drainChunk drains nodes[lo:hi] of a wave into the worker's pending
+// buffer; every chunk hits the peel site.
+func (k *kernel) drainChunk(w, lo, hi int) {
+	k.inj.Hit(chaos.SitePeel)
+	k.fr.SetPending(w, peelDrainRange(k.g, k.color, k.comp, k.ps, k.nodes[lo:hi], k.fr.Pending(w), k.single))
 }
 
 // peelDrainRange drains removed nodes: each revisits the marked
@@ -254,8 +220,7 @@ func peelDrainPar(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch,
 // for the caller to hand back to the frontier once per chunk. The
 // support test comes first: it is one load per neighbor and rarely
 // passes, while a stale pointer of an unmarked or removed neighbor
-// fails the tests after it. Plain function (not a closure) so the
-// single-worker path allocates nothing.
+// fails the tests after it.
 func peelDrainRange(g *graph.Graph, color, comp []int32, ps scratch.PeelScratch, wave, next []graph.NodeID,
 	single bool) []graph.NodeID {
 	for _, v := range wave {

@@ -12,19 +12,23 @@
 // removed, and removing more nodes can only enable more trims.
 //
 // All kernels take the run's *scratch.Arena and run on its gang, at
-// its worker count. The caller's candidates slice is never pooled: the
-// returned survivor list is always distinct arena-owned storage, so
-// the caller can release its own candidates buffer and, later, the
-// returned one, without double-free hazards.
+// its worker count: every round dispatches the same way at any count,
+// through a body bound once on the arena's kept kernel state. The
+// caller's candidates slice is never pooled: the returned survivor
+// list is always distinct arena-owned storage, so the caller can
+// release its own candidates buffer and, later, the returned one,
+// without double-free hazards.
 package trim
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/events"
 	"repro/internal/scratch"
+	"repro/internal/worklist"
 )
 
 // Removed is the color value of a node whose SCC has been identified.
@@ -72,6 +76,84 @@ func allCandidates(g *graph.Graph, ar *scratch.Arena) []graph.NodeID {
 	return out
 }
 
+// scanChunk is the dynamic-scheduling chunk of the scan rounds (Par's
+// rounds, Par2's pass and Peel's cascade), and so the size of the
+// stack buffer each chunk gathers its output in. Scan cost is the
+// node's degree, which is heavily skewed on scale-free graphs (§4.3).
+const scanChunk = 128
+
+// kernel is the trim kernels' dispatch state, kept on the arena (see
+// scratch.Keep): the inputs of the call in flight, cleared when it
+// returns so the arena keeps none of its buffers, and the gang body
+// every round dispatches, bound once as a method value, so each round
+// of Par, Par2 and Peel dispatches through ar.ForDynamic at every
+// worker count — inline on the caller at one worker — and allocates
+// nothing.
+type kernel struct {
+	g           *graph.Graph
+	color, comp []int32
+	inj         *chaos.Injector
+	// round is the round in flight's chunk method, which body runs,
+	// and nodes its input: Par's active list, Par2's candidates,
+	// Peel's cascade candidates or drain wave.
+	round func(k *kernel, w, lo, hi int)
+	nodes []graph.NodeID
+	// out receives a scan round's survivors at its front (and the
+	// cascade's removals at its back); kept and removed count them
+	// (Par2 counts pairs), each chunk reserving its places with one
+	// atomic add.
+	out           []graph.NodeID
+	kept, removed int64
+	// Peel's state: the support pointers and marks, the wave frontier,
+	// and whether claims may be plain stores (one worker).
+	ps     scratch.PeelScratch
+	fr     worklist.Frontier[graph.NodeID]
+	single bool
+	// body is chunk, bound once; end keeps it.
+	body func(w, lo, hi int)
+}
+
+// begin readies the arena's kept kernel for a call over g's color and
+// comp arrays, binding its body on first use.
+func begin(g *graph.Graph, color, comp []int32, ar *scratch.Arena) *kernel {
+	k := scratch.Keep[kernel](ar)
+	body := k.body
+	if body == nil {
+		body = k.chunk
+	}
+	*k = kernel{g: g, color: color, comp: comp, inj: ar.Chaos(), single: ar.Workers() == 1, body: body}
+	return k
+}
+
+// end clears the call's inputs.
+func (k *kernel) end() { *k = kernel{body: k.body} }
+
+// dispatch runs round over nodes, in chunks of the given size.
+func (k *kernel) dispatch(ar *scratch.Arena, nodes []graph.NodeID, chunk int, round func(k *kernel, w, lo, hi int)) {
+	k.round, k.nodes = round, nodes
+	ar.ForDynamic(len(nodes), chunk, k.body)
+}
+
+// chunk is the gang body: the round in flight's chunk method.
+func (k *kernel) chunk(w, lo, hi int) { k.round(k, w, lo, hi) }
+
+// scan runs a scan round over nodes into out, whose capacity must hold
+// them, and returns the survivors at out's front with the removals
+// (Par2: pairs) the round counted.
+func (k *kernel) scan(ar *scratch.Arena, nodes, out []graph.NodeID, round func(k *kernel, w, lo, hi int)) ([]graph.NodeID, int64) {
+	k.out, k.kept, k.removed = out[:len(nodes)], 0, 0
+	k.dispatch(ar, nodes, scanChunk, round)
+	return out[:k.kept], k.removed
+}
+
+// keep copies a chunk's survivors to places at the front of out,
+// reserved with one atomic add. A chunk run inline at one worker spans
+// the whole round and keeps it scanChunk nodes at a time, in order.
+func (k *kernel) keep(buf []graph.NodeID) {
+	n := int64(len(buf))
+	copy(k.out[atomic.AddInt64(&k.kept, n)-n:], buf)
+}
+
 // Par runs Par-Trim over the candidate nodes until no more nodes can
 // be trimmed. candidates lists the nodes to consider (they need not
 // all be alive); if nil, every node of g is considered. It returns the
@@ -89,36 +171,22 @@ func Par(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []gr
 		candidates = allCandidates(g, ar)
 		ownCandidates = true
 	}
+	k := begin(g, color, comp, ar)
 	ctr := ar.Counters()
 	var res Result
 	active := candidates
 	// Survivor lists ping-pong between two arena buffers so the
 	// caller's candidates slice is read once and never written.
-	bufA := ar.GetNodes(len(candidates))
-	bufB := ar.GetNodes(len(candidates))
+	bufA := slices.Grow(ar.GetNodes(len(candidates)), len(candidates))
+	bufB := slices.Grow(ar.GetNodes(len(candidates)), len(candidates))
 	dst := bufA
-	single := ar.Workers() == 1
-	var bufs [][]graph.NodeID
-	var counts []int64
-	if !single {
-		bufs = ar.GetLists()
-		counts = ar.Counts()
-	}
 	for {
 		if sink.Err() != nil {
 			break
 		}
 		res.Rounds++
 		var roundRemoved int64
-		dst = dst[:0]
-		if single {
-			// Direct call (no closure, no goroutines): the steady-state
-			// zero-allocation path.
-			ar.Chaos().Hit(chaos.SiteTrim)
-			dst, roundRemoved = trimRange(g, color, comp, active, 0, len(active), dst)
-		} else {
-			dst, roundRemoved = trimRoundPar(g, color, comp, active, dst, bufs, counts, ar)
-		}
+		dst, roundRemoved = k.scan(ar, active, dst, (*kernel).trimChunk)
 		res.Removed += roundRemoved
 		res.SCCs += roundRemoved
 		ctr.AddTrimRound(roundRemoved)
@@ -134,9 +202,7 @@ func Par(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []gr
 			break
 		}
 	}
-	if !single {
-		ar.PutLists(bufs)
-	}
+	k.end()
 	if res.Rounds == 0 {
 		// Canceled before the first round: active still aliases
 		// candidates, so hand back a copy in arena storage.
@@ -155,45 +221,24 @@ func Par(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []gr
 	return res, active
 }
 
-// trimRoundPar runs one multi-worker trim round over active, appending
-// the per-worker survivor lists to dst and returning it with the
-// number of nodes removed. It lives outside Par so the escaping
-// parallel-for closure (and the heap cells it forces its captures
-// into) never exists on the single-worker path.
-func trimRoundPar(g *graph.Graph, color, comp []int32, active []graph.NodeID,
-	dst []graph.NodeID, bufs [][]graph.NodeID, counts []int64, ar *scratch.Arena) ([]graph.NodeID, int64) {
-	for w := range bufs {
-		bufs[w] = bufs[w][:0]
-		counts[w] = 0
+// trimChunk is Par's round body over nodes[lo:hi]. Its first chunk
+// hits the trim site: once per round, from inside the dispatch, so
+// injected failures exercise worker-side capture.
+func (k *kernel) trimChunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteTrim)
 	}
-	// Dynamic scheduling: trimming cost is the node's degree, which is
-	// heavily skewed on scale-free graphs (§4.3).
-	inj := ar.Chaos()
-	ar.ForDynamic(len(active), 128, func(w, lo, hi int) {
-		if lo == 0 {
-			// One chaos hit per round, fired from inside the gang
-			// dispatch so injected failures exercise worker-side
-			// capture.
-			inj.Hit(chaos.SiteTrim)
-		}
-		buf, removed := trimRange(g, color, comp, active, lo, hi, bufs[w])
-		bufs[w] = buf
-		counts[w] += removed
-	})
-	var removed int64
-	for w := range bufs {
-		dst = append(dst, bufs[w]...)
-		removed += counts[w]
+	var buf [scanChunk]graph.NodeID
+	for ; lo < hi; lo += scanChunk {
+		kept, removed := trimRange(k.g, k.color, k.comp, k.nodes, lo, min(lo+scanChunk, hi), buf[:0])
+		k.keep(kept)
+		atomic.AddInt64(&k.removed, removed)
 	}
-	return dst, removed
 }
 
 // trimRange applies one trim round to active[lo:hi], CAS-removing
 // nodes with zero alive in- or out-degree, appending survivors to buf,
-// and returning buf with the number of nodes removed. The caller
-// writes both into the worker's slots once per chunk. It is a plain
-// function (not a closure) so the single-worker path can call it
-// without any per-round allocation.
+// and returning buf with the number of nodes removed.
 func trimRange(g *graph.Graph, color, comp []int32, active []graph.NodeID, lo, hi int, buf []graph.NodeID) ([]graph.NodeID, int64) {
 	removed := int64(0)
 	for i := lo; i < hi; i++ {
@@ -232,7 +277,7 @@ func Par2(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []g
 		candidates = allCandidates(g, ar)
 		ownCandidates = true
 	}
-	survivors := ar.GetNodes(len(candidates))
+	survivors := slices.Grow(ar.GetNodes(len(candidates)), len(candidates))
 	if sink.Err() != nil {
 		survivors = append(survivors, candidates...)
 		if ownCandidates {
@@ -242,28 +287,9 @@ func Par2(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []g
 	}
 	ctr := ar.Counters()
 	res := Result{Rounds: 1}
-	if ar.Workers() == 1 {
-		ar.Chaos().Hit(chaos.SiteTrim2)
-		survivors, res.SCCs = trim2Range(g, color, comp, candidates, 0, len(candidates), survivors)
-	} else {
-		bufs := ar.GetLists()
-		counts := ar.Counts()
-		cand := candidates
-		inj := ar.Chaos()
-		ar.ForDynamic(len(cand), 128, func(w, lo, hi int) {
-			if lo == 0 {
-				inj.Hit(chaos.SiteTrim2)
-			}
-			buf, pairs := trim2Range(g, color, comp, cand, lo, hi, bufs[w])
-			bufs[w] = buf
-			counts[w] += pairs
-		})
-		for w := range bufs {
-			survivors = append(survivors, bufs[w]...)
-			res.SCCs += counts[w]
-		}
-		ar.PutLists(bufs)
-	}
+	k := begin(g, color, comp, ar)
+	survivors, res.SCCs = k.scan(ar, candidates, survivors, (*kernel).trim2Chunk)
+	k.end()
 	survivors = dropRemoved(color, survivors)
 	res.Removed = 2 * res.SCCs
 	ctr.AddTrimRound(res.Removed)
@@ -273,6 +299,20 @@ func Par2(sink *events.Sink, g *graph.Graph, color, comp []int32, candidates []g
 		ar.PutNodes(candidates)
 	}
 	return res, survivors
+}
+
+// trim2Chunk is Par2's body over nodes[lo:hi]; its first chunk hits
+// the Trim2 site.
+func (k *kernel) trim2Chunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteTrim2)
+	}
+	var buf [scanChunk]graph.NodeID
+	for ; lo < hi; lo += scanChunk {
+		kept, pairs := trim2Range(k.g, k.color, k.comp, k.nodes, lo, min(lo+scanChunk, hi), buf[:0])
+		k.keep(kept)
+		atomic.AddInt64(&k.removed, pairs)
+	}
 }
 
 // dropRemoved filters Removed nodes out of a pair or triangle pass's

@@ -7,7 +7,6 @@ import (
 	"repro/graph"
 	"repro/internal/chaos"
 	"repro/internal/events"
-	"repro/internal/metrics"
 	"repro/internal/scratch"
 )
 
@@ -48,104 +47,54 @@ func RunUF(sink *events.Sink, g *graph.Graph, color []int32, nodes []graph.NodeI
 		label[v] = int32(v)
 	}
 	var res Result
-	single := ar.Workers() == 1
-	inj := ar.Chaos()
-	// Per-worker counter rows in ufTally's layout, added to once per
-	// chunk and folded into the run counters once per pass.
-	m := ar.ClaimMatrix(3)
-
-	// Pass 1: sampling. Hooking just the first couple of out-neighbors
-	// connects the giant components almost entirely.
-	if sink.Err() != nil {
-		return ufFinish(&res, nodes, label)
+	k := begin(g, color, nodes, label, ar)
+	k.tally = ar.ClaimMatrix(3)
+	// The three passes: sampling, whose first couple of out-neighbors
+	// per node connect the giant components almost entirely; full,
+	// which hooks every remaining same-color edge; and flatten, which
+	// runs once all unions are done, so every root is final and
+	// label[v] becomes the component minimum. Flatten's bodies cost
+	// one find each, hence its larger chunk.
+	for pass, round := range [...]func(*kernel, int, int, int){(*kernel).sampleChunk, (*kernel).fullChunk, (*kernel).flattenChunk} {
+		if pass == 1 {
+			// Most-frequent-component detection: a strided root sample,
+			// sorted; the longest run's root is the component the full
+			// pass skips.
+			var hops int64
+			k.skip, hops = ufSkipRoot(nodes, label, ar)
+			k.tally[0][1] += hops
+		}
+		if sink.Err() != nil {
+			break
+		}
+		res.Rounds++
+		ctr.AddWCCRound()
+		sink.Emit(events.Event{Type: events.WCCRound, Round: res.Rounds})
+		k.dispatch(ar, [...]int{128, 128, 512}[pass], round)
+		// Fold the pass's per-worker rows into the run counters.
+		var sum ufTally
+		for _, row := range k.tally {
+			sum.unions += row[0]
+			sum.hops += row[1]
+			sum.skips += row[2]
+			clear(row)
+		}
+		ctr.AddUFPass(sum.unions, sum.hops, sum.skips)
 	}
-	res.Rounds++
-	ctr.AddWCCRound()
-	sink.Emit(events.Event{Type: events.WCCRound, Round: res.Rounds})
-	if single {
-		ar.Chaos().Hit(chaos.SiteWCC)
-		ar.Chaos().Hit(chaos.SiteUF)
-		ufSampleRange(g, color, nodes, label, 0, len(nodes)).addTo(m[0])
-	} else {
-		ar.ForDynamic(len(nodes), 128, func(w, lo, hi int) {
-			if lo == 0 {
-				inj.Hit(chaos.SiteWCC)
-			}
-			inj.Hit(chaos.SiteUF)
-			ufSampleRange(g, color, nodes, label, lo, hi).addTo(m[w])
-		})
-	}
-	ufFoldPass(ctr, m)
-
-	// Most-frequent-component detection: a strided root sample, sorted;
-	// the longest run's root is the component the full pass skips.
-	skip, hops := ufSkipRoot(nodes, label, ar)
-	m[0][1] += hops
-
-	// Pass 2: full. Nodes already in the skip component contribute no
-	// new connectivity their neighbors won't also see — every edge with
-	// at least one unskipped endpoint is hooked from that endpoint, and
-	// an edge with both endpoints skipped is already intra-component.
-	if sink.Err() != nil {
-		return ufFinish(&res, nodes, label)
-	}
-	res.Rounds++
-	ctr.AddWCCRound()
-	sink.Emit(events.Event{Type: events.WCCRound, Round: res.Rounds})
-	if single {
-		ar.Chaos().Hit(chaos.SiteWCC)
-		ar.Chaos().Hit(chaos.SiteUF)
-		ufFullRange(g, color, nodes, label, skip, 0, len(nodes)).addTo(m[0])
-	} else {
-		ar.ForDynamic(len(nodes), 128, func(w, lo, hi int) {
-			if lo == 0 {
-				inj.Hit(chaos.SiteWCC)
-			}
-			inj.Hit(chaos.SiteUF)
-			ufFullRange(g, color, nodes, label, skip, lo, hi).addTo(m[w])
-		})
-	}
-	ufFoldPass(ctr, m)
-
-	// Pass 3: flatten. All unions are done, so every root is final and
-	// label[v] becomes the component minimum.
-	if sink.Err() != nil {
-		return ufFinish(&res, nodes, label)
-	}
-	res.Rounds++
-	ctr.AddWCCRound()
-	sink.Emit(events.Event{Type: events.WCCRound, Round: res.Rounds})
-	if single {
-		ar.Chaos().Hit(chaos.SiteWCC)
-		ufFlattenRange(nodes, label, 0, len(nodes)).addTo(m[0])
-	} else {
-		ar.ForDynamic(len(nodes), 512, func(w, lo, hi int) {
-			if lo == 0 {
-				inj.Hit(chaos.SiteWCC)
-			}
-			ufFlattenRange(nodes, label, lo, hi).addTo(m[w])
-		})
-	}
-	ufFoldPass(ctr, m)
-
-	return ufFinish(&res, nodes, label)
-}
-
-// ufFinish counts the components (a root labels itself) and returns.
-func ufFinish(res *Result, nodes []graph.NodeID, label []int32) Result {
+	k.end()
 	for _, v := range nodes {
 		if label[v] == int32(v) {
 			res.Components++
 		}
 	}
-	return *res
+	return res
 }
 
 // ufTally is one chunk's union-find work: successful hooks, find hops
-// and nodes the full pass skipped. Range bodies count in a local tally
-// and return it; the call site adds it to the worker's counter row
-// [unions, hops, skips] once per chunk, because the rows share cache
-// lines and a write per hop would bounce them between the cores.
+// and nodes the full pass skipped. A pass body counts in a local tally
+// and adds it to the worker's counter row [unions, hops, skips] once
+// per chunk, because the rows share cache lines and a write per hop
+// would bounce them between the cores.
 type ufTally struct {
 	unions, hops, skips int64
 }
@@ -155,19 +104,6 @@ func (t ufTally) addTo(row []int64) {
 	row[0] += t.unions
 	row[1] += t.hops
 	row[2] += t.skips
-}
-
-// ufFoldPass adds the per-worker pass counters into the run counters
-// and re-zeroes the rows for the next pass.
-func ufFoldPass(ctr *metrics.Counters, m [][]int64) {
-	var unions, hops, skips int64
-	for w := range m {
-		unions += m[w][0]
-		hops += m[w][1]
-		skips += m[w][2]
-		m[w][0], m[w][1], m[w][2] = 0, 0, 0
-	}
-	ctr.AddUFPass(unions, hops, skips)
 }
 
 // ufSkipRoot returns the most frequent root among a strided sample of
@@ -246,19 +182,26 @@ func union(label []int32, a, b int32) (unions, hops int64) {
 	}
 }
 
-// ufSampleRange hooks each node of nodes[lo:hi] with its first
-// sampleNeighbors same-color out-neighbors.
-func ufSampleRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, lo, hi int) (t ufTally) {
-	for i := lo; i < hi; i++ {
-		v := nodes[i]
+// sampleChunk is the sampling pass's body: it hooks each node of
+// nodes[lo:hi] with its first sampleNeighbors same-color
+// out-neighbors. Its first chunk hits the WCC site, once per pass, and
+// every chunk the UF site.
+func (k *kernel) sampleChunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteWCC)
+	}
+	k.inj.Hit(chaos.SiteUF)
+	g, color, label := k.g, k.color, k.label
+	var t ufTally
+	for _, v := range k.nodes[lo:hi] {
 		c := color[v]
 		cnt := 0
-		for _, k := range g.Out(v) {
-			if k == v || color[k] != c {
+		for _, u := range g.Out(v) {
+			if u == v || color[u] != c {
 				continue
 			}
-			u, h := union(label, int32(v), int32(k))
-			t.unions += u
+			n, h := union(label, int32(v), int32(u))
+			t.unions += n
 			t.hops += h
 			cnt++
 			if cnt == sampleNeighbors {
@@ -266,15 +209,24 @@ func ufSampleRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []
 			}
 		}
 	}
-	return t
+	t.addTo(k.tally[w])
 }
 
-// ufFullRange hooks every same-color edge of the unskipped nodes of
-// nodes[lo:hi], both directions, so each edge is seen from either
-// endpoint unless both are already in the skip component.
-func ufFullRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, skip int32, lo, hi int) (t ufTally) {
-	for i := lo; i < hi; i++ {
-		v := nodes[i]
+// fullChunk is the full pass's body: it hooks every same-color edge of
+// the unskipped nodes of nodes[lo:hi], both directions, so each edge
+// is seen from either endpoint unless both are already in the skip
+// component. Such nodes contribute no new connectivity their neighbors
+// won't also see — every edge with at least one unskipped endpoint is
+// hooked from that endpoint, and an edge with both endpoints skipped
+// is already intra-component. It hits the sites as sampleChunk does.
+func (k *kernel) fullChunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteWCC)
+	}
+	k.inj.Hit(chaos.SiteUF)
+	g, color, label, skip := k.g, k.color, k.label, k.skip
+	var t ufTally
+	for _, v := range k.nodes[lo:hi] {
 		if skip >= 0 {
 			r, h := find(label, int32(v))
 			t.hops += h
@@ -284,31 +236,37 @@ func ufFullRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []in
 			}
 		}
 		c := color[v]
-		for _, k := range g.Out(v) {
-			if k != v && color[k] == c {
-				u, h := union(label, int32(v), int32(k))
-				t.unions += u
+		for _, u := range g.Out(v) {
+			if u != v && color[u] == c {
+				n, h := union(label, int32(v), int32(u))
+				t.unions += n
 				t.hops += h
 			}
 		}
-		for _, k := range g.In(v) {
-			if k != v && color[k] == c {
-				u, h := union(label, int32(v), int32(k))
-				t.unions += u
+		for _, u := range g.In(v) {
+			if u != v && color[u] == c {
+				n, h := union(label, int32(v), int32(u))
+				t.unions += n
 				t.hops += h
 			}
 		}
 	}
-	return t
+	t.addTo(k.tally[w])
 }
 
-// ufFlattenRange replaces each node's label with its final root.
-func ufFlattenRange(nodes []graph.NodeID, label []int32, lo, hi int) (t ufTally) {
-	for i := lo; i < hi; i++ {
-		v := nodes[i]
+// flattenChunk is the flatten pass's body: it replaces the label of
+// each node of nodes[lo:hi] with its final root. Its first chunk hits
+// the WCC site.
+func (k *kernel) flattenChunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteWCC)
+	}
+	label := k.label
+	var t ufTally
+	for _, v := range k.nodes[lo:hi] {
 		r, h := find(label, int32(v))
 		t.hops += h
 		atomic.StoreInt32(&label[v], r)
 	}
-	return t
+	t.addTo(k.tally[w])
 }

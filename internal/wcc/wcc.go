@@ -17,9 +17,14 @@
 // label[label[n]]). Labels decrease monotonically, so concurrent
 // updates are benign; the fixpoint labels every component with its
 // minimum node id.
+//
+// Both kernels, Run and the union-find RunUF, run every round or pass
+// on the arena's gang the same way at any worker count, through a
+// body bound once on the arena's kept kernel state.
 package wcc
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/graph"
@@ -37,6 +42,57 @@ type Result struct {
 	// values are the paper's signature of non-small-world graphs.
 	Rounds int
 }
+
+// kernel is the WCC kernels' dispatch state, kept on the arena (see
+// scratch.Keep): the inputs of the call in flight, cleared when it
+// returns so the arena keeps none of its buffers, and the gang body
+// every round and pass dispatches, bound once as a method value, so
+// each dispatches through ar.ForDynamic at every worker count — inline
+// on the caller at one worker — and allocates nothing.
+type kernel struct {
+	g     *graph.Graph
+	color []int32
+	nodes []graph.NodeID
+	label []int32
+	inj   *chaos.Injector
+	// round is the round or pass in flight's chunk method, which body
+	// runs.
+	round func(k *kernel, w, lo, hi int)
+	// changed is Run's per-worker flag that a round moved a label.
+	changed []bool
+	// tally is RunUF's per-worker counter rows in ufTally's layout,
+	// added to once per chunk and folded into the run counters once
+	// per pass; skip is the root the full pass skips.
+	tally [][]int64
+	skip  int32
+	// body is chunk, bound once; end keeps it.
+	body func(w, lo, hi int)
+}
+
+// begin readies the arena's kept kernel for a call over nodes, binding
+// its body on first use.
+func begin(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, ar *scratch.Arena) *kernel {
+	k := scratch.Keep[kernel](ar)
+	body := k.body
+	if body == nil {
+		body = k.chunk
+	}
+	*k = kernel{g: g, color: color, nodes: nodes, label: label, inj: ar.Chaos(), body: body}
+	return k
+}
+
+// end clears the call's inputs.
+func (k *kernel) end() { *k = kernel{body: k.body} }
+
+// dispatch runs round over the call's nodes, in chunks of the given
+// size.
+func (k *kernel) dispatch(ar *scratch.Arena, chunk int, round func(k *kernel, w, lo, hi int)) {
+	k.round = round
+	ar.ForDynamic(len(k.nodes), chunk, k.body)
+}
+
+// chunk is the gang body: the round in flight's chunk method.
+func (k *kernel) chunk(w, lo, hi int) { k.round(k, w, lo, hi) }
 
 // Run labels the weakly connected components of the subgraph induced
 // by `nodes` and same-color edges. label must have length
@@ -57,8 +113,8 @@ func Run(sink *events.Sink, g *graph.Graph, color []int32, nodes []graph.NodeID,
 		label[v] = int32(v)
 	}
 	var res Result
-	single := ar.Workers() == 1
-	changedPerWorker := ar.Flags()
+	k := begin(g, color, nodes, label, ar)
+	k.changed = ar.Flags()
 	for {
 		if sink.Err() != nil {
 			break
@@ -66,45 +122,17 @@ func Run(sink *events.Sink, g *graph.Graph, color []int32, nodes []graph.NodeID,
 		res.Rounds++
 		ctr.AddWCCRound()
 		sink.Emit(events.Event{Type: events.WCCRound, Round: res.Rounds})
-		any := false
-		if single {
-			// Direct calls (no closures, no goroutines): the steady-state
-			// zero-allocation path.
-			ar.Chaos().Hit(chaos.SiteWCC)
-			any = propagateRange(g, color, nodes, label, 0, len(nodes))
-			if shortcutRange(nodes, label, 0, len(nodes)) {
-				any = true
-			}
-		} else {
-			for w := range changedPerWorker {
-				changedPerWorker[w] = false
-			}
-			inj := ar.Chaos()
-			// Hook: adopt the minimum neighbor label (both directions).
-			ar.ForDynamic(len(nodes), 128, func(w, lo, hi int) {
-				if lo == 0 {
-					// One chaos hit per round, from inside the dispatch.
-					inj.Hit(chaos.SiteWCC)
-				}
-				if propagateRange(g, color, nodes, label, lo, hi) {
-					changedPerWorker[w] = true
-				}
-			})
-			// Shortcut: one step of pointer jumping compresses label chains
-			// (the second inner loop of Algorithm 7).
-			ar.ForDynamic(len(nodes), 512, func(w, lo, hi int) {
-				if shortcutRange(nodes, label, lo, hi) {
-					changedPerWorker[w] = true
-				}
-			})
-			for _, c := range changedPerWorker {
-				any = any || c
-			}
-		}
-		if !any {
+		clear(k.changed)
+		// Hook: adopt the minimum neighbor label (both directions).
+		k.dispatch(ar, 128, (*kernel).propagateChunk)
+		// Shortcut: one step of pointer jumping compresses label chains
+		// (the second inner loop of Algorithm 7).
+		k.dispatch(ar, 512, (*kernel).shortcutChunk)
+		if !slices.Contains(k.changed, true) {
 			break
 		}
 	}
+	k.end()
 	for _, v := range nodes {
 		if label[v] == int32(v) {
 			res.Components++
@@ -113,25 +141,29 @@ func Run(sink *events.Sink, g *graph.Graph, color []int32, nodes []graph.NodeID,
 	return res
 }
 
-// propagateRange runs the min-label adoption step over nodes[lo:hi]
-// and reports whether any label changed. Plain function (not a
-// closure) so the single-worker path allocates nothing per round.
-func propagateRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label []int32, lo, hi int) bool {
+// propagateChunk is a round's hook body: each node of nodes[lo:hi]
+// adopts the smallest label among its same-color neighbors, both
+// directions. Its first chunk hits the WCC site, once per round from
+// inside the dispatch.
+func (k *kernel) propagateChunk(w, lo, hi int) {
+	if lo == 0 {
+		k.inj.Hit(chaos.SiteWCC)
+	}
+	g, color, label := k.g, k.color, k.label
 	changed := false
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
+	for _, n := range k.nodes[lo:hi] {
 		c := color[n]
 		best := atomic.LoadInt32(&label[n])
-		for _, k := range g.Out(n) {
-			if color[k] == c {
-				if l := atomic.LoadInt32(&label[k]); l < best {
+		for _, u := range g.Out(n) {
+			if color[u] == c {
+				if l := atomic.LoadInt32(&label[u]); l < best {
 					best = l
 				}
 			}
 		}
-		for _, k := range g.In(n) {
-			if color[k] == c {
-				if l := atomic.LoadInt32(&label[k]); l < best {
+		for _, u := range g.In(n) {
+			if color[u] == c {
+				if l := atomic.LoadInt32(&label[u]); l < best {
 					best = l
 				}
 			}
@@ -140,15 +172,17 @@ func propagateRange(g *graph.Graph, color []int32, nodes []graph.NodeID, label [
 			changed = true
 		}
 	}
-	return changed
+	if changed {
+		k.changed[w] = true
+	}
 }
 
-// shortcutRange runs one pointer-jumping step over nodes[lo:hi] and
-// reports whether any label changed.
-func shortcutRange(nodes []graph.NodeID, label []int32, lo, hi int) bool {
+// shortcutChunk is a round's pointer-jumping body: one step over
+// nodes[lo:hi].
+func (k *kernel) shortcutChunk(w, lo, hi int) {
+	label := k.label
 	changed := false
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
+	for _, n := range k.nodes[lo:hi] {
 		l := atomic.LoadInt32(&label[n])
 		if l != int32(n) {
 			if ll := atomic.LoadInt32(&label[l]); ll < l {
@@ -158,7 +192,9 @@ func shortcutRange(nodes []graph.NodeID, label []int32, lo, hi int) bool {
 			}
 		}
 	}
-	return changed
+	if changed {
+		k.changed[w] = true
+	}
 }
 
 // atomicMin lowers *p to v if v is smaller, returning whether a change

@@ -11,9 +11,10 @@ import (
 // KernelsWorklist), "bfs" (per FW/BW BFS level), "trim2" (per Trim2
 // sweep), "wcc" (per Par-WCC propagation round, or per union-find
 // pass), "task" (per phase-2 recursive FW-BW task), "peel" (inside the
-// support-pointer trim kernel's drain loop, per wave — the cascade's
-// removals included — or per frontier chunk), "uf" (inside the union-find WCC kernel's hook loops, per
-// chunk), "condense" (once per condensation build on the serving
+// support-pointer trim kernel's drain loop, per chunk of a wave — the
+// cascade's removals included — so per wave at one worker), "uf"
+// (inside the union-find WCC kernel's hook loops, per chunk, so per
+// pass at one worker), "condense" (once per condensation build on the serving
 // path's rebuild — internal/server — after detection succeeds), "wal"
 // (once per write-ahead-log append on the durability path —
 // internal/durable), "snapshot" (once per durable snapshot write), and
@@ -21,7 +22,9 @@ import (
 // per commit and per staged merge during a cycle collapse). The "peel"
 // and "uf" sites fire only under KernelsWorklist; "condense", "incr",
 // "wal", and "snapshot" are never hit by Detect itself, only by the
-// server's rebuild and durability paths.
+// server's rebuild and durability paths. At every worker count a
+// kernel round hits its site from inside its gang dispatch, which runs
+// inline at one worker, so a round over an empty list hits nothing.
 func ChaosSites() []string {
 	sites := chaos.Sites()
 	names := make([]string, len(sites))

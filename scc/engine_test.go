@@ -3,6 +3,7 @@ package scc_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -181,28 +182,39 @@ func TestEngineCloseLeaksNothing(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestEngineSteadyStateAllocs is the tentpole pin: a warm
-// single-worker engine performs zero allocations per Detect across
-// 100 repeated runs. Everything the hot path touches — arena buffers,
-// the phase-2 queue, color/comp arrays, the Result and its Comp —
-// must come from engine-retained storage.
+// TestEngineSteadyStateAllocs is the tentpole pin: a warm engine
+// performs zero allocations per Detect across 100 repeated runs, for
+// every parallel FW-BW algorithm under both kernel sets, at one worker
+// and at two, where every kernel round larger than its chunk
+// dispatches on the gang. Everything the hot path touches — arena
+// buffers, the kernels' kept dispatch states, the phase-2 queue,
+// color/comp arrays, the Result and its Comp — must come from
+// engine-retained storage.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	g := engineGraph()
-	e, err := scc.New(scc.Options{Algorithm: scc.Method2, Workers: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	ctx := context.Background()
-	run := func() {
-		if _, err := e.Detect(ctx, g); err != nil {
-			t.Fatal(err)
+	for _, alg := range []scc.Algorithm{scc.Method2, scc.Method1, scc.Baseline, scc.FWBW} {
+		for _, kern := range []scc.Kernels{scc.KernelsWorklist, scc.KernelsLegacy} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", alg, kern, workers), func(t *testing.T) {
+					e, err := scc.New(scc.Options{Algorithm: alg, Workers: workers, Kernels: kern, Seed: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					ctx := context.Background()
+					run := func() {
+						if _, err := e.Detect(ctx, g); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run() // grow the arena and queue to the graph's high-water mark
+					run()
+					if avg := testing.AllocsPerRun(100, run); avg != 0 {
+						t.Fatalf("Engine.Detect allocates %.2f objects/run in steady state, want 0", avg)
+					}
+				})
+			}
 		}
-	}
-	run() // grow the arena and queue to the graph's high-water mark
-	run()
-	if avg := testing.AllocsPerRun(100, run); avg != 0 {
-		t.Fatalf("Engine.Detect allocates %.2f objects/run in steady state, want 0", avg)
 	}
 }
 
